@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from popbias.catalog import Interaction
-from popbias.distfit import sample_pareto
 from popbias.metrics import Profile, evaluate_metric, kendall_tau
 from popbias.recommenders import BaseRecommender, RecRequest, Slate
 
@@ -35,7 +34,6 @@ __all__ = [
     "summarize",
     "correlate_metrics",
     "emit_report",
-    "generate_bias_suite",
     "build_manifest",
 ]
 
@@ -351,50 +349,6 @@ def emit_report(
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return "\n".join(lines) + "\n"
-
-
-def generate_bias_suite(
-    seed: int = 42,
-    n_configs: int = 16,
-    catalog_size: int = 4000,
-    users_per_config: int = 100,
-    profile_size: int = 40,
-    k: int = 10,
-    metric_ids: Sequence[str] = DEFAULT_METRICS,
-) -> dict[str, list[float]]:
-    """Bias values for a family of recommenders spanning negative to
-    positive popularity bias.
-
-    Builds a heavy-tailed synthetic catalog and a grid of blend
-    recommenders: configuration w fills a fraction w of each slate from the
-    most popular items and the rest uniformly at random. w=0 behaves like a
-    random recommender (strong negative bias), w=1 like a top-popularity
-    recommender. Returns per-metric bias vectors, one value per
-    configuration, for correlation analysis.
-    """
-    rng = np.random.default_rng(seed)
-    counts = np.maximum(np.floor(sample_pareto(catalog_size, 0.68, rng=rng)), 1.0)
-    phi = {i: float(c) for i, c in enumerate(counts)}
-    top_band = np.argsort(-counts, kind="stable")[:50]
-    consume_w = counts**0.7
-    consume_w = consume_w / consume_w.sum()
-
-    out: dict[str, list[float]] = {m: [] for m in metric_ids}
-    for w in np.linspace(0.0, 1.0, n_configs):
-        totals = {m: 0.0 for m in metric_ids}
-        for _ in range(users_per_config):
-            profile = rng.choice(catalog_size, size=profile_size, replace=False, p=consume_w)
-            n_top = int(round(w * k))
-            picks = list(rng.choice(top_band, size=n_top, replace=False))
-            picks += list(rng.choice(catalog_size, size=k - n_top, replace=False))
-            slate = list(dict.fromkeys(int(i) for i in picks))
-            r = Profile(tuple(slate), ranked=True)
-            u = Profile(tuple(int(i) for i in profile))
-            for m in metric_ids:
-                totals[m] += evaluate_metric(m, r, u, phi)
-        for m in metric_ids:
-            out[m].append(totals[m] / users_per_config)
-    return out
 
 
 def build_manifest(

@@ -5,6 +5,7 @@ import pytest
 
 from popbias.catalog import Interaction
 from popbias.recommenders import (
+    SCORE_BLOCK,
     SCORE_SNAP_BITS,
     SIMILARITY_FLOOR,
     ItemKnnRecommender,
@@ -119,6 +120,12 @@ def oracle_user_slate(ratings, neighbors, user, k):
             den[i] = den.get(i, 0.0) + abs(sim)
     scores = {i: means[user] + num[i] / den[i] for i in num if den[i] > 0}
     return tuple(i for i, _ in oracle_rank(scores.items(), k))
+
+
+def request_for(user, profile):
+    """The evaluation request of a user whose training side is profile."""
+    train = tuple(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
+    return RecRequest(user=user, train=train, exclude=frozenset(i for i, _ in profile))
 
 
 def random_ratings(rng, max_users=8, max_items=8):
@@ -245,7 +252,6 @@ class TestRecommendItemKnn:
             mode="item",
             k_neighbors=30,
             neighbors={7: ((3, 0.9),), 3: ((7, 0.9),)},
-            reverse={3: ((7, 0.9),), 7: ((3, 0.9),)},
         )
         slate = recommend_item_knn(model, [(3, 4.5)], 1)
         assert slate.entries == (7,)
@@ -255,7 +261,6 @@ class TestRecommendItemKnn:
             mode="item",
             k_neighbors=30,
             neighbors={7: ((3, 0.9),), 3: ((7, 0.9),)},
-            reverse={3: ((7, 0.9),), 7: ((3, 0.9),)},
         )
         slate = recommend_item_knn(model, [(3, 4.0)], 10)
         assert slate.entries == (7,)
@@ -269,7 +274,6 @@ class TestRecommendItemKnn:
             mode="item",
             k_neighbors=30,
             neighbors={5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))},
-            reverse={2: ((5, sim5), (7, sim7)), 5: ((2, sim5),), 7: ((2, sim7),)},
         )
         assert sim5 * 1.5 / sim5 < sim7 * 1.5 / sim7
         assert recommend_item_knn(model, [(2, 1.5)], 2).entries == (5, 7)
@@ -350,12 +354,53 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
     user_oracle = oracle_user_neighbors(ratings, k_neighbors)
 
     users = sorted({u for u, _ in ratings})
+    profiles = {}
     for user in users:
         profile = sorted((i, r) for (u, i), r in ratings.items() if u == user)
+        profiles[user] = profile
         got_item = recommend_item_knn(item_model, profile, k)
         assert got_item.entries == oracle_item_slate(item_oracle, profile, k)
         got_user = recommend_user_knn(user_model, matrix, user, k)
         assert got_user.entries == oracle_user_slate(ratings, user_oracle, user, k)
+
+    requests = [request_for(user, profiles[user]) for user in users]
+    item_batch = ItemKnnRecommender(item_model).recommend_batch(requests, k)
+    user_batch = UserKnnRecommender(user_model, matrix).recommend_batch(requests, k)
+    assert [(i.slate.entries, u.slate.entries) for i, u in zip(item_batch, user_batch)] == [
+        (
+            oracle_item_slate(item_oracle, profiles[user], k),
+            oracle_user_slate(ratings, user_oracle, user, k),
+        )
+        for user in users
+    ]
+
+
+def test_batches_larger_than_one_block_match_single_requests_in_any_order():
+    rng = np.random.default_rng(17)
+    n_users, n_items = 300, 40
+    ratings = {}
+    for u in range(1, n_users + 1):
+        items = rng.choice(np.arange(1, n_items + 1), size=int(rng.integers(3, 16)), replace=False)
+        for i in items:
+            ratings[(u, int(i))] = float(rng.integers(1, 11)) / 2.0
+    matrix = matrix_from(ratings)
+    phi = {i: float(rng.integers(1, 6)) for i in range(1, n_items + 1)}
+    requests = [
+        request_for(u, sorted((i, r) for (w, i), r in ratings.items() if w == u))
+        for u in range(1, n_users + 1)
+    ]
+    assert len(requests) > SCORE_BLOCK
+    for rec in (
+        RandomRecommender(phi.keys(), seed=3),
+        TopPopRecommender(phi),
+        ItemKnnRecommender(build_item_knn(matrix, 5)),
+        UserKnnRecommender(build_user_knn(matrix, 5), matrix),
+    ):
+        batch = [r.slate.entries for r in rec.recommend_batch(requests, 5)]
+        assert batch == [rec.recommend(request, 5).slate.entries for request in requests]
+        reversed_batch = rec.recommend_batch(requests[::-1], 5)
+        assert [r.slate.entries for r in reversed_batch[::-1]] == batch
+        assert any(batch), rec.name
 
 
 class TestSlate:
