@@ -14,16 +14,10 @@ from popbias.catalog import (
 )
 from popbias.metrics import (
     METRICS,
-    MetricDefinition,
+    Metric,
     Profile,
-    avg_pop_lift,
-    gini_diff,
-    gini_profile,
-    herfindahl_diff,
-    herfindahl_profile,
+    evaluate_metric,
     kendall_tau,
-    log_pop_difference,
-    pru,
     running_mean_trace,
     spearman_rho,
 )
@@ -38,16 +32,10 @@ __all__ = [
     "parse_movies",
     "parse_ratings",
     "METRICS",
-    "MetricDefinition",
+    "Metric",
     "Profile",
-    "avg_pop_lift",
-    "gini_diff",
-    "gini_profile",
-    "herfindahl_diff",
-    "herfindahl_profile",
+    "evaluate_metric",
     "kendall_tau",
-    "log_pop_difference",
-    "pru",
     "running_mean_trace",
     "spearman_rho",
 ]

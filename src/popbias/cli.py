@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -29,34 +29,14 @@ from popbias.recommenders import (
 
 DEFAULT_CONFIG: dict = {
     "data": {"movies": "", "ratings": ""},
-    "folds": {
-        "fold_count": 5,
-        "users_per_fold": 1000,
-        "seed": 0,
-        "train_fraction": 0.8,
-        "min_ratings": 10,
-    },
+    "folds": asdict(ev.FoldSpec()),
     "recommenders": ["random", "top_pop", "item_knn", "user_knn"],
     "knn_k": 30,
     "k": 10,
     "metrics": list(ev.DEFAULT_METRICS),
     "prompt_variant": "base",
     "strict_parse": False,
-    "provider": {
-        "dialect": "stub",
-        "endpoint": "",
-        "model_name": "stub-model",
-        "api_key_env": "",
-        "fixtures_dir": "",
-        "temperature": 0.0,
-        "top_p": 1.0,
-        "top_k": 250,
-        "max_tokens": 1024,
-        "max_in_flight": 4,
-        "timeout": 60.0,
-        "retries": 2,
-        "backoff": 0.5,
-    },
+    "provider": asdict(ProviderConfig()),
 }
 
 KNOWN_RECOMMENDERS = ("random", "top_pop", "item_knn", "user_knn", "wok")
@@ -326,24 +306,22 @@ def desiderata(metric_filter: tuple[str, ...], witnesses: bool) -> None:
             click.echo(f"{mark} {v.metric} / {v.desideratum}: {v.witness}")
 
 
-def _read_report_bias_columns(path: Path) -> tuple[list[str], list[dict[str, float]]]:
-    """Bias metric columns and row values from one report CSV."""
+def _read_report_bias_columns(
+    path: Path,
+) -> tuple[list[str], list[dict[str, float | None]]]:
+    """Bias metric columns and row values (None for a blank cell) from one report CSV."""
     if not path.is_file():
         raise click.ClickException(f"report not found: {path}")
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        skip = {"recommender", "hr5", "hr10", "unmatched"}
-        metric_cols = [
-            c
-            for c in fields
-            if c not in skip and not c.endswith("_sem") and c in METRICS
-        ]
-        rows = []
-        for record in reader:
-            if not record.get("recommender"):
-                break  # blank separator before an appended matrix section
-            rows.append({c: float(record[c]) for c in metric_cols})
+        metric_cols = [c for c in reader.fieldnames or [] if c in METRICS]
+        try:
+            rows = [
+                {c: float(record[c]) if record[c] else None for c in metric_cols}
+                for record in reader
+            ]
+        except ValueError as exc:
+            raise click.ClickException(f"{path}: {exc}")
     if not metric_cols:
         raise click.ClickException(f"no metric columns found in {path}")
     return metric_cols, rows
@@ -353,8 +331,12 @@ def _read_report_bias_columns(path: Path) -> tuple[list[str], list[dict[str, flo
 @click.argument("reports", nargs=-1, required=True, type=str)
 @click.option("--out", type=str, default=None, help="write the matrix CSV here")
 def correlate(reports: tuple[str, ...], out: str | None) -> None:
-    """Kendall-tau correlations between bias metrics across report rows."""
-    all_rows: list[dict[str, float]] = []
+    """Kendall-tau correlations between bias metrics across report rows.
+
+    A metric column that is blank in any row (undefined for that
+    recommender) is left out.
+    """
+    all_rows: list[dict[str, float | None]] = []
     columns: list[str] | None = None
     for path in reports:
         cols, rows = _read_report_bias_columns(Path(path))
@@ -364,19 +346,16 @@ def correlate(reports: tuple[str, ...], out: str | None) -> None:
             columns = [c for c in columns if c in cols]
         all_rows.extend(rows)
     assert columns is not None
-    bias_by_metric = {c: [row[c] for row in all_rows] for c in columns}
+    bias_by_metric = {
+        c: [row[c] for row in all_rows]
+        for c in columns
+        if all(row[c] is not None for row in all_rows)
+    }
     try:
         matrix = ev.correlate_metrics(bias_by_metric)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["metric", *matrix.metric_ids])
-    for a in matrix.metric_ids:
-        writer.writerow(
-            [a, *("" if matrix.tau(a, b) is None else f"{matrix.tau(a, b):.4f}" for b in matrix.metric_ids)]
-        )
-    text = buffer.getvalue()
+    text = ev.emit_correlations(matrix)
     if out:
         Path(out).write_text(text, encoding="utf-8")
         click.echo(f"wrote {out}")

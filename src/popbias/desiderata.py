@@ -15,14 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from popbias.metrics import (
-    METRICS,
-    Profile,
-    evaluate_metric,
-    gini_coefficient,
-    herfindahl_index,
-    spearman_rho,
-)
+from popbias.distfit import sample_pareto
+from popbias.metrics import METRICS, Profile, evaluate_metric
 
 __all__ = [
     "DESIDERATA",
@@ -215,35 +209,13 @@ def _check_monotonic(metric_id: str, fixture: PerturbationFixture) -> CheckVerdi
     return CheckVerdict("monotonic", metric_id, delta > 0.0, witness)
 
 
-def _sample_pareto(rng: np.random.Generator, n: int, shape: float, x_min: float) -> np.ndarray:
-    return x_min * rng.random(n) ** (-1.0 / shape)
-
-
-def _wellbehaved_statistic(metric_id: str, x: np.ndarray, rng: np.random.Generator) -> float:
-    """The metric's profile aggregate h(g(scores)) on one resampled profile."""
-    if metric_id == "avg_pop_lift":
-        return float(np.mean(x))
-    if metric_id == "log_pop_diff":
-        return float(np.mean(np.log(x)))
-    if metric_id == "gini_diff":
-        return gini_coefficient(x)
-    if metric_id == "herfindahl_diff":
-        return herfindahl_index(x)
-    if metric_id == "pru":
-        # Rank-based aggregate: correlation of scores with a slate ranking.
-        ranks = rng.permutation(x.size) + 1.0
-        return spearman_rho(x, ranks)
-    raise ValueError(f"unknown metric {metric_id!r}")
-
-
 def _check_well_behaved(metric_id: str, cfg: SamplingConfig) -> CheckVerdict:
+    metric = METRICS[metric_id]
     rng = np.random.default_rng(cfg.seed)
     sds = []
     for size in (cfg.n, 4 * cfg.n):
         values = [
-            _wellbehaved_statistic(
-                metric_id, _sample_pareto(rng, size, cfg.shape, cfg.x_min), rng
-            )
+            metric.statistic(sample_pareto(size, cfg.shape, cfg.x_min, rng), rng)
             for _ in range(cfg.resamples)
         ]
         sds.append(float(np.std(values, ddof=1)))

@@ -34,6 +34,7 @@ __all__ = [
     "summarize",
     "correlate_metrics",
     "emit_report",
+    "emit_correlations",
     "build_manifest",
 ]
 
@@ -229,24 +230,24 @@ def aggregate_folds(values: Sequence[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EvalRow:
-    """One recommender's fold-aggregated results: (mean, sem) pairs."""
+    """One recommender's fold-aggregated results: (mean, sem) pairs.
+
+    A bias metric defined in fewer than 2 folds has (None, None).
+    """
 
     name: str
     hr5: tuple[float, float]
     hr10: tuple[float, float]
-    bias: dict[str, tuple[float, float]]
+    bias: dict[str, tuple[float | None, float | None]]
     unmatched: tuple[float, float]
 
 
 def summarize(name: str, fold_stats: Sequence[FoldStats]) -> EvalRow:
     """Aggregate per-fold means into one report row."""
-    metric_ids = list(fold_stats[0].bias)
-    bias: dict[str, tuple[float, float]] = {}
-    for m in metric_ids:
+    bias: dict[str, tuple[float | None, float | None]] = {}
+    for m in fold_stats[0].bias:
         values = [fs.bias[m] for fs in fold_stats if fs.bias[m] is not None]
-        if len(values) < 2:
-            raise ValueError(f"metric {m} defined in fewer than 2 folds")
-        bias[m] = aggregate_folds(values)
+        bias[m] = aggregate_folds(values) if len(values) >= 2 else (None, None)
     return EvalRow(
         name=name,
         hr5=aggregate_folds([fs.hr5 for fs in fold_stats]),
@@ -315,40 +316,33 @@ def _row_cells(row: EvalRow) -> list[str]:
     return cells
 
 
-def emit_report(
-    rows: Sequence[EvalRow],
-    matrix: CorrelationMatrix | None = None,
-    fmt: str = "csv",
-) -> str:
-    """Render evaluation rows (and optional correlations) as CSV or markdown."""
-    if not rows:
-        raise ValueError("no rows to report")
-    cols = report_columns(rows)
-    lines: list[str] = []
+def _render(header: list[str], rows: Iterable[list[str]], fmt: str) -> str:
     if fmt == "csv":
-        lines.append(",".join(cols))
-        lines.extend(",".join(_row_cells(row)) for row in rows)
-        if matrix is not None:
-            lines.append("")
-            lines.append("metric," + ",".join(matrix.metric_ids))
-            for a in matrix.metric_ids:
-                cells = [_fmt(matrix.tau(a, b)) for b in matrix.metric_ids]
-                lines.append(a + "," + ",".join(cells))
+        lines = [",".join(header), *(",".join(cells) for cells in rows)]
     elif fmt == "markdown":
-        lines.append("| " + " | ".join(cols) + " |")
-        lines.append("|" + "|".join(["---"] * len(cols)) + "|")
-        lines.extend("| " + " | ".join(_row_cells(row)) + " |" for row in rows)
-        if matrix is not None:
-            lines.append("")
-            header = ["metric", *matrix.metric_ids]
-            lines.append("| " + " | ".join(header) + " |")
-            lines.append("|" + "|".join(["---"] * len(header)) + "|")
-            for a in matrix.metric_ids:
-                cells = [_fmt(matrix.tau(a, b)) for b in matrix.metric_ids]
-                lines.append("| " + " | ".join([a, *cells]) + " |")
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "|" + "|".join(["---"] * len(header)) + "|",
+            *("| " + " | ".join(cells) + " |" for cells in rows),
+        ]
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return "\n".join(lines) + "\n"
+
+
+def emit_report(rows: Sequence[EvalRow], fmt: str = "csv") -> str:
+    """Render evaluation rows as CSV or markdown."""
+    if not rows:
+        raise ValueError("no rows to report")
+    return _render(report_columns(rows), (_row_cells(row) for row in rows), fmt)
+
+
+def emit_correlations(matrix: CorrelationMatrix) -> str:
+    """Render a Kendall-tau matrix as CSV; undefined cells are blank."""
+    ids = matrix.metric_ids
+    return _render(
+        ["metric", *ids], ([a, *(_fmt(matrix.tau(a, b)) for b in ids)] for a in ids), "csv"
+    )
 
 
 def build_manifest(

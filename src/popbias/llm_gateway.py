@@ -371,7 +371,11 @@ class WokRecommender(BaseRecommender):
         self.name = f"wok-{cfg.model_name}{suffix}"
 
     def recommend(self, request: RecRequest, k: int) -> RecResult:
+        """One user's slate; a user with no catalogued training item gets an
+        empty slate with all ``k`` slots unmatched, since there is no prompt."""
         history = build_watch_history(request.train, self.entries)
+        if not history:
+            return RecResult(slate=Slate(entries=(), requested_k=k), unmatched=k)
         prompt = render_prompt(history, k, self.variant)
         text = complete_chat(prompt, self.cfg)
         parsed = parse_recommendations(text)

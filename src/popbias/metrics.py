@@ -2,17 +2,24 @@
 
 Every metric compares the aggregate popularity of a recommendation profile
 ``r`` against a user profile ``u``, given raw per-item popularity scores
-``phi``. A metric is a (transform g, aggregation h, comparison M) triple:
+``phi``. A metric is a (transform g, aggregation h, comparison M) triple,
+``M(h(g(phi(r))), h(g(phi(u))))``, and each ``METRICS`` entry holds the
+three functions named here:
 
-=================  ===========  ==============  ===================
-metric             transform g  aggregation h   comparison M
-=================  ===========  ==============  ===================
-log_pop_diff       log          mean            difference
-avg_pop_lift       identity     mean            relative difference
-gini_diff          share        gini            difference
-herfindahl_diff    share        sum of squares  difference
-pru                rank         identity        correlation
-=================  ===========  ==============  ===================
+=================  ===========  ================  ===================
+metric             transform g  aggregation h     comparison M
+=================  ===========  ================  ===================
+log_pop_diff       log          mean              difference
+avg_pop_lift       identity     mean              relative_difference
+gini_diff          identity     gini_coefficient  difference
+herfindahl_diff    identity     herfindahl_index  difference
+pru                identity     identity          spearman_rho
+=================  ===========  ================  ===================
+
+The Gini and Herfindahl aggregates normalise scores to shares themselves.
+PRU is the exception to the pattern: it correlates the popularity of the
+items both profiles share with their slate positions, so its record
+carries its own evaluation.
 
 Profiles are multisets: duplicate items count with multiplicity. All
 functions are pure and safe to call concurrently.
@@ -20,28 +27,20 @@ functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Profile",
-    "MetricDefinition",
+    "Metric",
     "METRICS",
     "profile_scores",
-    "log_pop_difference",
-    "avg_pop_lift",
     "gini_coefficient",
-    "gini_profile",
-    "gini_diff",
     "herfindahl_index",
-    "herfindahl_profile",
-    "herfindahl_diff",
     "spearman_rho",
     "kendall_tau",
-    "pru",
     "evaluate_metric",
     "running_mean_trace",
 ]
@@ -67,29 +66,6 @@ class Profile:
         return cls(items=tuple(items), ranked=ranked)
 
 
-@dataclass(frozen=True)
-class MetricDefinition:
-    """One row of the metric family: id plus its (g, h, M) triple."""
-
-    id: str
-    transform: str
-    aggregation: str
-    comparison: str
-
-
-METRICS: dict[str, MetricDefinition] = {
-    "log_pop_diff": MetricDefinition("log_pop_diff", "log", "mean", "difference"),
-    "avg_pop_lift": MetricDefinition(
-        "avg_pop_lift", "identity", "mean", "relative-difference"
-    ),
-    "gini_diff": MetricDefinition("gini_diff", "share", "gini", "difference"),
-    "herfindahl_diff": MetricDefinition(
-        "herfindahl_diff", "share", "sum-of-squares", "difference"
-    ),
-    "pru": MetricDefinition("pru", "rank", "identity", "correlation"),
-}
-
-
 def profile_scores(p: Profile, phi: Mapping[int, float]) -> np.ndarray:
     """Look up the raw popularity score of every profile item, in order."""
     try:
@@ -98,27 +74,19 @@ def profile_scores(p: Profile, phi: Mapping[int, float]) -> np.ndarray:
         raise ValueError(f"item {exc.args[0]} missing from popularity table") from None
 
 
-def log_pop_difference(r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-    """Mean natural-log popularity of ``r`` minus that of ``u``.
-
-    Scores must be >= 1 (rating counts), keeping the log non-negative.
-    """
-    rs = profile_scores(r, phi)
-    us = profile_scores(u, phi)
-    for scores, which in ((rs, "recommendation"), (us, "user")):
-        if np.any(scores < 1.0):
-            bad = scores[scores < 1.0][0]
-            raise ValueError(f"{which} profile has score {bad} < 1 (log domain)")
-    return float(np.mean(np.log(rs)) - np.mean(np.log(us)))
+def identity(scores: np.ndarray) -> np.ndarray:
+    return scores
 
 
-def avg_pop_lift(r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-    """Relative lift of mean raw popularity: (AP(r) - AP(u)) / AP(u)."""
-    ap_r = float(np.mean(profile_scores(r, phi)))
-    ap_u = float(np.mean(profile_scores(u, phi)))
-    if ap_u == 0.0:
-        raise ValueError("average popularity of the user profile is zero")
-    return (ap_r - ap_u) / ap_u
+def log(scores: np.ndarray) -> np.ndarray:
+    """Natural log of scores >= 1 (rating counts), which keeps it non-negative."""
+    if np.any(scores < 1.0):
+        raise ValueError(f"profile has score {scores[scores < 1.0][0]} < 1 (log domain)")
+    return np.log(scores)
+
+
+def mean(values: np.ndarray) -> float:
+    return float(np.mean(values))
 
 
 def gini_coefficient(scores: Sequence[float]) -> float:
@@ -133,15 +101,6 @@ def gini_coefficient(scores: Sequence[float]) -> float:
     return float(np.sum((2 * i - n - 1) / n * x / x.sum()))
 
 
-def gini_profile(p: Profile, phi: Mapping[int, float]) -> float:
-    return gini_coefficient(profile_scores(p, phi))
-
-
-def gini_diff(r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-    """Gini(r) - Gini(u): inequality of recommended vs consumed popularity."""
-    return gini_profile(r, phi) - gini_profile(u, phi)
-
-
 def herfindahl_index(scores: Sequence[float]) -> float:
     """Concentration of a set of positive scores: sum of squared shares."""
     x = np.asarray(scores, dtype=float)
@@ -153,100 +112,114 @@ def herfindahl_index(scores: Sequence[float]) -> float:
     return float(np.sum(shares * shares))
 
 
-def herfindahl_profile(p: Profile, phi: Mapping[int, float]) -> float:
-    return herfindahl_index(profile_scores(p, phi))
+def difference(r_value: float, u_value: float) -> float:
+    return r_value - u_value
 
 
-def herfindahl_diff(r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-    return herfindahl_profile(r, phi) - herfindahl_profile(u, phi)
+def relative_difference(r_value: float, u_value: float) -> float:
+    """(h(r) - h(u)) / h(u); undefined when the user aggregate is zero."""
+    if u_value == 0.0:
+        raise ValueError("aggregate of the user profile is zero")
+    return (r_value - u_value) / u_value
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values receive the mean of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation: Pearson correlation of average ranks."""
+def _paired(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Two equal-length samples of at least 2 observations each, as arrays."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:
         raise ValueError("sequences must have equal length")
     if x.size < 2:
         raise ValueError("undefined correlation: need at least 2 observations")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(np.sum(rx * rx)) * float(np.sum(ry * ry)))
-    if denom == 0.0:
-        raise ValueError("undefined correlation: zero rank variance")
-    return float(np.sum(rx * ry) / denom)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        raise ValueError("undefined correlation: constant sequence")
+    return x, y
+
+
+# scipy.stats is imported on first use: importing it takes longer than
+# the rest of the package, and most commands never correlate.
+
+
+def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Spearman rank correlation: Pearson correlation of average ranks."""
+    from scipy.stats import spearmanr
+
+    return float(spearmanr(*_paired(xs, ys)).statistic)
 
 
 def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Kendall rank correlation with tau-b tie handling."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size:
-        raise ValueError("sequences must have equal length")
-    n = x.size
-    if n < 2:
-        raise ValueError("undefined correlation: need at least 2 observations")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = sx[iu] * sy[iu]
-    concordant = float(np.sum(prod > 0))
-    discordant = float(np.sum(prod < 0))
-    n0 = n * (n - 1) / 2.0
-    ties_x = n0 - float(np.sum(sx[iu] != 0))
-    ties_y = n0 - float(np.sum(sy[iu] != 0))
-    denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
-    if denom == 0.0:
-        raise ValueError("undefined correlation: constant sequence")
-    return (concordant - discordant) / denom
+    from scipy.stats import kendalltau
+
+    return float(kendalltau(*_paired(xs, ys)).statistic)
 
 
-def pru(r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-    """Popularity-rank correlation over the profile intersection.
+@dataclass(frozen=True)
+class Metric:
+    """One bias metric: ``compare(statistic(phi(r)), statistic(phi(u)))``."""
+
+    id: str
+    transform: Callable[[np.ndarray], np.ndarray]
+    aggregate: Callable[[np.ndarray], float]
+    compare: Callable[[float, float], float]
+
+    def statistic(
+        self, scores: np.ndarray, rng: np.random.Generator | None = None
+    ) -> float:
+        """h(g(scores)): one profile's aggregate of its raw popularity scores.
+
+        ``rng`` feeds a statistic that needs draws beyond the scores; only
+        PRU's does.
+        """
+        return self.aggregate(self.transform(scores))
+
+    def evaluate(self, r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
+        return self.compare(
+            self.statistic(profile_scores(r, phi)), self.statistic(profile_scores(u, phi))
+        )
+
+
+class RankCorrelationMetric(Metric):
+    """PRU: popularity against slate position over the profile intersection.
 
     Correlates each shared item's popularity with an alignment score
     ``k + 1 - position_r``, so +1 means the most popular items occupy the
     recommender's top slots.
     """
-    if not r.ranked:
-        raise ValueError("PRU requires a rank-ordered recommendation profile")
-    u_items = set(u.items)
-    seen: dict[int, int] = {}
-    for pos, a in enumerate(r.items, start=1):
-        if a in u_items and a not in seen:
-            seen[a] = pos
-    if len(seen) < 2:
-        raise ValueError("PRU undefined: profile intersection has fewer than 2 items")
-    k = len(r.items)
-    shared = list(seen)
-    scores = profile_scores(Profile.of(shared), phi)
-    alignment = [k + 1 - seen[a] for a in shared]
-    return spearman_rho(scores, alignment)
+
+    def statistic(
+        self, scores: np.ndarray, rng: np.random.Generator | None = None
+    ) -> float:
+        """The correlation of ``scores`` with a slate order drawn from ``rng``."""
+        return self.compare(
+            self.aggregate(self.transform(scores)), rng.permutation(scores.size) + 1.0
+        )
+
+    def evaluate(self, r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
+        if not r.ranked:
+            raise ValueError("PRU requires a rank-ordered recommendation profile")
+        u_items = set(u.items)
+        seen: dict[int, int] = {}
+        for pos, a in enumerate(r.items, start=1):
+            if a in u_items and a not in seen:
+                seen[a] = pos
+        if len(seen) < 2:
+            raise ValueError("PRU undefined: profile intersection has fewer than 2 items")
+        k = len(r.items)
+        scores = profile_scores(Profile.of(seen), phi)
+        alignment = [k + 1 - pos for pos in seen.values()]
+        return self.compare(self.aggregate(self.transform(scores)), alignment)
 
 
-_METRIC_FUNCS = {
-    "log_pop_diff": log_pop_difference,
-    "avg_pop_lift": avg_pop_lift,
-    "gini_diff": gini_diff,
-    "herfindahl_diff": herfindahl_diff,
-    "pru": pru,
+METRICS: dict[str, Metric] = {
+    m.id: m
+    for m in (
+        Metric("log_pop_diff", log, mean, difference),
+        Metric("avg_pop_lift", identity, mean, relative_difference),
+        Metric("gini_diff", identity, gini_coefficient, difference),
+        Metric("herfindahl_diff", identity, herfindahl_index, difference),
+        RankCorrelationMetric("pru", identity, identity, spearman_rho),
+    )
 }
 
 
@@ -255,11 +228,11 @@ def evaluate_metric(
 ) -> float:
     """Evaluate one registered metric by id."""
     try:
-        fn = _METRIC_FUNCS[metric_id]
+        metric = METRICS[metric_id]
     except KeyError:
-        known = ", ".join(sorted(_METRIC_FUNCS))
+        known = ", ".join(sorted(METRICS))
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
-    return fn(r, u, phi)
+    return metric.evaluate(r, u, phi)
 
 
 def running_mean_trace(

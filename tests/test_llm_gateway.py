@@ -22,7 +22,8 @@ from popbias.llm_gateway import (
     render_prompt,
     validate_and_resolve,
 )
-from popbias.recommenders import RecRequest
+from popbias.evaluation import UserSplit, evaluate_recommender
+from popbias.recommenders import RecRequest, RecResult, Slate
 
 
 class TestRenderPrompt:
@@ -338,6 +339,26 @@ class TestWokRecommender:
         rec, request = self._setup(tmp_path, catalog_index)
         results = rec.recommend_batch([request, request, request], 3)
         assert all(r == results[0] for r in results)
+
+    def test_user_without_catalogued_history_gets_empty_slate(self, tmp_path, catalog_index):
+        rec, request = self._setup(tmp_path, catalog_index)
+        uncatalogued = RecRequest(
+            user=6, train=(Interaction(6, 99, 3.0, 100),), exclude=frozenset({99})
+        )
+        results = rec.recommend_batch([request, uncatalogued], 3)
+        assert results == [
+            rec.recommend(request, 3),
+            RecResult(slate=Slate(entries=(), requested_k=3), unmatched=3),
+        ]
+        fold = [
+            UserSplit(user=5, train=request.train, test_items=frozenset({3})),
+            UserSplit(user=6, train=uncatalogued.train, test_items=frozenset({1})),
+        ]
+        phi = {1: 5.0, 2: 3.0, 3: 2.0, 4: 1.0, 99: 1.0}
+        stats = evaluate_recommender(rec, fold, phi, ["log_pop_diff"], k=3)
+        assert stats.empty_slates == 1
+        assert stats.bias_excluded == {"log_pop_diff": 1}
+        assert stats.unmatched == (1 + 3) / 2
 
     def test_name_carries_variant(self, catalog_index):
         index, entries = catalog_index

@@ -1,23 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popbias import metrics
 from popbias.metrics import (
     METRICS,
     Profile,
-    avg_pop_lift,
     evaluate_metric,
     gini_coefficient,
-    gini_diff,
-    gini_profile,
-    herfindahl_diff,
     herfindahl_index,
-    herfindahl_profile,
-    log_pop_difference,
-    pru,
+    profile_scores,
     running_mean_trace,
 )
 
@@ -43,72 +39,73 @@ class TestLogPopDifference:
     def test_identical_profiles_zero(self):
         phi = {1: 3.0, 2: 17.0}
         p = Profile((1, 2))
-        assert log_pop_difference(p, p, phi) == 0.0
+        assert evaluate_metric("log_pop_diff", p, p, phi) == 0.0
 
     def test_frozen_value(self):
         # Oracle: (ln10 + ln100)/2 - (ln1 + ln10)/2 = ln(10).
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert log_pop_difference(r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
+        assert evaluate_metric("log_pop_diff", r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_anti_symmetry_example(self):
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert log_pop_difference(u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
+        assert evaluate_metric("log_pop_diff", u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
 
     def test_missing_item_named(self):
         with pytest.raises(ValueError, match="42"):
-            log_pop_difference(Profile((42,)), Profile((42,)), {})
+            evaluate_metric("log_pop_diff", Profile((42,)), Profile((42,)), {})
 
     def test_score_below_one_rejected(self):
         r, u, phi = _profiles([0.5], [2.0])
         with pytest.raises(ValueError, match="log domain"):
-            log_pop_difference(r, u, phi)
+            evaluate_metric("log_pop_diff", r, u, phi)
 
     @given(scores_lists, scores_lists)
     def test_anti_symmetry_property(self, a, b):
         r, u, phi = _profiles(a, b)
-        assert abs(log_pop_difference(r, u, phi) + log_pop_difference(u, r, phi)) < 1e-12
+        fwd = evaluate_metric("log_pop_diff", r, u, phi)
+        assert abs(fwd + evaluate_metric("log_pop_diff", u, r, phi)) < 1e-12
 
     @given(scores_lists, scores_lists, st.floats(min_value=1.0, max_value=1e3))
     def test_scaling_invariance(self, a, b, c):
         # Scale factors >= 1 keep scores inside the count domain.
         r, u, phi = _profiles(a, b)
         scaled = {k: v * c for k, v in phi.items()}
-        assert log_pop_difference(r, u, phi) == pytest.approx(
-            log_pop_difference(r, u, scaled), abs=1e-9
+        assert evaluate_metric("log_pop_diff", r, u, phi) == pytest.approx(
+            evaluate_metric("log_pop_diff", r, u, scaled), abs=1e-9
         )
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone_in_any_recommender_score(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = log_pop_difference(r, u, phi)
+        base = evaluate_metric("log_pop_diff", r, u, phi)
         bumped = dict(phi)
         bumped[r.items[0]] += eps
-        assert log_pop_difference(r, u, bumped) > base
+        assert evaluate_metric("log_pop_diff", r, u, bumped) > base
 
 
 class TestAvgPopLift:
     def test_asymmetry_counterexample(self):
         phi = {1: 1.0, 2: 0.5}
         r, u = Profile((1,)), Profile((2,))
-        assert avg_pop_lift(r, u, phi) == pytest.approx(1.0, abs=1e-12)
-        assert avg_pop_lift(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert evaluate_metric("avg_pop_lift", r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_metric("avg_pop_lift", u, r, phi) == pytest.approx(-0.5, abs=1e-12)
 
     def test_identical_zero(self):
         phi = {1: 4.0}
         p = Profile((1,))
-        assert avg_pop_lift(p, p, phi) == 0.0
+        assert evaluate_metric("avg_pop_lift", p, p, phi) == 0.0
 
     def test_direct_arithmetic(self):
         r, u, phi = _profiles([4.0], [2.0])
-        assert avg_pop_lift(r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_metric("avg_pop_lift", r, u, phi) == pytest.approx(1.0, abs=1e-12)
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = avg_pop_lift(r, u, phi)
+        base = evaluate_metric("avg_pop_lift", r, u, phi)
         bumped = dict(phi)
         bumped[r.items[-1]] += eps
-        assert avg_pop_lift(r, u, bumped) > base
+        assert evaluate_metric("avg_pop_lift", r, u, bumped) > base
 
 
 class TestGini:
@@ -132,8 +129,8 @@ class TestGini:
 
     def test_diff_and_antisymmetry(self):
         r, u, phi = _profiles([1.0, 3.0], [2.0, 2.0])
-        assert gini_diff(r, u, phi) == pytest.approx(0.25, abs=1e-12)
-        assert gini_diff(u, r, phi) == pytest.approx(-0.25, abs=1e-12)
+        assert evaluate_metric("gini_diff", r, u, phi) == pytest.approx(0.25, abs=1e-12)
+        assert evaluate_metric("gini_diff", u, r, phi) == pytest.approx(-0.25, abs=1e-12)
 
     def test_empty_profile_error(self):
         with pytest.raises(ValueError):
@@ -163,8 +160,8 @@ class TestHerfindahl:
     def test_diff(self):
         phi = {1: 5.0, 2: 3.0, 3: 3.0}
         r, u = Profile((1,)), Profile((2, 3))
-        assert herfindahl_diff(r, u, phi) == pytest.approx(0.5, abs=1e-12)
-        assert herfindahl_diff(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert evaluate_metric("herfindahl_diff", r, u, phi) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate_metric("herfindahl_diff", u, r, phi) == pytest.approx(-0.5, abs=1e-12)
 
     @given(scores_lists)
     def test_bounds(self, scores):
@@ -183,23 +180,23 @@ class TestPru:
         phi = {1: 30.0, 2: 20.0, 3: 10.0}
         r = Profile((1, 2, 3), ranked=True)
         u = Profile((3, 1, 2))
-        assert pru(r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_metric("pru", r, u, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_popular_on_bottom_is_minus_one(self):
         phi = {1: 10.0, 2: 20.0, 3: 30.0}
         r = Profile((1, 2, 3), ranked=True)
         u = Profile((1, 2, 3))
-        assert pru(r, u, phi) == pytest.approx(-1.0, abs=1e-12)
+        assert evaluate_metric("pru", r, u, phi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_empty_intersection_error(self):
         phi = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
         with pytest.raises(ValueError, match="PRU undefined"):
-            pru(Profile((1, 2), ranked=True), Profile((3, 4)), phi)
+            evaluate_metric("pru", Profile((1, 2), ranked=True), Profile((3, 4)), phi)
 
     def test_requires_rank_order(self):
         phi = {1: 1.0, 2: 2.0}
         with pytest.raises(ValueError, match="rank-ordered"):
-            pru(Profile((1, 2)), Profile((1, 2)), phi)
+            evaluate_metric("pru", Profile((1, 2)), Profile((1, 2)), phi)
 
 
 class TestZeroCenteringAllDifferenceMetrics:
@@ -207,8 +204,8 @@ class TestZeroCenteringAllDifferenceMetrics:
     def test_difference_metrics_zero_on_identical(self, scores):
         phi = {i + 1: s for i, s in enumerate(scores)}
         p = Profile(tuple(phi), ranked=True)
-        for metric_id, definition in METRICS.items():
-            if definition.comparison == "correlation":
+        for metric_id in METRICS:
+            if metric_id == "pru":
                 continue
             assert abs(evaluate_metric(metric_id, p, p, phi)) < 1e-12
 
@@ -225,7 +222,13 @@ def test_profiles_are_multisets():
     phi = {1: 8.0, 2: 2.0}
     with_dup = Profile((1, 1, 2))
     expected = (math.log(8) + math.log(8) + math.log(2)) / 3 - math.log(2)
-    assert log_pop_difference(with_dup, Profile((2,)), phi) == pytest.approx(expected)
+    assert evaluate_metric("log_pop_diff", with_dup, Profile((2,)), phi) == pytest.approx(expected)
+
+
+def test_module_table_names_each_records_functions():
+    for m in METRICS.values():
+        row = (m.id, m.transform.__name__, m.aggregate.__name__, m.compare.__name__)
+        assert re.search(r"^" + r"\s+".join(row) + r"\s*$", metrics.__doc__, re.M), row
 
 
 def test_profile_requires_items():
@@ -268,11 +271,11 @@ class TestRunningMeanTrace:
 @given(scores_lists, scores_lists)
 def test_gini_profile_matches_sorted_formula(a, b):
     r, u, phi = _profiles(a, b)
-    direct = gini_profile(r, phi)
+    direct = METRICS["gini_diff"].statistic(profile_scores(r, phi))
     n = len(a)
     total = sum(a)
     manual = sum((2 * i - n - 1) / n * (s / total) for i, s in enumerate(sorted(a), 1))
     assert direct == pytest.approx(manual, abs=1e-9)
-    assert herfindahl_profile(r, phi) == pytest.approx(
+    assert METRICS["herfindahl_diff"].statistic(profile_scores(r, phi)) == pytest.approx(
         sum((s / total) ** 2 for s in a), abs=1e-9
     )
