@@ -30,6 +30,7 @@ __all__ = [
     "compute_popularity",
     "normalize_title",
     "levenshtein",
+    "MAX_EDIT_DISTANCE",
 ]
 
 # Title field ends in "(YYYY)"; anything without it keeps year=0.
@@ -38,6 +39,9 @@ _TRAILING_ARTICLE_RE = re.compile(r"^(?P<body>.+?),\s*(?:the|a|an)$")
 _LEADING_ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+(?P<body>.+)$")
 _PUNCT_RE = re.compile(r"[^a-z0-9\s]")
 _WS_RE = re.compile(r"\s+")
+
+# Largest edit distance at which a title still fuzzily matches a catalog title.
+MAX_EDIT_DISTANCE = 2
 
 
 class ParseError(ValueError):
@@ -260,29 +264,70 @@ def normalize_title(title: str, year: int) -> TitleKey:
 
 
 def levenshtein(a: str, b: str, cap: int | None = None) -> int:
-    """Edit distance between two strings, optionally short-circuited at cap."""
+    """Edit distance (unit-cost insert, delete, substitute) between two strings.
+
+    Without ``cap`` the result is the exact distance. With ``cap`` it is the
+    exact distance when that is at most ``cap`` and exactly ``cap + 1``
+    otherwise. Characters are code points, compared as they are: no
+    normalization happens here.
+
+    The common prefix and suffix are stripped, then Myers' bit-vector
+    algorithm (J. ACM 1999, in Hyyrö's formulation) runs over Python ints
+    of one bit per character of the longer string, so each character of
+    the shorter string costs a fixed handful of integer operations instead
+    of a row of the DP table, at any length. It stops as soon as the
+    distance cannot come back within ``cap``.
+    """
     if a == b:
         return 0
-    if cap is not None and abs(len(a) - len(b)) > cap:
-        return cap + 1
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        row_min = i
-        for j, cb in enumerate(b, start=1):
-            cost = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            )
-            current.append(cost)
-            row_min = min(row_min, cost)
-        if cap is not None and row_min > cap:
+    if cap is not None and len(a) - len(b) > cap:
+        return cap + 1
+    n = len(b)
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    a = a[lo : len(a) - hi]
+    b = b[lo : n - hi]
+    if not b:
+        return len(a)  # within cap: stripping kept the length difference
+
+    # Bit i of the vectors is the vertical delta D[i+1][j] - D[i][j] of the
+    # DP column for prefix b[:j] against a (pv: +1, mv: -1); score is the
+    # bottom cell D[len(a)][j].
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    # D[len(a)][j] moves by at most 1 per remaining column, so once
+    # score - remaining > cap the final distance is past cap.
+    slack = len(b) if cap is None else len(b) + cap
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+        slack -= 1
+        if cap is not None and score > slack:
             return cap + 1
-        previous = current
-    return previous[-1]
+    return score
 
 
 @dataclass
@@ -290,30 +335,27 @@ class TitleIndex:
     """Lookup from normalized (title, year) keys to catalog items.
 
     Resolution order: exact key, then year +/- 1, then unique fuzzy match
-    with edit distance <= 2 over the year-window candidates. Ambiguity at
-    any stage resolves to ``None`` rather than guessing an item.
+    with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
+    candidates. Ambiguity at any stage resolves to ``None`` rather than
+    guessing an item.
+
+    The fuzzy stage calls :func:`levenshtein` once per catalog title in the
+    three-year window, capped at ``MAX_EDIT_DISTANCE``. Each call costs
+    O(len) integer operations, not an O(len²) table, and returns the exact
+    distance up to the cap and ``MAX_EDIT_DISTANCE + 1`` past it.
     """
 
-    max_edit_distance: int = 2
     _exact: dict[tuple[str, int], list[int]] = field(default_factory=dict)
     _by_year: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
-    _entries: dict[int, CatalogEntry] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, entries: Iterable[CatalogEntry], max_edit_distance: int = 2) -> "TitleIndex":
-        index = cls(max_edit_distance=max_edit_distance)
+    def build(cls, entries: Iterable[CatalogEntry]) -> "TitleIndex":
+        index = cls()
         for entry in entries:
             key = normalize_title(entry.title, entry.year)
             index._exact.setdefault((key.normalized_title, key.year), []).append(entry.item)
             index._by_year.setdefault(key.year, []).append((key.normalized_title, entry.item))
-            index._entries[entry.item] = entry
         return index
-
-    def entry(self, item: int) -> CatalogEntry:
-        return self._entries[item]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
@@ -339,18 +381,18 @@ class TitleIndex:
         if len(near) > 1:
             return None
 
-        best_distance = self.max_edit_distance + 1
+        best_distance = MAX_EDIT_DISTANCE + 1
         best_items: list[int] = []
         for y in (year - 1, year, year + 1):
             if y <= 0:
                 continue
             for candidate_title, item in self._by_year.get(y, []):
-                d = levenshtein(key.normalized_title, candidate_title, cap=self.max_edit_distance)
+                d = levenshtein(key.normalized_title, candidate_title, cap=MAX_EDIT_DISTANCE)
                 if d < best_distance:
                     best_distance = d
                     best_items = [item]
                 elif d == best_distance:
                     best_items.append(item)
-        if best_distance <= self.max_edit_distance and len(best_items) == 1:
+        if best_distance <= MAX_EDIT_DISTANCE and len(best_items) == 1:
             return best_items[0]
         return None

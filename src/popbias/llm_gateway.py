@@ -241,7 +241,8 @@ class ParsedCompletion:
 
 
 # "N. Title (YYYY)" or "N) Title (YYYY)", tolerating trailing commentary.
-_REC_LINE_RE = re.compile(r"^\s*(?P<pos>\d+)[.)]\s*(?P<title>.+?)\s*\((?P<year>\d{4})\)")
+# The title starts with a non-space, so "N.  (YYYY)" is malformed.
+_REC_LINE_RE = re.compile(r"^\s*(?P<pos>\d+)[.)]\s*(?P<title>\S.*?)\s*\((?P<year>\d{4})\)")
 _NUMBERED_PREFIX_RE = re.compile(r"^\s*\d+[.)]")
 
 

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popbias.catalog import (
+    MAX_EDIT_DISTANCE,
     CatalogEntry,
     Interaction,
     ParseError,
@@ -164,12 +166,128 @@ def _reference_levenshtein(a: str, b: str) -> int:
     return rows[-1]
 
 
-@given(st.text(max_size=8), st.text(max_size=8))
-def test_levenshtein_matches_reference(a, b):
+# A small alphabet makes short distances and cap exits common; "e\u0301" and
+# "u\u0308" are combining marks, compared as separate code points.
+_EDIT_ALPHABET = "ab e\u0301\u00e9u\u0308\u00df\u65e5"
+# Short strings and strings longer than one 64-bit word.
+_edit_text = st.one_of(
+    st.text(alphabet=_EDIT_ALPHABET, max_size=8),
+    st.text(alphabet=_EDIT_ALPHABET, min_size=60, max_size=150),
+)
+
+
+def _assert_levenshtein_contract(a: str, b: str) -> None:
     exact = _reference_levenshtein(a, b)
     assert levenshtein(a, b) == exact
-    capped = levenshtein(a, b, cap=2)
-    assert capped == exact if exact <= 2 else capped == 3
+    for cap in range(6):
+        expected = exact if exact <= cap else cap + 1
+        assert levenshtein(a, b, cap=cap) == expected, (cap, exact)
+        assert levenshtein(b, a, cap=cap) == expected, (cap, exact)
+
+
+@given(_edit_text, _edit_text)
+@example("bbaab", "aabba")
+@settings(deadline=None)
+def test_levenshtein_matches_reference(a, b):
+    _assert_levenshtein_contract(a, b)
+
+
+@given(
+    st.text(alphabet=_EDIT_ALPHABET, max_size=150),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "delete", "substitute")),
+            st.integers(0, 150),
+            st.sampled_from(_EDIT_ALPHABET),
+        ),
+        max_size=4,
+    ),
+)
+@settings(deadline=None)
+def test_levenshtein_few_edits_match_reference(a, edits):
+    # A few edits keep the distance near the caps at every length.
+    b = list(a)
+    for op, pos, ch in edits:
+        pos = min(pos, len(b))
+        if op == "insert":
+            b.insert(pos, ch)
+        elif pos < len(b):
+            if op == "delete":
+                del b[pos]
+            else:
+                b[pos] = ch
+    _assert_levenshtein_contract(a, "".join(b))
+
+
+def _brute_force_resolve(entries, title, year):
+    """The documented resolution order, scanning every entry."""
+    keys = [(normalize_title(e.title, e.year), e.item) for e in entries]
+    query = normalize_title(title, year).normalized_title
+    exact = [item for key, item in keys if (key.normalized_title, key.year) == (query, year)]
+    if exact:
+        return exact[0] if len(exact) == 1 else None
+    if year <= 0:
+        return None
+    # Year-0 entries stay out of the tolerant stages.
+    near = [
+        item
+        for key, item in keys
+        if key.normalized_title == query and key.year > 0 and abs(key.year - year) == 1
+    ]
+    if near:
+        return near[0] if len(near) == 1 else None
+    scored = [
+        (_reference_levenshtein(query, key.normalized_title), item)
+        for key, item in keys
+        if key.year > 0 and abs(key.year - year) <= 1
+    ]
+    best = min((d for d, _ in scored), default=MAX_EDIT_DISTANCE + 1)
+    winners = [item for d, item in scored if d == best]
+    return winners[0] if best <= MAX_EDIT_DISTANCE and len(winners) == 1 else None
+
+
+def _typo(title: str, rng: random.Random, edits: int) -> str:
+    chars = list(title)
+    for _ in range(edits):
+        pos = rng.randrange(len(chars))
+        op = rng.choice(("insert", "delete", "substitute"))
+        if op == "insert":
+            chars.insert(pos, rng.choice("aeiourst"))
+        elif op == "delete" and len(chars) > 1:
+            del chars[pos]
+        else:
+            chars[pos] = rng.choice("aeiourst")
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resolve_matches_brute_force(seed):
+    rng = random.Random(seed)
+    words = ["red", "blue", "stone", "river", "night", "garden", "seven", "last", "amélie"]
+    entries = []
+    for item in range(1, 61):
+        title = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        entries.append(CatalogEntry(item, title.title(), rng.choice([0, 1990, 1991, 1992, 1993])))
+    # Two titles one edit either side of the query "Planted Tie": tied at distance 1.
+    entries += [CatalogEntry(61, "Planted Tiea", 1991), CatalogEntry(62, "Planted Tieb", 1992)]
+    queries = [("Planted Tie", 1991), ("Planted Tie", 1992)]
+    for e in entries:
+        queries.append((e.title, e.year))
+        queries.append((e.title, e.year + rng.choice((-1, 1))))
+        queries.append((_typo(e.title, rng, rng.randint(1, 3)), e.year + rng.choice((-1, 0, 1))))
+    queries.append(("Completely Invented Film", 1991))
+
+    index = TitleIndex.build(entries)
+    results = [index.resolve(t, y) for t, y in queries]
+    assert results == [_brute_force_resolve(entries, t, y) for t, y in queries]
+    assert results[:2] == [None, None]
+    catalogued = {normalize_title(e.title, e.year).normalized_title for e in entries}
+    fuzzy_hits = [
+        r
+        for (t, y), r in zip(queries, results)
+        if r is not None and normalize_title(t, y).normalized_title not in catalogued
+    ]
+    assert len(fuzzy_hits) >= 5
 
 
 class TestResolveTitle:

@@ -101,6 +101,11 @@ class TestParseRecommendations:
         parsed = parse_recommendations("\n1. Heat (1995)\n\n2. Fargo (1996)\n")
         assert len(parsed.recs) == 2
 
+    def test_blank_title_is_malformed(self):
+        parsed = parse_recommendations("1.  (1999)\n2. Heat (1995)")
+        assert parsed.recs == (ParsedRec(2, "Heat", 1995),)
+        assert parsed.malformed == ("1.  (1999)",)
+
     def test_round_trip_synthetic_completion(self):
         lines = [f"{i}. Film Number {i} (19{50 + i:02d})" for i in range(1, 11)]
         parsed = parse_recommendations("\n".join(lines))
@@ -167,6 +172,18 @@ class TestValidateAndResolve:
         result = validate_and_resolve(parsed, set(), index, requested_k=2)
         assert [t.tag for t in result.tags] == [ValidityTag.VALID, ValidityTag.MALFORMED]
         assert result.slate.entries == (2,)
+
+    def test_blank_title_tagged_malformed(self, catalog_index):
+        index, _ = catalog_index
+        parsed = parse_recommendations("1. (1999)\n2.   (1995)\n3. Heat (1995)")
+        result = validate_and_resolve(parsed, set(), index, requested_k=3)
+        assert [t.tag for t in result.tags] == [
+            ValidityTag.VALID,
+            ValidityTag.MALFORMED,
+            ValidityTag.MALFORMED,
+        ]
+        assert result.slate.entries == (2,)
+        assert result.unmatched_count == 2
 
     def test_unmatched_bounded_by_k(self, catalog_index):
         index, _ = catalog_index
