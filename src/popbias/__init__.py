@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from popbias.catalog import (
     CatalogEntry,
     Interaction,
-    PopularityTable,
     TitleIndex,
     compute_popularity,
     normalize_title,
@@ -18,14 +17,12 @@ from popbias.metrics import (
     Profile,
     evaluate_metric,
     kendall_tau,
-    running_mean_trace,
     spearman_rho,
 )
 
 __all__ = [
     "CatalogEntry",
     "Interaction",
-    "PopularityTable",
     "TitleIndex",
     "compute_popularity",
     "normalize_title",
@@ -36,6 +33,5 @@ __all__ = [
     "Profile",
     "evaluate_metric",
     "kendall_tau",
-    "running_mean_trace",
     "spearman_rho",
 ]

@@ -2,8 +2,8 @@
 
 Flat-file ingestion only: ``movies.dat`` (``MovieID::Title (Year)::Genres``)
 and ``ratings.dat`` (``UserID::MovieID::Rating::Timestamp``). The parsed
-catalog, popularity table, and title index are immutable after construction
-and safe to share across threads.
+catalog and title index are immutable after construction and safe to share
+across threads; the popularity counts are a plain dict, shared read-only.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +20,6 @@ __all__ = [
     "Interaction",
     "ParseIssue",
     "ParseError",
-    "PopularityTable",
-    "TitleKey",
     "TitleIndex",
     "parse_movies",
     "parse_ratings",
@@ -74,39 +72,6 @@ class Interaction:
     item: int
     rating: float
     timestamp: int
-
-
-@dataclass(frozen=True)
-class TitleKey:
-    normalized_title: str
-    year: int
-
-
-class PopularityTable(Mapping):
-    """Raw popularity per item: the count of ratings it received.
-
-    Only items with at least one interaction appear; every stored score is
-    therefore >= 1. Behaves as a read-only mapping from item id to score.
-    """
-
-    def __init__(self, scores: Mapping[int, float]):
-        self._scores = dict(scores)
-
-    def __getitem__(self, item: int) -> float:
-        return self._scores[item]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._scores)
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    def __repr__(self) -> str:
-        return f"PopularityTable({len(self._scores)} items)"
-
-    @property
-    def total(self) -> float:
-        return sum(self._scores.values())
 
 
 def _iter_clean_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -226,18 +191,22 @@ def read_ratings_file(
     return parse_ratings(_read_lines(path), strict=strict)
 
 
-def compute_popularity(interactions: Iterable[Interaction]) -> PopularityTable:
-    """Count ratings per item. Every interaction counts, duplicates included."""
+def compute_popularity(interactions: Iterable[Interaction]) -> dict[int, int]:
+    """Count ratings per item, in first-seen item order.
+
+    Every interaction counts, duplicates included, so only rated items
+    appear and every count is >= 1.
+    """
     counts: Counter[int] = Counter()
     for it in interactions:
         counts[it.item] += 1
     if not counts:
         raise ValueError("no interactions: popularity table would be empty")
-    return PopularityTable(counts)
+    return dict(counts)
 
 
-def normalize_title(title: str, year: int) -> TitleKey:
-    """Build the canonical lookup key for a movie title.
+def normalize_title(title: str) -> str:
+    """The canonical lookup form of a movie title.
 
     Lowercases, strips diacritics, rotates a trailing ", The"/", A"/", An"
     to the front and drops it together with any leading article, removes
@@ -260,7 +229,7 @@ def normalize_title(title: str, year: int) -> TitleKey:
         if not m:
             break
         text = m.group("body").strip()
-    return TitleKey(normalized_title=text, year=year)
+    return text
 
 
 def levenshtein(a: str, b: str, cap: int | None = None) -> int:
@@ -352,16 +321,16 @@ class TitleIndex:
     def build(cls, entries: Iterable[CatalogEntry]) -> "TitleIndex":
         index = cls()
         for entry in entries:
-            key = normalize_title(entry.title, entry.year)
-            index._exact.setdefault((key.normalized_title, key.year), []).append(entry.item)
-            index._by_year.setdefault(key.year, []).append((key.normalized_title, entry.item))
+            title = normalize_title(entry.title)
+            index._exact.setdefault((title, entry.year), []).append(entry.item)
+            index._by_year.setdefault(entry.year, []).append((title, entry.item))
         return index
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
-        key = normalize_title(title, year)
+        title = normalize_title(title)
 
-        hits = self._exact.get((key.normalized_title, key.year), [])
+        hits = self._exact.get((title, year), [])
         if len(hits) == 1:
             return hits[0]
         if len(hits) > 1:
@@ -374,7 +343,7 @@ class TitleIndex:
             item
             for y in (year - 1, year + 1)
             if y > 0
-            for item in self._exact.get((key.normalized_title, y), [])
+            for item in self._exact.get((title, y), [])
         ]
         if len(near) == 1:
             return near[0]
@@ -387,7 +356,7 @@ class TitleIndex:
             if y <= 0:
                 continue
             for candidate_title, item in self._by_year.get(y, []):
-                d = levenshtein(key.normalized_title, candidate_title, cap=MAX_EDIT_DISTANCE)
+                d = levenshtein(title, candidate_title, cap=MAX_EDIT_DISTANCE)
                 if d < best_distance:
                     best_distance = d
                     best_items = [item]

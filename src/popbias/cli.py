@@ -18,6 +18,7 @@ from popbias.distfit import fit_pareto
 from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
 from popbias.metrics import METRICS
 from popbias.recommenders import (
+    DEFAULT_K_NEIGHBORS,
     ItemKnnRecommender,
     RandomRecommender,
     TopPopRecommender,
@@ -31,7 +32,7 @@ DEFAULT_CONFIG: dict = {
     "data": {"movies": "", "ratings": ""},
     "folds": asdict(ev.FoldSpec()),
     "recommenders": ["random", "top_pop", "item_knn", "user_knn"],
-    "knn_k": 30,
+    "knn_k": DEFAULT_K_NEIGHBORS,
     "k": 10,
     "metrics": list(ev.DEFAULT_METRICS),
     "prompt_variant": "base",

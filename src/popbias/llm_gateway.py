@@ -380,14 +380,9 @@ class WokRecommender(BaseRecommender):
         prompt = render_prompt(history, k, self.variant)
         text = complete_chat(prompt, self.cfg)
         parsed = parse_recommendations(text)
+        # Validation tags every excluded (watched) item and keeps it off the slate.
         validated = validate_and_resolve(parsed, request.exclude, self.index, k)
-        # Validation already drops watched items, but the slate contract
-        # with the evaluator is strict, so filter defensively.
-        entries = tuple(a for a in validated.slate.entries if a not in request.exclude)
-        return RecResult(
-            slate=Slate(entries=entries, requested_k=k),
-            unmatched=validated.unmatched_count,
-        )
+        return RecResult(slate=validated.slate, unmatched=validated.unmatched_count)
 
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         if not requests:

@@ -42,7 +42,6 @@ __all__ = [
     "spearman_rho",
     "kendall_tau",
     "evaluate_metric",
-    "running_mean_trace",
 ]
 
 
@@ -233,24 +232,3 @@ def evaluate_metric(
         known = ", ".join(sorted(METRICS))
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
     return metric.evaluate(r, u, phi)
-
-
-def running_mean_trace(
-    scores: Sequence[float], transform: str = "identity"
-) -> np.ndarray:
-    """Prefix means of (optionally log-transformed) scores.
-
-    The identity trace of heavy-tailed scores jumps whenever a dominant
-    element enters; the log trace settles. Used to demonstrate statistical
-    well-behavedness of the log transform.
-    """
-    x = np.asarray(scores, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty score list")
-    if transform == "log":
-        if np.any(x <= 0):
-            raise ValueError("log transform requires positive scores")
-        x = np.log(x)
-    elif transform != "identity":
-        raise ValueError(f"unknown transform {transform!r}")
-    return np.cumsum(x) / np.arange(1, x.size + 1)

@@ -3,7 +3,10 @@
 Both KNN variants use cosine similarity over mean-centered ratings (each
 rating centered by its user's mean) and keep only the top-K neighbors per
 entity whose similarity exceeds SIMILARITY_FLOOR (1e-12); a smaller cosine
-is rounding noise around zero and counts as no neighbor.
+is rounding noise around zero and counts as no neighbor. One builder,
+_build_knn, serves both: it cuts each dense block of similarities with one
+_first_k call and returns a KnnModel whose n x n CSR row n holds entity n's
+neighbors, stored best first.
 
 Ranking rule, shared by top-pop slates, KNN slates and the top-K neighbor
 cut: a score is compared after snapping it to SCORE_SNAP_BITS (40)
@@ -28,12 +31,14 @@ items matrix R of profile ratings:
 
 Seen items and entries with no positive denominator are dropped before
 ranking. A CSR product sums each output entry in the storage order of the
-left-hand row, and R and W are built with each row in profile order or
-neighbor-list order, so every score is summed in the same order as a loop
-over the profile or the neighbor list. A sparse product drops entries that
-sum to exactly 0, so numerators are read back at the denominator's
-entries, a missing one counting as 0. The block bounds the dense
-requests x items arrays of one product.
+left-hand row. R is built with each row in profile order and W is sliced
+from the model's similarity rows, stored best first, so every score is
+summed in the same order as a loop over the profile or the neighbor list.
+Nothing may therefore sort a row's indices: scipy's abs() and
+sum_duplicates do, so |W| replaces W's data array instead. A sparse
+product drops entries that sum to exactly 0, so numerators are read back
+at the denominator's entries, a missing one counting as 0. The block
+bounds the dense requests x items arrays of one product.
 
 Built models are immutable; recommend calls are thread-safe.
 """
@@ -49,6 +54,7 @@ from scipy import sparse
 from popbias.catalog import Interaction
 
 __all__ = [
+    "DEFAULT_K_NEIGHBORS",
     "SCORE_BLOCK",
     "SCORE_SNAP_BITS",
     "SIMILARITY_FLOOR",
@@ -169,13 +175,20 @@ class RatingMatrix:
         return centered.tocsr()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnModel:
-    """Top-K neighbor lists (similarity above SIMILARITY_FLOOR), best first."""
+    """Top-K neighbors (similarity above SIMILARITY_FLOOR) of every entity.
+
+    ids are the sorted item or user ids; row n of the n x n CSR sims holds
+    ids[n]'s neighbors as positions into ids, stored best first under the
+    ranking rule. That storage order is part of the model: user-KNN sums
+    each score in it, so nothing may sort a row's indices (scipy's abs()
+    and sum_duplicates do).
+    """
 
     mode: str  # "item" or "user"
-    k_neighbors: int
-    neighbors: dict[int, tuple[tuple[int, float], ...]]
+    ids: np.ndarray
+    sims: sparse.csr_matrix
 
 
 def recommend_random(
@@ -221,57 +234,59 @@ def recommend_top_pop(
     return TopPopRecommender(phi).slates_for([exclude], k)[0]
 
 
-def _top_k_neighbors(
-    sims: np.ndarray, ids: Sequence[int], self_pos: int, k: int
-) -> tuple[tuple[int, float], ...]:
-    positive = np.flatnonzero(sims > SIMILARITY_FLOOR)
-    positive = positive[positive != self_pos]
-    # ids are sorted, so ranking positions ranks ids.
-    picked = positive[_first_k(np.zeros_like(positive), positive, sims[positive], k)]
-    return tuple(zip([ids[n] for n in picked.tolist()], sims[picked].tolist()))
+def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
+    """Cosine similarity between the item columns or user rows of the centered matrix.
+
+    Similarities are computed _BLOCK rows at a time; one _first_k call cuts
+    each dense block to its rows' top-K neighbors.
+    """
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be >= 1")
+    centered = matrix.centered()
+    # Both modes sum the squares over the users x items matrix: summing the
+    # rows of its transpose instead rounds differently in the last bit.
+    norms = np.sqrt(
+        np.asarray(centered.multiply(centered).sum(axis=0 if mode == "item" else 1)).ravel()
+    )
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    if mode == "item":
+        right = centered @ sparse.diags(inv)
+        left = right.T.tocsr()
+        ids = matrix.items
+    else:
+        left = sparse.diags(inv) @ centered
+        right = left.T
+        ids = matrix.users
+    n = len(ids)
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for start in range(0, n, _BLOCK):
+        block = (left[start : start + _BLOCK] @ right).toarray()
+        local = np.arange(block.shape[0])
+        block[local, start + local] = 0.0  # no entity is its own neighbor
+        rows, cols = np.nonzero(block > SIMILARITY_FLOOR)
+        sims = block[rows, cols]
+        del block  # freed before _first_k pads the entries into its own dense array
+        # Positions follow ids, which are sorted, so ranking positions ranks ids.
+        picked = _first_k(rows, cols, sims, k_neighbors)
+        kept.append((rows[picked] + start, cols[picked], sims[picked]))
+    rows, cols, sims = (np.concatenate(parts) for parts in zip(*kept))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return KnnModel(
+        mode=mode,
+        ids=np.array(ids, dtype=np.int64),
+        sims=sparse.csr_matrix((sims, cols, indptr), shape=(n, n)),
+    )
 
 
 def build_item_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
     """Cosine similarity between item columns of the centered matrix."""
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
-    centered = matrix.centered()
-    norms = np.sqrt(np.asarray(centered.multiply(centered).sum(axis=0)).ravel())
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    normalized = centered @ sparse.diags(inv)
-    normalized_t = normalized.T.tocsr()
-    n_items = len(matrix.items)
-    neighbors: dict[int, tuple[tuple[int, float], ...]] = {}
-    for start in range(0, n_items, _BLOCK):
-        stop = min(start + _BLOCK, n_items)
-        block = (normalized_t[start:stop] @ normalized).toarray()
-        for offset in range(stop - start):
-            item = matrix.items[start + offset]
-            neighbors[item] = _top_k_neighbors(
-                block[offset], matrix.items, start + offset, k_neighbors
-            )
-    return KnnModel(mode="item", k_neighbors=k_neighbors, neighbors=neighbors)
+    return _build_knn(matrix, "item", k_neighbors)
 
 
 def build_user_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
     """Cosine similarity between user rows of the centered matrix."""
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
-    centered = matrix.centered()
-    norms = np.sqrt(np.asarray(centered.multiply(centered).sum(axis=1)).ravel())
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    normalized = sparse.diags(inv) @ centered
-    n_users = len(matrix.users)
-    neighbors: dict[int, tuple[tuple[int, float], ...]] = {}
-    for start in range(0, n_users, _BLOCK):
-        stop = min(start + _BLOCK, n_users)
-        block = (normalized[start:stop] @ normalized.T).toarray()
-        for offset in range(stop - start):
-            user = matrix.users[start + offset]
-            neighbors[user] = _top_k_neighbors(
-                block[offset], matrix.users, start + offset, k_neighbors
-            )
-    return KnnModel(mode="user", k_neighbors=k_neighbors, neighbors=neighbors)
+    return _build_knn(matrix, "user", k_neighbors)
 
 
 def _lists_to_csr(
@@ -422,22 +437,10 @@ class ItemKnnRecommender(BaseRecommender):
         if model.mode != "item":
             raise ValueError("model is not item-based")
         self.model = model
-        ids = sorted(
-            set(model.neighbors).union(
-                *({j for j, _ in neigh} for neigh in model.neighbors.values())
-            )
-        )
-        self.items = np.array(ids, dtype=np.int64)
-        self.item_index = {item: n for n, item in enumerate(ids)}
-        sims = _lists_to_csr(
-            [
-                [(self.item_index[j], sim) for j, sim in model.neighbors.get(c, ())]
-                for c in ids
-            ],
-            len(ids),
-        )
+        self.items = model.ids
+        self.item_index = {item: n for n, item in enumerate(model.ids.tolist())}
         # Row j of sims_t holds sim(c, j) for every item c that lists j.
-        self.sims_t = sims.T.tocsr()
+        self.sims_t = model.sims.T.tocsr()
         self.abs_sims_t = abs(self.sims_t)
 
     def profile_slates(
@@ -474,6 +477,8 @@ class UserKnnRecommender(BaseRecommender):
     def __init__(self, model: KnnModel, matrix: RatingMatrix):
         if model.mode != "user":
             raise ValueError("model is not user-based")
+        if not np.array_equal(model.ids, matrix.users):
+            raise ValueError("model was built from another rating matrix")
         self.model = model
         self.matrix = matrix
         self.items = np.array(matrix.items, dtype=np.int64)
@@ -493,13 +498,7 @@ class UserKnnRecommender(BaseRecommender):
         for start in range(0, len(users), SCORE_BLOCK):
             block = users[start : start + SCORE_BLOCK]
             rows = np.array([index[u] for u in block], dtype=np.int64)
-            weights = _lists_to_csr(
-                [
-                    [(index[v], sim) for v, sim in self.model.neighbors.get(u, ())]
-                    for u in block
-                ],
-                len(self.matrix.users),
-            )
+            weights = self.model.sims[rows]
             num = weights @ self.centered
             # abs() of a sparse matrix would sort each row's entries first.
             weights.data = np.abs(weights.data)

@@ -120,40 +120,40 @@ class TestComputePopularity:
     )
     def test_total_equals_interaction_count(self, pairs):
         interactions = [Interaction(u, i, 3.0, 0) for u, i in pairs]
-        assert compute_popularity(interactions).total == len(interactions)
+        assert sum(compute_popularity(interactions).values()) == len(interactions)
 
 
 class TestNormalizeTitle:
     def test_article_rotation(self):
-        assert normalize_title("Matrix, The", 1999).normalized_title == "matrix"
+        assert normalize_title("Matrix, The") == "matrix"
 
     def test_leading_article(self):
-        assert normalize_title("The Matrix", 1999).normalized_title == "matrix"
+        assert normalize_title("The Matrix") == "matrix"
 
     def test_diacritics(self):
-        assert normalize_title("Amélie", 2001).normalized_title == "amelie"
+        assert normalize_title("Amélie") == "amelie"
 
     def test_whitespace_and_digits(self):
-        assert normalize_title("Se7en ", 1995).normalized_title == "se7en"
+        assert normalize_title("Se7en ") == "se7en"
 
     def test_punctuation(self):
-        assert normalize_title("Ocean's 11!", 2001).normalized_title == "oceans 11"
+        assert normalize_title("Ocean's 11!") == "oceans 11"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            normalize_title("   ", 1999)
+            normalize_title("   ")
 
     @given(st.text(alphabet=st.characters(codec="latin-1"), min_size=1))
     @settings(max_examples=200)
     def test_idempotent(self, title):
         try:
-            key = normalize_title(title, 2000)
+            key = normalize_title(title)
         except ValueError:
             return
-        if not key.normalized_title:
+        if not key:
             return
-        again = normalize_title(key.normalized_title, 2000)
-        assert again.normalized_title == key.normalized_title
+        again = normalize_title(key)
+        assert again == key
 
 
 def _reference_levenshtein(a: str, b: str) -> int:
@@ -221,9 +221,9 @@ def test_levenshtein_few_edits_match_reference(a, edits):
 
 def _brute_force_resolve(entries, title, year):
     """The documented resolution order, scanning every entry."""
-    keys = [(normalize_title(e.title, e.year), e.item) for e in entries]
-    query = normalize_title(title, year).normalized_title
-    exact = [item for key, item in keys if (key.normalized_title, key.year) == (query, year)]
+    keys = [(normalize_title(e.title), e.year, e.item) for e in entries]
+    query = normalize_title(title)
+    exact = [item for key, key_year, item in keys if (key, key_year) == (query, year)]
     if exact:
         return exact[0] if len(exact) == 1 else None
     if year <= 0:
@@ -231,15 +231,15 @@ def _brute_force_resolve(entries, title, year):
     # Year-0 entries stay out of the tolerant stages.
     near = [
         item
-        for key, item in keys
-        if key.normalized_title == query and key.year > 0 and abs(key.year - year) == 1
+        for key, key_year, item in keys
+        if key == query and key_year > 0 and abs(key_year - year) == 1
     ]
     if near:
         return near[0] if len(near) == 1 else None
     scored = [
-        (_reference_levenshtein(query, key.normalized_title), item)
-        for key, item in keys
-        if key.year > 0 and abs(key.year - year) <= 1
+        (_reference_levenshtein(query, key), item)
+        for key, key_year, item in keys
+        if key_year > 0 and abs(key_year - year) <= 1
     ]
     best = min((d for d, _ in scored), default=MAX_EDIT_DISTANCE + 1)
     winners = [item for d, item in scored if d == best]
@@ -281,11 +281,11 @@ def test_resolve_matches_brute_force(seed):
     results = [index.resolve(t, y) for t, y in queries]
     assert results == [_brute_force_resolve(entries, t, y) for t, y in queries]
     assert results[:2] == [None, None]
-    catalogued = {normalize_title(e.title, e.year).normalized_title for e in entries}
+    catalogued = {normalize_title(e.title) for e in entries}
     fuzzy_hits = [
         r
         for (t, y), r in zip(queries, results)
-        if r is not None and normalize_title(t, y).normalized_title not in catalogued
+        if r is not None and normalize_title(t) not in catalogued
     ]
     assert len(fuzzy_hits) >= 5
 
@@ -339,7 +339,7 @@ class TestResolveTitle:
         for i in range(n):
             title = " ".join(data.draw(words) for _ in range(3))
             year = data.draw(st.integers(1950, 2008))
-            key = (normalize_title(title, year).normalized_title, year)
+            key = (normalize_title(title), year)
             if key in seen:
                 continue
             seen.add(key)
@@ -347,13 +347,13 @@ class TestResolveTitle:
         # Same title in adjacent years is ambiguous by design; drop those.
         by_title = {}
         for e in entries:
-            by_title.setdefault(normalize_title(e.title, e.year).normalized_title, []).append(e)
+            by_title.setdefault(normalize_title(e.title), []).append(e)
         entries = [
             e
             for e in entries
             if all(
                 abs(other.year - e.year) > 1 or other is e
-                for other in by_title[normalize_title(e.title, e.year).normalized_title]
+                for other in by_title[normalize_title(e.title)]
             )
         ]
         index = TitleIndex.build(entries)
@@ -368,4 +368,4 @@ def test_popularity_scores_at_least_one(toy_files):
     interactions, _ = read_ratings_file(ratings_path)
     phi = compute_popularity(interactions)
     assert all(v >= 1 for v in phi.values())
-    assert math.isclose(phi.total, len(interactions))
+    assert math.isclose(sum(phi.values()), len(interactions))

@@ -14,7 +14,6 @@ from popbias.metrics import (
     gini_coefficient,
     herfindahl_index,
     profile_scores,
-    running_mean_trace,
 )
 
 scores_lists = st.lists(
@@ -240,31 +239,6 @@ def test_unknown_metric_rejected():
     phi = {1: 1.0}
     with pytest.raises(ValueError, match="unknown metric"):
         evaluate_metric("nope", Profile((1,)), Profile((1,)), phi)
-
-
-class TestRunningMeanTrace:
-    def test_identity_prefix_means(self):
-        assert running_mean_trace([2.0, 4.0]).tolist() == [2.0, 3.0]
-
-    def test_log_of_e(self):
-        trace = running_mean_trace([math.e, math.e], transform="log")
-        assert trace == pytest.approx([1.0, 1.0])
-
-    def test_unknown_transform(self):
-        with pytest.raises(ValueError):
-            running_mean_trace([1.0], transform="sqrt")
-
-    def test_heavy_tail_identity_jump_log_settles(self):
-        rng = np.random.default_rng(1)
-        scores = rng.random(10_000) ** (-1.0 / 0.68)
-        identity = running_mean_trace(scores)
-        imax = int(np.argmax(scores))
-        assert imax > 0
-        jump = (identity[imax] - identity[imax - 1]) / identity[imax - 1]
-        assert jump > 0.5
-        log_trace = running_mean_trace(scores, transform="log")
-        tail = log_trace[3 * len(log_trace) // 4 :]
-        assert (tail.max() - tail.min()) < 0.1 * abs(log_trace[-1])
 
 
 @settings(max_examples=25)

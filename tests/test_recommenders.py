@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from popbias import recommenders
 from popbias.catalog import Interaction
 from popbias.recommenders import (
     SCORE_BLOCK,
@@ -122,6 +124,32 @@ def oracle_user_slate(ratings, neighbors, user, k):
     return tuple(i for i, _ in oracle_rank(scores.items(), k))
 
 
+def neighbor_lists(model):
+    """{id: ((neighbor id, similarity), ...)} of a KnnModel, in stored order."""
+    sims = model.sims
+    return {
+        entity: tuple(
+            zip(
+                model.ids[sims.indices[sims.indptr[n] : sims.indptr[n + 1]]].tolist(),
+                sims.data[sims.indptr[n] : sims.indptr[n + 1]].tolist(),
+            )
+        )
+        for n, entity in enumerate(model.ids.tolist())
+    }
+
+
+def knn_model(mode, neighbors):
+    """A KnnModel holding the given {id: ((neighbor id, similarity), ...)} lists."""
+    ids = sorted(set(neighbors).union(*({j for j, _ in neigh} for neigh in neighbors.values())))
+    position = {entity: n for n, entity in enumerate(ids)}
+    rows = [neighbors.get(entity, ()) for entity in ids]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    cols = [position[j] for row in rows for j, _ in row]
+    data = [sim for row in rows for _, sim in row]
+    sims = sparse.csr_matrix((data, cols, indptr), shape=(len(ids), len(ids)))
+    return KnnModel(mode=mode, ids=np.array(ids, dtype=np.int64), sims=sims)
+
+
 def request_for(user, profile):
     """The evaluation request of a user whose training side is profile."""
     train = tuple(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
@@ -213,8 +241,8 @@ class TestBuildItemKnn:
             (3, 10): 3.0, (3, 11): 3.0, (3, 12): 0.5,
         }
         model = build_item_knn(matrix_from(ratings), 30)
-        top_of_10 = model.neighbors[10][0]
-        top_of_11 = model.neighbors[11][0]
+        top_of_10 = neighbor_lists(model)[10][0]
+        top_of_11 = neighbor_lists(model)[11][0]
         assert top_of_10[0] == 11 and top_of_10[1] == pytest.approx(1.0, abs=1e-12)
         assert top_of_11[0] == 10 and top_of_11[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -224,7 +252,7 @@ class TestBuildItemKnn:
             (2, 20): 4.0, (2, 21): 1.0,
         }
         model = build_item_knn(matrix_from(ratings), 30)
-        assert all(b not in (20, 21) for b, _ in model.neighbors[10])
+        assert all(b not in (20, 21) for b, _ in neighbor_lists(model)[10])
 
     def test_matches_all_pairs_oracle_on_toy_matrix(self):
         rng = np.random.default_rng(2)
@@ -232,7 +260,7 @@ class TestBuildItemKnn:
         model = build_item_knn(matrix_from(ratings), 30)
         expected = oracle_item_neighbors(ratings, 30)
         for item, neigh in expected.items():
-            got = model.neighbors[item]
+            got = neighbor_lists(model)[item]
             assert [b for b, _ in got] == [b for b, _ in neigh]
             for (gb, gs), (eb, es) in zip(got, neigh):
                 assert gs == pytest.approx(es, abs=1e-12)
@@ -241,27 +269,19 @@ class TestBuildItemKnn:
         rng = np.random.default_rng(3)
         ratings = random_ratings(rng)
         model = build_item_knn(matrix_from(ratings), 30)
-        sims = {(a, b): s for a, neigh in model.neighbors.items() for b, s in neigh}
+        sims = {(a, b): s for a, neigh in neighbor_lists(model).items() for b, s in neigh}
         for (a, b), s in sims.items():
             assert sims[(b, a)] == pytest.approx(s, abs=1e-12)
 
 
 class TestRecommendItemKnn:
     def test_forced_single_neighbor(self):
-        model = KnnModel(
-            mode="item",
-            k_neighbors=30,
-            neighbors={7: ((3, 0.9),), 3: ((7, 0.9),)},
-        )
+        model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
         slate = recommend_item_knn(model, [(3, 4.5)], 1)
         assert slate.entries == (7,)
 
     def test_k_larger_than_scorable(self):
-        model = KnnModel(
-            mode="item",
-            k_neighbors=30,
-            neighbors={7: ((3, 0.9),), 3: ((7, 0.9),)},
-        )
+        model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
         slate = recommend_item_knn(model, [(3, 4.0)], 10)
         assert slate.entries == (7,)
         assert slate.requested_k == 10
@@ -270,16 +290,12 @@ class TestRecommendItemKnn:
         # Both candidates score sim * 1.5 / sim, exactly 1.5; item 5's
         # similarity makes the computed score 1.4999999999999998.
         sim5, sim7 = 0.38692217758657976, 0.25877791363493624
-        model = KnnModel(
-            mode="item",
-            k_neighbors=30,
-            neighbors={5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))},
-        )
+        model = knn_model("item", {5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))})
         assert sim5 * 1.5 / sim5 < sim7 * 1.5 / sim7
         assert recommend_item_knn(model, [(2, 1.5)], 2).entries == (5, 7)
 
     def test_mode_check(self):
-        model = KnnModel(mode="user", k_neighbors=1, neighbors={})
+        model = knn_model("user", {})
         with pytest.raises(ValueError):
             recommend_item_knn(model, [(1, 3.0)], 2)
 
@@ -292,7 +308,7 @@ class TestUserKnn:
             (3, 10): 1.0, (3, 11): 5.0,
         }
         model = build_user_knn(matrix_from(ratings), 30)
-        top = model.neighbors[1][0]
+        top = neighbor_lists(model)[1][0]
         assert top[0] == 2 and top[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_users_similarity_zero(self):
@@ -301,7 +317,7 @@ class TestUserKnn:
             (2, 20): 4.0, (2, 21): 2.0,
         }
         model = build_user_knn(matrix_from(ratings), 30)
-        assert all(v != 2 for v, _ in model.neighbors[1])
+        assert all(v != 2 for v, _ in neighbor_lists(model)[1])
 
     def test_clone_user_extra_item_ranks_first(self):
         ratings = {
@@ -324,6 +340,13 @@ class TestUserKnn:
         slate = recommend_user_knn(model, matrix, 1, 5)
         assert slate.entries == ()
 
+    def test_model_of_another_matrix_rejected(self):
+        ratings = {(1, 10): 5.0, (1, 11): 1.0, (2, 10): 4.0, (2, 11): 2.0}
+        model = build_user_knn(matrix_from(ratings), 30)
+        other = matrix_from({**ratings, (3, 10): 3.0})
+        with pytest.raises(ValueError, match="another rating matrix"):
+            UserKnnRecommender(model, other)
+
     def test_rounding_noise_cosine_is_no_neighbor(self):
         # Users 1 and 3 are orthogonal in exact arithmetic; the computed
         # cosine is 2.08e-17.
@@ -336,7 +359,7 @@ class TestUserKnn:
         }
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 1)
-        assert model.neighbors[3] == ()
+        assert neighbor_lists(model)[3] == ()
         assert recommend_user_knn(model, matrix, 3, 2).entries == ()
 
 
@@ -373,6 +396,28 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
         )
         for user in users
     ]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_knn_builds_match_oracles_across_block_seams(monkeypatch, block):
+    monkeypatch.setattr(recommenders, "_BLOCK", block)
+    for trial in range(40):
+        rng = np.random.default_rng(5_000 + trial)
+        ratings = random_ratings(rng)
+        k_neighbors = int(rng.choice([1, 2, 3, 30]))
+        matrix = matrix_from(ratings)
+        for build, oracle in (
+            (build_item_knn, oracle_item_neighbors),
+            (build_user_knn, oracle_user_neighbors),
+        ):
+            got = neighbor_lists(build(matrix, k_neighbors))
+            expected = oracle(ratings, k_neighbors)
+            assert got.keys() == expected.keys()
+            for entity, neigh in expected.items():
+                assert [b for b, _ in got[entity]] == [b for b, _ in neigh], (trial, entity)
+                assert [s for _, s in got[entity]] == pytest.approx(
+                    [s for _, s in neigh], abs=1e-12
+                )
 
 
 def test_batches_larger_than_one_block_match_single_requests_in_any_order():
