@@ -14,7 +14,9 @@ from popbias.catalog import (
 from popbias.metrics import (
     METRICS,
     Metric,
+    PhiArray,
     Profile,
+    Profiles,
     evaluate_metric,
     kendall_tau,
     spearman_rho,
@@ -30,7 +32,9 @@ __all__ = [
     "parse_ratings",
     "METRICS",
     "Metric",
+    "PhiArray",
     "Profile",
+    "Profiles",
     "evaluate_metric",
     "kendall_tau",
     "spearman_rho",

@@ -16,7 +16,7 @@ from popbias import evaluation as ev
 from popbias.desiderata import DESIDERATA, desiderata_grid
 from popbias.distfit import fit_pareto
 from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
-from popbias.metrics import METRICS
+from popbias.metrics import METRICS, PhiArray
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
     ItemKnnRecommender,
@@ -198,6 +198,29 @@ def _build_fold_recommenders(cfg, fold, phi, index, entries_by_id):
     return recs
 
 
+def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
+    """Score every configured recommender on one fold, skipping those in errors.
+
+    A recommender whose provider fails is recorded in ``errors``. The
+    fold's models and shared inputs are dropped on return, so none of them
+    is alive while the next fold's models are built.
+    """
+    recs = _build_fold_recommenders(cfg, fold, phi, index, entries_by_id)
+    inputs = ev.FoldInputs.of(fold)
+    fold_stats: dict[str, ev.FoldStats] = {}
+    for rec in recs:
+        if rec.name in errors:
+            continue
+        try:
+            fold_stats[rec.name] = ev.evaluate_recommender(
+                rec, inputs, phi_array, cfg["metrics"], cfg["k"]
+            )
+        except ProviderError as exc:
+            errors[rec.name] = str(exc)
+            click.echo(f"note: {rec.name} aborted: {exc}", err=True)
+    return fold_stats
+
+
 @main.command()
 @click.option("--config", "config_path", type=str, default=None, help="JSON run config")
 @click.option("--movies", type=str, default=None, help="override data.movies")
@@ -224,6 +247,11 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for metric_id in cfg["metrics"]:
         if metric_id not in METRICS:
             raise click.ClickException(f"unknown metric {metric_id!r}")
+        if METRICS[metric_id].desiderata_only:
+            raise click.ClickException(
+                f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "
+                "shares with the user's profile, and slates exclude the training profile"
+            )
 
     entries, _, interactions, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
@@ -239,22 +267,17 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
+    phi_array = PhiArray.of(phi)
     per_rec_stats: dict[str, list[ev.FoldStats]] = {}
     errors: dict[str, str] = {}
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        for rec in _build_fold_recommenders(cfg, fold, phi, index, entries_by_id):
-            if rec.name in errors:
-                continue
-            try:
-                stats = ev.evaluate_recommender(rec, fold, phi, cfg["metrics"], cfg["k"])
-            except ProviderError as exc:
-                errors[rec.name] = str(exc)
-                per_rec_stats.pop(rec.name, None)
-                click.echo(f"note: {rec.name} aborted: {exc}", err=True)
-                continue
-            per_rec_stats.setdefault(rec.name, []).append(stats)
+        fold_stats = _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors)
+        for name, stats in fold_stats.items():
+            per_rec_stats.setdefault(name, []).append(stats)
+    for name in errors:
+        per_rec_stats.pop(name, None)
 
     rows = [
         ev.summarize(name, stats)

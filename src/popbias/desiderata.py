@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from popbias.distfit import sample_pareto
-from popbias.metrics import METRICS, Profile, evaluate_metric
+from popbias.metrics import METRICS, Profile
 
 __all__ = [
     "DESIDERATA",
@@ -148,7 +148,7 @@ def _perturbed_phi(
 
 def _check_zero_centered(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
     r, u, phi = _build_profiles(metric_id, fixture, identical=True)
-    value = evaluate_metric(metric_id, r, u, phi)
+    value = METRICS[metric_id].evaluate(r, u, phi)
     passed = abs(value) < EXACT_ZERO_TOL
     return CheckVerdict(
         "zero_centered", metric_id, passed, f"M(p, p) = {value:.6g} on scores {list(fixture.recommender_scores)}"
@@ -156,9 +156,10 @@ def _check_zero_centered(metric_id: str, fixture: PerturbationFixture) -> CheckV
 
 
 def _check_anti_symmetric(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
+    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    forward = evaluate_metric(metric_id, r, u, phi)
-    backward = evaluate_metric(metric_id, u, r, phi)
+    forward = metric.evaluate(r, u, phi)
+    backward = metric.evaluate(u, r, phi)
     passed = abs(forward + backward) < EXACT_ZERO_TOL
     return CheckVerdict(
         "anti_symmetric",
@@ -169,17 +170,14 @@ def _check_anti_symmetric(metric_id: str, fixture: PerturbationFixture) -> Check
 
 
 def _check_long_tail(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
+    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    base = evaluate_metric(metric_id, r, u, phi)
+    base = metric.evaluate(r, u, phi)
     scores = [phi[a] for a in r.items]
     low_target = int(np.argmin(scores))
     high_target = int(np.argmax(scores))
-    low = evaluate_metric(
-        metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, low_target)
-    )
-    high = evaluate_metric(
-        metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, high_target)
-    )
+    low = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, low_target))
+    high = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, high_target))
     low_resp = abs(low - base)
     high_resp = abs(high - base)
     passed = low_resp > high_resp
@@ -193,11 +191,10 @@ def _check_long_tail(metric_id: str, fixture: PerturbationFixture) -> CheckVerdi
 
 
 def _check_monotonic(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
+    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    base = evaluate_metric(metric_id, r, u, phi)
-    lifted = evaluate_metric(
-        metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, fixture.target)
-    )
+    base = metric.evaluate(r, u, phi)
+    lifted = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, fixture.target))
     delta = lifted - base
     what = (
         f"item {fixture.target}" if fixture.target is not None else "all recommender scores"

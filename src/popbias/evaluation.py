@@ -4,6 +4,15 @@ Protocol: sample disjoint folds of users, split each user's ratings into
 train/test, let every recommender produce a top-k slate from the training
 side, then report recall-style hit rates and popularity-bias metrics as
 mean plus/minus one standard error over folds.
+
+Each (fold, recommender) pair is scored in one batch. A fold's requests,
+training profiles and held-out items are gathered once into
+``FoldInputs``, which every recommender of the fold shares.
+``evaluate_recommender`` takes all of the fold's slates at once, calls
+``evaluate_metric`` once per metric over them and counts hits from the
+same flat slate arrays. A user is left out of a bias mean only where the
+metric is undefined for that user; ``evaluate_recommender`` lists the
+reasons. Fold means add per-user values left to right in fold order.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from popbias.catalog import Interaction
-from popbias.metrics import Profile, evaluate_metric, kendall_tau
-from popbias.recommenders import BaseRecommender, RecRequest, Slate
+from popbias.metrics import PhiArray, Profiles, evaluate_metric, kendall_tau
+from popbias.recommenders import BaseRecommender, RecRequest
 
 __all__ = [
     "FoldSpec",
@@ -28,7 +37,7 @@ __all__ = [
     "CorrelationMatrix",
     "split_user_ratings",
     "make_folds",
-    "hit_rate_at_k",
+    "FoldInputs",
     "evaluate_recommender",
     "aggregate_folds",
     "summarize",
@@ -134,14 +143,6 @@ def make_folds(interactions: Iterable[Interaction], spec: FoldSpec) -> FoldPlan:
     return FoldPlan(folds=folds, skipped=skipped, ineligible_users=ineligible)
 
 
-def hit_rate_at_k(slate: Slate, test_items: frozenset[int] | set[int], k: int) -> float:
-    """Recall at k: share of held-out items recovered in the top-k slots."""
-    if not test_items:
-        raise ValueError("test set is empty")
-    top = set(slate.entries[:k])
-    return len(top & set(test_items)) / len(test_items)
-
-
 @dataclass
 class FoldStats:
     """Unweighted per-fold means plus exclusion counters."""
@@ -155,65 +156,108 @@ class FoldStats:
     bias_excluded: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class FoldInputs:
+    """What every recommender of one fold shares, one row per user in fold order.
+
+    ``requests`` ask for each user's slate, ``train`` holds the training
+    profiles the bias metrics compare slates against and ``test`` the
+    held-out items the hit rates count.
+    """
+
+    requests: list[RecRequest]
+    train: Profiles
+    test: Profiles
+
+    @classmethod
+    def of(cls, fold: Sequence[UserSplit]) -> "FoldInputs":
+        if not fold:
+            raise ValueError("fold has no users")
+        for s in fold:
+            if not s.test_items:
+                raise ValueError(f"user {s.user} has an empty test set")
+        train = [tuple(it.item for it in s.train) for s in fold]
+        return cls(
+            requests=[
+                RecRequest(user=s.user, train=s.train, exclude=frozenset(items))
+                for s, items in zip(fold, train)
+            ],
+            train=Profiles.of(train),
+            test=Profiles.of(s.test_items for s in fold),
+        )
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Sum from 0.0, left to right in fold order, one user at a time.
+
+    Fold means are defined by this order, not by numpy's pairwise one.
+    """
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def _held_out(slates: Profiles, test: Profiles) -> np.ndarray:
+    """Which slate items are held-out items of their own user."""
+    ids, codes = np.unique(np.concatenate((slates.items, test.items)), return_inverse=True)
+    slate_keys = slates.rows * ids.size + codes[: slates.items.size]
+    test_keys = test.rows * ids.size + codes[slates.items.size :]
+    return np.isin(slate_keys, test_keys)
+
+
 def evaluate_recommender(
     rec: BaseRecommender,
-    fold: Sequence[UserSplit],
-    phi: Mapping[int, float],
+    fold: FoldInputs,
+    phi: PhiArray,
     metric_ids: Sequence[str] = DEFAULT_METRICS,
     k: int = 10,
 ) -> FoldStats:
     """Run one recommender over one fold and average per-user results.
 
-    Users with empty slates contribute zero hit rate but are excluded from
-    the bias means (bias is undefined on an empty recommendation profile);
-    the exclusion is counted. Per-metric evaluation errors likewise exclude
-    just that user from just that metric.
+    The fold is scored in one batch: each metric is evaluated once, by
+    ``evaluate_metric``, over every user's slate and training profile.
+    Hit rates at 5 and 10 are recall: the share of a user's held-out items
+    among the first 5 or 10 slate items. Every user counts in them, a user
+    with an empty slate as zero.
+
+    A user is left out of a bias mean, and counted in ``bias_excluded``,
+    where the metric is undefined for that user:
+
+    * an empty slate excludes the user from every metric (and is counted
+      in ``empty_slates`` too);
+    * a slate or profile item missing from ``phi`` excludes the user from
+      every metric;
+    * a score below 1 (log domain) excludes the user from ``log_pop_diff``;
+    * a user aggregate of zero excludes the user from ``avg_pop_lift``;
+    * a score that is not positive excludes the user from ``gini_diff``
+      and ``herfindahl_diff``.
+
+    Each mean sums its per-user values left to right in fold order.
     """
-    if not fold:
-        raise ValueError("fold has no users")
-    requests = [
-        RecRequest(user=s.user, train=s.train, exclude=frozenset(it.item for it in s.train))
-        for s in fold
-    ]
-    results = rec.recommend_batch(requests, k)
+    results = rec.recommend_batch(fold.requests, k)
+    slates = Profiles.of(result.slate.entries for result in results)
+    n = len(results)
 
-    hr5_total = hr10_total = unmatched_total = 0.0
-    bias_totals = {m: 0.0 for m in metric_ids}
-    bias_counts = {m: 0 for m in metric_ids}
-    bias_excluded = {m: 0 for m in metric_ids}
-    empty_slates = 0
+    bias: dict[str, float | None] = {}
+    bias_excluded: dict[str, int] = {}
+    for m in metric_ids:
+        values = evaluate_metric(m, slates, fold.train, phi)
+        defined = values[~np.isnan(values)]
+        bias[m] = _sum_in_order(defined) / defined.size if defined.size else None
+        bias_excluded[m] = n - defined.size
 
-    for split, result in zip(fold, results):
-        slate = result.slate
-        unmatched_total += result.unmatched
-        if len(slate) == 0:
-            empty_slates += 1
-            for m in metric_ids:
-                bias_excluded[m] += 1
-            continue
-        hr5_total += hit_rate_at_k(slate, split.test_items, 5)
-        hr10_total += hit_rate_at_k(slate, split.test_items, 10)
-        r = Profile(slate.entries, ranked=True)
-        u = Profile(tuple(it.item for it in split.train))
-        for m in metric_ids:
-            try:
-                bias_totals[m] += evaluate_metric(m, r, u, phi)
-                bias_counts[m] += 1
-            except ValueError:
-                bias_excluded[m] += 1
+    held_out = _held_out(slates, fold.test)
+    rows, positions = slates.rows[held_out], slates.positions[held_out]
 
-    n = len(fold)
-    bias_means: dict[str, float | None] = {
-        m: (bias_totals[m] / bias_counts[m] if bias_counts[m] else None)
-        for m in metric_ids
-    }
+    def hit_rate(cut: int) -> float:
+        hits = np.bincount(rows[positions < cut], minlength=n)
+        return _sum_in_order(hits / fold.test.lengths) / n
+
     return FoldStats(
         n_users=n,
-        hr5=hr5_total / n,
-        hr10=hr10_total / n,
-        bias=bias_means,
-        unmatched=unmatched_total / n,
-        empty_slates=empty_slates,
+        hr5=hit_rate(5),
+        hr10=hit_rate(10),
+        bias=bias,
+        unmatched=sum(result.unmatched for result in results) / n,
+        empty_slates=int(np.count_nonzero(slates.lengths == 0)),
         bias_excluded=bias_excluded,
     )
 

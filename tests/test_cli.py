@@ -39,34 +39,25 @@ def test_evaluate_reports_baselines_and_records_provider_error(small_corpus, tmp
     assert outputs[1] == outputs[0]
 
 
-def _evaluate(tmp_path, name, data, metrics):
-    movies, ratings = data
-    config = tmp_path / f"{name}.json"
+def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
+    # Slates never hold training items, so PRU's profile intersection is empty.
+    movies, ratings = small_corpus
+    config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
             {
                 "data": {"movies": str(movies), "ratings": str(ratings)},
                 "folds": {"fold_count": 2, "users_per_fold": 30},
-                "metrics": metrics,
+                "metrics": ["log_pop_diff", "pru"],
             }
         ),
         encoding="utf-8",
     )
-    out = tmp_path / name
+    out = tmp_path / "out"
     result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    return list(csv.DictReader(io.StringIO((out / "report.csv").read_text(encoding="utf-8"))))
-
-
-def test_metric_undefined_in_every_fold_is_reported_blank(small_corpus, tmp_path):
-    # Slates never hold training items, so PRU's profile intersection is empty.
-    with_pru = _evaluate(tmp_path, "with_pru", small_corpus, ["log_pop_diff", "pru"])
-    without = _evaluate(tmp_path, "without", small_corpus, ["log_pop_diff"])
-    assert [row["recommender"] for row in with_pru] == ["random", "top_pop", "item_knn", "user_knn"]
-    for row, reference in zip(with_pru, without):
-        assert row["pru"] == row["pru_sem"] == ""
-        assert row["log_pop_diff"] == reference["log_pop_diff"]
-        assert row["log_pop_diff_sem"] == reference["log_pop_diff_sem"]
+    assert result.exit_code == 1
+    assert "'pru' is a desiderata-only metric" in result.output
+    assert not out.exists()
 
 
 def test_correlate_renders_kendall_matrix_and_skips_blank_columns(tmp_path):

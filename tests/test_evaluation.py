@@ -9,7 +9,20 @@ from click.testing import CliRunner
 
 from popbias.catalog import Interaction
 from popbias.cli import main
-from popbias.evaluation import FoldSpec, FoldStats, make_folds, split_user_ratings, summarize
+from popbias.evaluation import (
+    FoldInputs,
+    FoldSpec,
+    FoldStats,
+    UserSplit,
+    evaluate_recommender,
+    make_folds,
+    split_user_ratings,
+    summarize,
+)
+from popbias.metrics import METRICS, PhiArray, Profile
+from popbias.recommenders import BaseRecommender, Slate
+
+BIAS_METRICS = ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff")
 
 
 def _interactions(n_users=40, per_user=12):
@@ -97,3 +110,100 @@ def test_baseline_hit_rates_order_on_eval_corpus(eval_corpus, tmp_path):
     rows = csv.DictReader(io.StringIO((out / "report.csv").read_text(encoding="utf-8")))
     hr10 = {row["recommender"]: float(row["hr10"]) for row in rows}
     assert hr10["user_knn"] > hr10["item_knn"] > hr10["top_pop"] > hr10["random"]
+
+
+class FixedSlates(BaseRecommender):
+    """Serves a preset slate per user."""
+
+    def __init__(self, by_user):
+        self.by_user = by_user
+
+    def slates(self, requests, k):
+        return [Slate(self.by_user[request.user], k) for request in requests]
+
+
+def _split(user, train, test):
+    return UserSplit(
+        user=user,
+        train=tuple(Interaction(user, item, 4.0, t) for t, item in enumerate(train)),
+        test_items=frozenset(test),
+    )
+
+
+def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
+    phi = {1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 0.5}
+    fold = [
+        _split(1, train=(1, 2), test=(3,)),
+        _split(2, train=(1, 3), test=(4,)),  # empty slate: out of every metric
+        _split(3, train=(2, 4), test=(1,)),  # slate item 99 lacks phi: out of every metric
+        _split(4, train=(5, 1), test=(2, 6)),  # phi 0.5 < 1: out of log_pop_diff only
+    ]
+    rec = FixedSlates({1: (3, 4), 2: (), 3: (1, 99), 4: (3, 2)})
+    stats = evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS)
+
+    assert stats.n_users == 4
+    assert stats.empty_slates == 1
+    assert stats.bias_excluded == {
+        "log_pop_diff": 3,
+        "avg_pop_lift": 2,
+        "gini_diff": 2,
+        "herfindahl_diff": 2,
+    }
+    # User 1 scores r = (8, 1) against u = (4, 2); user 4 r = (8, 2) against u = (0.5, 4).
+    assert stats.bias["log_pop_diff"] == pytest.approx(
+        (math.log(8) + math.log(1)) / 2 - (math.log(4) + math.log(2)) / 2, abs=1e-12
+    )
+    assert stats.bias["avg_pop_lift"] == pytest.approx((0.5 + 11 / 9) / 2, abs=1e-12)
+    # Gini of (1, 8) is 7/18, of (2, 4) 1/6, of (2, 8) 3/10 and of (0.5, 4) 7/18.
+    assert stats.bias["gini_diff"] == pytest.approx((2 / 9 - 4 / 45) / 2, abs=1e-12)
+    # Herfindahl of (1, 8) is 65/81, of (2, 4) 5/9, of (2, 8) 0.68 and of (0.5, 4) 65/81.
+    assert stats.bias["herfindahl_diff"] == pytest.approx(
+        (20 / 81 + 0.68 - 65 / 81) / 2, abs=1e-12
+    )
+    # Hit rates count every user; the empty slate hits nothing.
+    assert stats.hr5 == stats.hr10 == (1 + 0 + 1 + 0.5) / 4
+    assert stats.unmatched == 0.0
+
+
+def _reference_stats(fold, slates, phi):
+    """The per-user loop: hit rates over sets, one-pair metrics, in-order sums."""
+    hr = {5: 0.0, 10: 0.0}
+    totals = {m: 0.0 for m in BIAS_METRICS}
+    counts = {m: 0 for m in BIAS_METRICS}
+    for split in fold:
+        slate = slates[split.user]
+        for cut in hr:
+            hr[cut] += len(set(slate[:cut]) & split.test_items) / len(split.test_items)
+        for m in BIAS_METRICS:
+            try:
+                value = METRICS[m].evaluate(
+                    Profile(slate), Profile(tuple(it.item for it in split.train)), phi
+                )
+            except ValueError:
+                continue
+            totals[m] += value
+            counts[m] += 1
+    n = len(fold)
+    bias = {m: totals[m] / counts[m] if counts[m] else None for m in BIAS_METRICS}
+    return hr[5] / n, hr[10] / n, bias, {m: n - counts[m] for m in BIAS_METRICS}
+
+
+def test_fold_batch_equals_the_per_user_loop_exactly():
+    rng = random.Random(5)
+    items = range(1, 400)
+    phi = {item: float(rng.randint(1, 500)) for item in items if item % 37}
+    fold, slates = [], {}
+    for user in range(300):
+        rated = rng.sample(items, rng.choice([3, 9, 40, 130, 200]))
+        cut = max(1, len(rated) // 5)
+        fold.append(_split(user, train=rated[cut:], test=rated[:cut]))
+        unseen = [item for item in items if item not in rated[cut:]]
+        slates[user] = tuple(rng.sample(unseen, rng.choice([0, 3, 10, 10, 10])))
+    stats = evaluate_recommender(
+        FixedSlates(slates), FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS
+    )
+    hr5, hr10, bias, excluded = _reference_stats(fold, slates, phi)
+    assert (stats.hr5, stats.hr10) == (hr5, hr10)
+    assert stats.bias == bias
+    assert stats.bias_excluded == excluded
+    assert 0 < excluded["log_pop_diff"] < len(fold)

@@ -22,7 +22,8 @@ from popbias.llm_gateway import (
     render_prompt,
     validate_and_resolve,
 )
-from popbias.evaluation import UserSplit, evaluate_recommender
+from popbias.evaluation import FoldInputs, UserSplit, evaluate_recommender
+from popbias.metrics import PhiArray
 from popbias.recommenders import RecRequest, RecResult, Slate
 
 
@@ -372,7 +373,9 @@ class TestWokRecommender:
             UserSplit(user=6, train=uncatalogued.train, test_items=frozenset({1})),
         ]
         phi = {1: 5.0, 2: 3.0, 3: 2.0, 4: 1.0, 99: 1.0}
-        stats = evaluate_recommender(rec, fold, phi, ["log_pop_diff"], k=3)
+        stats = evaluate_recommender(
+            rec, FoldInputs.of(fold), PhiArray.of(phi), ["log_pop_diff"], k=3
+        )
         assert stats.empty_slates == 1
         assert stats.bias_excluded == {"log_pop_diff": 1}
         assert stats.unmatched == (1 + 3) / 2

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from popbias import metrics
 from popbias.metrics import (
     METRICS,
+    PhiArray,
     Profile,
+    Profiles,
     evaluate_metric,
     gini_coefficient,
     herfindahl_index,
@@ -38,73 +40,73 @@ class TestLogPopDifference:
     def test_identical_profiles_zero(self):
         phi = {1: 3.0, 2: 17.0}
         p = Profile((1, 2))
-        assert evaluate_metric("log_pop_diff", p, p, phi) == 0.0
+        assert METRICS["log_pop_diff"].evaluate(p, p, phi) == 0.0
 
     def test_frozen_value(self):
         # Oracle: (ln10 + ln100)/2 - (ln1 + ln10)/2 = ln(10).
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert evaluate_metric("log_pop_diff", r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
+        assert METRICS["log_pop_diff"].evaluate(r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_anti_symmetry_example(self):
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert evaluate_metric("log_pop_diff", u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
+        assert METRICS["log_pop_diff"].evaluate(u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
 
     def test_missing_item_named(self):
         with pytest.raises(ValueError, match="42"):
-            evaluate_metric("log_pop_diff", Profile((42,)), Profile((42,)), {})
+            METRICS["log_pop_diff"].evaluate(Profile((42,)), Profile((42,)), {})
 
     def test_score_below_one_rejected(self):
         r, u, phi = _profiles([0.5], [2.0])
         with pytest.raises(ValueError, match="log domain"):
-            evaluate_metric("log_pop_diff", r, u, phi)
+            METRICS["log_pop_diff"].evaluate(r, u, phi)
 
     @given(scores_lists, scores_lists)
     def test_anti_symmetry_property(self, a, b):
         r, u, phi = _profiles(a, b)
-        fwd = evaluate_metric("log_pop_diff", r, u, phi)
-        assert abs(fwd + evaluate_metric("log_pop_diff", u, r, phi)) < 1e-12
+        fwd = METRICS["log_pop_diff"].evaluate(r, u, phi)
+        assert abs(fwd + METRICS["log_pop_diff"].evaluate(u, r, phi)) < 1e-12
 
     @given(scores_lists, scores_lists, st.floats(min_value=1.0, max_value=1e3))
     def test_scaling_invariance(self, a, b, c):
         # Scale factors >= 1 keep scores inside the count domain.
         r, u, phi = _profiles(a, b)
         scaled = {k: v * c for k, v in phi.items()}
-        assert evaluate_metric("log_pop_diff", r, u, phi) == pytest.approx(
-            evaluate_metric("log_pop_diff", r, u, scaled), abs=1e-9
+        assert METRICS["log_pop_diff"].evaluate(r, u, phi) == pytest.approx(
+            METRICS["log_pop_diff"].evaluate(r, u, scaled), abs=1e-9
         )
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone_in_any_recommender_score(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = evaluate_metric("log_pop_diff", r, u, phi)
+        base = METRICS["log_pop_diff"].evaluate(r, u, phi)
         bumped = dict(phi)
         bumped[r.items[0]] += eps
-        assert evaluate_metric("log_pop_diff", r, u, bumped) > base
+        assert METRICS["log_pop_diff"].evaluate(r, u, bumped) > base
 
 
 class TestAvgPopLift:
     def test_asymmetry_counterexample(self):
         phi = {1: 1.0, 2: 0.5}
         r, u = Profile((1,)), Profile((2,))
-        assert evaluate_metric("avg_pop_lift", r, u, phi) == pytest.approx(1.0, abs=1e-12)
-        assert evaluate_metric("avg_pop_lift", u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert METRICS["avg_pop_lift"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert METRICS["avg_pop_lift"].evaluate(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
 
     def test_identical_zero(self):
         phi = {1: 4.0}
         p = Profile((1,))
-        assert evaluate_metric("avg_pop_lift", p, p, phi) == 0.0
+        assert METRICS["avg_pop_lift"].evaluate(p, p, phi) == 0.0
 
     def test_direct_arithmetic(self):
         r, u, phi = _profiles([4.0], [2.0])
-        assert evaluate_metric("avg_pop_lift", r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert METRICS["avg_pop_lift"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = evaluate_metric("avg_pop_lift", r, u, phi)
+        base = METRICS["avg_pop_lift"].evaluate(r, u, phi)
         bumped = dict(phi)
         bumped[r.items[-1]] += eps
-        assert evaluate_metric("avg_pop_lift", r, u, bumped) > base
+        assert METRICS["avg_pop_lift"].evaluate(r, u, bumped) > base
 
 
 class TestGini:
@@ -128,8 +130,8 @@ class TestGini:
 
     def test_diff_and_antisymmetry(self):
         r, u, phi = _profiles([1.0, 3.0], [2.0, 2.0])
-        assert evaluate_metric("gini_diff", r, u, phi) == pytest.approx(0.25, abs=1e-12)
-        assert evaluate_metric("gini_diff", u, r, phi) == pytest.approx(-0.25, abs=1e-12)
+        assert METRICS["gini_diff"].evaluate(r, u, phi) == pytest.approx(0.25, abs=1e-12)
+        assert METRICS["gini_diff"].evaluate(u, r, phi) == pytest.approx(-0.25, abs=1e-12)
 
     def test_empty_profile_error(self):
         with pytest.raises(ValueError):
@@ -159,8 +161,8 @@ class TestHerfindahl:
     def test_diff(self):
         phi = {1: 5.0, 2: 3.0, 3: 3.0}
         r, u = Profile((1,)), Profile((2, 3))
-        assert evaluate_metric("herfindahl_diff", r, u, phi) == pytest.approx(0.5, abs=1e-12)
-        assert evaluate_metric("herfindahl_diff", u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert METRICS["herfindahl_diff"].evaluate(r, u, phi) == pytest.approx(0.5, abs=1e-12)
+        assert METRICS["herfindahl_diff"].evaluate(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
 
     @given(scores_lists)
     def test_bounds(self, scores):
@@ -179,23 +181,23 @@ class TestPru:
         phi = {1: 30.0, 2: 20.0, 3: 10.0}
         r = Profile((1, 2, 3), ranked=True)
         u = Profile((3, 1, 2))
-        assert evaluate_metric("pru", r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert METRICS["pru"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_popular_on_bottom_is_minus_one(self):
         phi = {1: 10.0, 2: 20.0, 3: 30.0}
         r = Profile((1, 2, 3), ranked=True)
         u = Profile((1, 2, 3))
-        assert evaluate_metric("pru", r, u, phi) == pytest.approx(-1.0, abs=1e-12)
+        assert METRICS["pru"].evaluate(r, u, phi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_empty_intersection_error(self):
         phi = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
         with pytest.raises(ValueError, match="PRU undefined"):
-            evaluate_metric("pru", Profile((1, 2), ranked=True), Profile((3, 4)), phi)
+            METRICS["pru"].evaluate(Profile((1, 2), ranked=True), Profile((3, 4)), phi)
 
     def test_requires_rank_order(self):
         phi = {1: 1.0, 2: 2.0}
         with pytest.raises(ValueError, match="rank-ordered"):
-            evaluate_metric("pru", Profile((1, 2)), Profile((1, 2)), phi)
+            METRICS["pru"].evaluate(Profile((1, 2)), Profile((1, 2)), phi)
 
 
 class TestZeroCenteringAllDifferenceMetrics:
@@ -206,14 +208,14 @@ class TestZeroCenteringAllDifferenceMetrics:
         for metric_id in METRICS:
             if metric_id == "pru":
                 continue
-            assert abs(evaluate_metric(metric_id, p, p, phi)) < 1e-12
+            assert abs(METRICS[metric_id].evaluate(p, p, phi)) < 1e-12
 
     @given(scores_lists, scores_lists)
     def test_difference_form_anti_symmetry(self, a, b):
         r, u, phi = _profiles(a, b)
         for metric_id in ("log_pop_diff", "gini_diff", "herfindahl_diff"):
-            fwd = evaluate_metric(metric_id, r, u, phi)
-            bwd = evaluate_metric(metric_id, u, r, phi)
+            fwd = METRICS[metric_id].evaluate(r, u, phi)
+            bwd = METRICS[metric_id].evaluate(u, r, phi)
             assert abs(fwd + bwd) < 1e-12
 
 
@@ -221,7 +223,7 @@ def test_profiles_are_multisets():
     phi = {1: 8.0, 2: 2.0}
     with_dup = Profile((1, 1, 2))
     expected = (math.log(8) + math.log(8) + math.log(2)) / 3 - math.log(2)
-    assert evaluate_metric("log_pop_diff", with_dup, Profile((2,)), phi) == pytest.approx(expected)
+    assert METRICS["log_pop_diff"].evaluate(with_dup, Profile((2,)), phi) == pytest.approx(expected)
 
 
 def test_module_table_names_each_records_functions():
@@ -253,3 +255,85 @@ def test_gini_profile_matches_sorted_formula(a, b):
     assert METRICS["herfindahl_diff"].statistic(profile_scores(r, phi)) == pytest.approx(
         sum((s / total) ** 2 for s in a), abs=1e-9
     )
+
+
+# Lengths around the block boundaries of numpy's pairwise summation, which
+# sums runs of fewer than 8 items in order and splits longer runs at
+# multiples of 8 up to blocks of 128.
+PAIRWISE_BOUNDARY_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 300)
+
+
+@st.composite
+def ragged_batches(draw):
+    """Slates, training profiles and phi for one batch, with undefined rows.
+
+    Items come from a small pool, so rows hold duplicates. Some pool items
+    are missing from phi and some score below 1, which leaves rows
+    undefined for one metric or all of them; a slate may be empty.
+    """
+    pool = draw(st.integers(min_value=2, max_value=40))
+    scores = st.one_of(
+        st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    phi = {
+        item: draw(scores)
+        for item in range(pool)
+        if draw(st.integers(min_value=0, max_value=9))  # about 1 in 10 missing
+    }
+    length = st.one_of(
+        st.sampled_from(PAIRWISE_BOUNDARY_LENGTHS), st.integers(min_value=1, max_value=20)
+    )
+    row = lambda n: st.lists(st.integers(0, pool - 1), min_size=n, max_size=n)  # noqa: E731
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    slates = [draw(st.integers(0, 12).flatmap(row)) for _ in range(n_rows)]
+    profiles = [draw(length.flatmap(row)) for _ in range(n_rows)]
+    return slates, profiles, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches())
+def test_batched_metric_equals_one_pair_bit_for_bit(batch):
+    slates, profiles, phi = batch
+    for metric_id in ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff"):
+        values = evaluate_metric(
+            metric_id, Profiles.of(slates), Profiles.of(profiles), PhiArray.of(phi)
+        )
+        assert values.shape == (len(slates),)
+        for value, r, u in zip(values, slates, profiles):
+            try:
+                expected = METRICS[metric_id].evaluate(Profile.of(r), Profile.of(u), phi)
+            except ValueError:
+                expected = math.nan
+            if math.isnan(expected):
+                assert math.isnan(value), (metric_id, r, u)
+            else:
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes(), (
+                    metric_id, r, u,
+                )
+
+
+def _sorted_shares(x):
+    n = x.size
+    return (2 * np.arange(1, n + 1) - n - 1) / n * np.sort(x) / np.sort(x).sum()
+
+
+ONE_PROFILE_REFERENCE = {
+    "log_pop_diff": lambda x: np.mean(np.log(x)),
+    "avg_pop_lift": np.mean,
+    "gini_diff": lambda x: np.sum(_sorted_shares(x)),
+    "herfindahl_diff": lambda x: np.sum((x / x.sum()) * (x / x.sum())),
+}
+
+
+@pytest.mark.parametrize("length", PAIRWISE_BOUNDARY_LENGTHS)
+def test_row_statistic_is_the_one_dimensional_reduction(length):
+    x = np.random.default_rng(length).pareto(0.7, size=length) + 1.0
+    for metric_id, reference in ONE_PROFILE_REFERENCE.items():
+        assert METRICS[metric_id].statistic(x) == reference(x), metric_id
+
+
+def test_batched_pru_is_rejected_as_desiderata_only():
+    batch = Profiles.of([(1, 2)])
+    with pytest.raises(ValueError, match="desiderata-only"):
+        evaluate_metric("pru", batch, batch, PhiArray.of({1: 1.0, 2: 2.0}))
