@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from popbias.catalog import (
     CatalogEntry,
     Interaction,
+    Ratings,
     TitleIndex,
     compute_popularity,
     normalize_title,
@@ -25,6 +26,7 @@ from popbias.metrics import (
 __all__ = [
     "CatalogEntry",
     "Interaction",
+    "Ratings",
     "TitleIndex",
     "compute_popularity",
     "normalize_title",

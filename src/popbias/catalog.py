@@ -1,23 +1,42 @@
-"""MovieLens-format ingestion, popularity counting, and title resolution.
+r"""MovieLens-format ingestion, popularity counting, and title resolution.
 
 Flat-file ingestion only: ``movies.dat`` (``MovieID::Title (Year)::Genres``)
 and ``ratings.dat`` (``UserID::MovieID::Rating::Timestamp``). The parsed
 catalog and title index are immutable after construction and safe to share
 across threads; the popularity counts are a plain dict, shared read-only.
+
+Line rule: a file is decoded as UTF-8, or as latin-1 where that fails, and
+split into lines at ``\n`` only, with one trailing ``\r`` stripped from each
+line. Other Unicode line boundaries (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
+U+0085, U+2028, U+2029) stay inside their line, so line numbers count
+physical lines. Blank lines are skipped but counted.
+
+Ratings are read into a :class:`Ratings` table of numpy columns, sorted
+once by (user, timestamp, item). ``read_ratings_file`` first tries a fast
+path that parses the whole file at once. It accepts a file only when every
+line is blank or plain ``digits::digits::decimal::digits`` with at most one
+``.`` in the rating, a rating in [0.5, 5] and fields short enough to convert
+exactly; then every line is one the line parser accepts, with the same
+values, and there is nothing to report. On anything else (another byte, a
+malformed line, an out-of-range rating, an exception) it falls back to
+:func:`parse_ratings` over the file's lines, so lenient ``ParseIssue`` records
+and strict-mode errors are always the line parser's.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "CatalogEntry",
     "Interaction",
+    "Ratings",
     "ParseIssue",
     "ParseError",
     "TitleIndex",
@@ -37,6 +56,8 @@ _TRAILING_ARTICLE_RE = re.compile(r"^(?P<body>.+?),\s*(?:the|a|an)$")
 _LEADING_ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+(?P<body>.+)$")
 _PUNCT_RE = re.compile(r"[^a-z0-9\s]")
 _WS_RE = re.compile(r"\s+")
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # Largest edit distance at which a title still fuzzily matches a catalog title.
 MAX_EDIT_DISTANCE = 2
@@ -72,6 +93,61 @@ class Interaction:
     item: int
     rating: float
     timestamp: int
+
+
+@dataclass(frozen=True, eq=False)
+class Ratings:
+    """Ratings as four aligned numpy columns, one row per rating.
+
+    A table made by :meth:`from_columns` (every table ``read_ratings_file``
+    returns) is stable-sorted by (user, timestamp, item): each user's
+    ratings are one contiguous run in watch order, and rows tied on all
+    three keys keep file order. Indexing with a slice or with ascending row
+    positions keeps that order.
+    """
+
+    user: np.ndarray  # int64
+    item: np.ndarray  # int64
+    rating: np.ndarray  # float64
+    timestamp: np.ndarray  # int64
+
+    @classmethod
+    def from_columns(cls, user, item, rating, timestamp) -> "Ratings":
+        user = np.asarray(user, dtype=np.int64)
+        item = np.asarray(item, dtype=np.int64)
+        timestamp = np.asarray(timestamp, dtype=np.int64)
+        order = np.lexsort((item, timestamp, user))
+        return cls(
+            user[order], item[order], np.asarray(rating, dtype=float)[order], timestamp[order]
+        )
+
+    @classmethod
+    def of(cls, interactions: Iterable[Interaction]) -> "Ratings":
+        rows = list(interactions)
+        return cls.from_columns(
+            np.fromiter((it.user for it in rows), np.int64, len(rows)),
+            np.fromiter((it.item for it in rows), np.int64, len(rows)),
+            np.fromiter((it.rating for it in rows), float, len(rows)),
+            np.fromiter((it.timestamp for it in rows), np.int64, len(rows)),
+        )
+
+    def __len__(self) -> int:
+        return self.user.size
+
+    def __getitem__(self, rows) -> "Ratings":
+        return Ratings(self.user[rows], self.item[rows], self.rating[rows], self.timestamp[rows])
+
+    def interactions(self) -> tuple[Interaction, ...]:
+        """The rows as :class:`Interaction` objects, built on demand."""
+        return tuple(
+            map(
+                Interaction,
+                self.user.tolist(),
+                self.item.tolist(),
+                self.rating.tolist(),
+                self.timestamp.tolist(),
+            )
+        )
 
 
 def _iter_clean_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -133,7 +209,8 @@ def parse_ratings(
     """Parse ``UserID::MovieID::Rating::Timestamp`` lines.
 
     Same lenient/strict contract as :func:`parse_movies`. Ratings must fall
-    in [0.5, 5.0] and timestamps must be non-negative.
+    in [0.5, 5.0], timestamps must be non-negative, and ids and timestamps
+    must fit the 64-bit columns of :class:`Ratings`.
     """
     interactions: list[Interaction] = []
     issues: list[ParseIssue] = []
@@ -163,46 +240,141 @@ def parse_ratings(
         if timestamp < 0:
             bad(line_no, line, "negative timestamp")
             continue
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (user, item, timestamp)):
+            bad(line_no, line, "integer field outside the 64-bit range")
+            continue
         interactions.append(
             Interaction(user=user, item=item, rating=rating, timestamp=timestamp)
         )
     return interactions, issues
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def _split_lines(data: bytes) -> list[str]:
+    """The file's lines under the module's line rule."""
     # MovieLens dumps are nominally UTF-8 but old ones contain latin-1 bytes.
-    data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         text = data.decode("latin-1")
-    return text.splitlines()
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
 
 
 def read_movies_file(
     path: str | Path, strict: bool = False
 ) -> tuple[list[CatalogEntry], list[ParseIssue]]:
-    return parse_movies(_read_lines(path), strict=strict)
+    return parse_movies(_split_lines(Path(path).read_bytes()), strict=strict)
+
+
+# Longest field the fast path converts: 18 digits fit int64, and a rating
+# of at most 15 digits divided by a power of ten is correctly rounded.
+_MAX_DIGITS = 18
+_MAX_RATING_DIGITS = 15
+_INT_POWERS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+_FLOAT_POWERS = np.array([float(10**e) for e in range(_MAX_RATING_DIGITS + 1)])
+
+
+def _field_values(text: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each field ``text[end - length:end]`` read as one integer; a '.' reads as 0.
+
+    ``text`` must have at least ``length.max()`` bytes before every field.
+    """
+    width = int(length.max())
+    chars = np.lib.stride_tricks.sliding_window_view(text, width)[end - width]
+    in_field = np.arange(width) >= width - length[:, None]
+    digits = np.where(in_field & (chars >= ord("0")), chars - ord("0"), 0)
+    return digits @ _INT_POWERS[width - 1 :: -1]
+
+
+def _parse_ratings_fast(data: bytes) -> Ratings | None:
+    """The table of a file of plain rating lines, or None to use the line parser."""
+    if data.translate(None, b"0123456789:.\r\n"):
+        return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    data = data.replace(b"::", b",")
+    if b":" in data:
+        return None
+    # Blank lines hold no rating: drop them, then end the last line.
+    while b"\n\n" in data:
+        data = data.replace(b"\n\n", b"\n")
+    data = data.lstrip(b"\n")
+    if not data:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # Leading padding keeps every field's window inside the text.
+    text = np.frombuffer(b"0" * _MAX_DIGITS + data, dtype=np.uint8)
+    newlines = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    n = newlines.size
+    if commas.size != 3 * n:
+        return None
+    # Row i: the end of line i - 1, the three commas of line i, its newline.
+    line_starts = np.concatenate(([_MAX_DIGITS - 1], newlines[:-1]))
+    bounds = np.column_stack((line_starts, commas.reshape(n, 3), newlines))
+    length = np.diff(bounds, axis=1) - 1  # all >= 1 iff every line has 3 commas
+    if (length < 1).any() or (length > _MAX_DIGITS).any():
+        return None
+    # Only a rating may hold a '.', and at most one.
+    dots = np.flatnonzero(text == ord("."))
+    line = np.searchsorted(newlines, dots)
+    if not ((bounds[line, 2] < dots) & (dots < bounds[line, 3])).all():
+        return None
+    if (np.diff(line) == 0).any():
+        return None
+    has_dot = np.zeros(n, dtype=bool)
+    has_dot[line] = True
+    after_dot = np.zeros(n, dtype=np.int64)
+    after_dot[line] = bounds[line, 3] - dots - 1
+    rating_digits = length[:, 2] - has_dot
+    if (rating_digits < 1).any() or (rating_digits > _MAX_RATING_DIGITS).any():
+        return None
+
+    user, item, raw, timestamp = (
+        _field_values(text, bounds[:, f + 1], length[:, f]) for f in range(4)
+    )
+    # The '.' read as a 0 digit: drop it from between the two parts.
+    low = raw % _INT_POWERS[after_dot]
+    mantissa = np.where(has_dot, (raw - low) // 10 + low, raw)
+    rating = mantissa / _FLOAT_POWERS[after_dot]
+    if not ((rating >= 0.5) & (rating <= 5.0)).all():
+        return None
+    return Ratings.from_columns(user, item, rating, timestamp)
 
 
 def read_ratings_file(
     path: str | Path, strict: bool = False
-) -> tuple[list[Interaction], list[ParseIssue]]:
-    return parse_ratings(_read_lines(path), strict=strict)
+) -> tuple[Ratings, list[ParseIssue]]:
+    """The file's ratings as one sorted table, plus the lines left out.
 
-
-def compute_popularity(interactions: Iterable[Interaction]) -> dict[int, int]:
-    """Count ratings per item, in first-seen item order.
-
-    Every interaction counts, duplicates included, so only rated items
-    appear and every count is >= 1.
+    The fast path and its line-parser fallback are described in the module
+    docstring. A file the fast path accepts gives the table the line parser
+    would give.
     """
-    counts: Counter[int] = Counter()
-    for it in interactions:
-        counts[it.item] += 1
-    if not counts:
+    data = Path(path).read_bytes()
+    try:
+        ratings = _parse_ratings_fast(data)
+    except Exception:
+        # The line parser defines the result, so a failed fast path costs only time.
+        ratings = None
+    if ratings is not None:
+        return ratings, []
+    interactions, issues = parse_ratings(_split_lines(data), strict=strict)
+    return Ratings.of(interactions), issues
+
+
+def compute_popularity(ratings: Ratings) -> dict[int, int]:
+    """Count ratings per item; the keys are in ascending item id order.
+
+    Every rating counts, duplicates included, so only rated items appear
+    and every count is >= 1.
+    """
+    if not len(ratings):
         raise ValueError("no interactions: popularity table would be empty")
-    return dict(counts)
+    items, counts = np.unique(ratings.item, return_counts=True)
+    return dict(zip(items.tolist(), counts.tolist()))
 
 
 def normalize_title(title: str) -> str:

@@ -82,10 +82,12 @@ def _load_data(movies: str, ratings: str, strict: bool):
         raise click.ClickException(f"ratings file not found: {ratings}")
     try:
         entries, movie_issues = cat.read_movies_file(movies, strict=strict)
-        interactions, rating_issues = cat.read_ratings_file(ratings, strict=strict)
+        table, rating_issues = cat.read_ratings_file(ratings, strict=strict)
     except cat.ParseError as exc:
         raise click.ClickException(str(exc))
-    return entries, movie_issues, interactions, rating_issues
+    if not len(table):
+        raise click.ClickException("no interactions parsed")
+    return entries, movie_issues, table, rating_issues
 
 
 @main.command()
@@ -95,16 +97,12 @@ def _load_data(movies: str, ratings: str, strict: bool):
 @click.option("--strict-parse", is_flag=True, help="abort on the first malformed line")
 def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> None:
     """Parse the catalog, build the popularity table, print a summary."""
-    entries, movie_issues, interactions, rating_issues = _load_data(
-        movies, ratings, strict_parse
-    )
-    if not interactions:
-        raise click.ClickException("no interactions parsed")
-    phi = cat.compute_popularity(interactions)
+    entries, movie_issues, table, rating_issues = _load_data(movies, ratings, strict_parse)
+    phi = cat.compute_popularity(table)
     scores = np.array(sorted(phi.values()), dtype=float)
     top_item = max(phi.items(), key=lambda kv: (kv[1], -kv[0]))
     click.echo(f"movies: {len(entries)} ({len(movie_issues)} malformed lines)")
-    click.echo(f"ratings: {len(interactions)} ({len(rating_issues)} malformed lines)")
+    click.echo(f"ratings: {len(table)} ({len(rating_issues)} malformed lines)")
     click.echo(f"items with ratings: {len(phi)}")
     quants = np.quantile(scores, [0.0, 0.25, 0.5, 0.75, 1.0])
     click.echo(
@@ -122,7 +120,7 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
                 writer.writerow([item, int(phi[item])])
         summary = {
             "movies": len(entries),
-            "ratings": len(interactions),
+            "ratings": len(table),
             "items_with_ratings": len(phi),
             "movie_parse_issues": len(movie_issues),
             "rating_parse_issues": len(rating_issues),
@@ -143,10 +141,10 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     if (scores_file is None) == (ratings is None):
         raise click.ClickException("provide either SCORES_FILE or --ratings")
     if ratings is not None:
-        interactions, _ = cat.read_ratings_file(ratings)
-        if not interactions:
+        table, _ = cat.read_ratings_file(ratings)
+        if not len(table):
             raise click.ClickException("no interactions parsed")
-        samples = [float(v) for v in cat.compute_popularity(interactions).values()]
+        samples = [float(v) for v in cat.compute_popularity(table).values()]
     else:
         path = Path(scores_file)
         if not path.is_file():
@@ -171,9 +169,8 @@ def _provider_config(cfg: dict) -> ProviderConfig:
     return ProviderConfig(**cfg["provider"])
 
 
-def _build_fold_recommenders(cfg, fold, phi, index, entries_by_id):
-    """Construct the configured recommenders, trained on this fold."""
-    train_interactions = [it for split in fold for it in split.train]
+def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
+    """Construct the configured recommenders, trained on the fold's training ratings."""
     recs = []
     matrix = None
     for name in cfg["recommenders"]:
@@ -183,7 +180,7 @@ def _build_fold_recommenders(cfg, fold, phi, index, entries_by_id):
             recs.append(TopPopRecommender(phi))
         elif name in ("item_knn", "user_knn"):
             if matrix is None:
-                matrix = RatingMatrix.from_interactions(train_interactions)
+                matrix = RatingMatrix.from_interactions(train)
             if name == "item_knn":
                 recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
             else:
@@ -205,8 +202,8 @@ def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
     fold's models and shared inputs are dropped on return, so none of them
     is alive while the next fold's models are built.
     """
-    recs = _build_fold_recommenders(cfg, fold, phi, index, entries_by_id)
     inputs = ev.FoldInputs.of(fold)
+    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, index, entries_by_id)
     fold_stats: dict[str, ev.FoldStats] = {}
     for rec in recs:
         if rec.name in errors:
@@ -253,17 +250,15 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
                 "shares with the user's profile, and slates exclude the training profile"
             )
 
-    entries, _, interactions, _ = _load_data(
+    entries, _, table, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
     )
-    if not interactions:
-        raise click.ClickException("no interactions parsed")
-    phi = cat.compute_popularity(interactions)
+    phi = cat.compute_popularity(table)
     index = cat.TitleIndex.build(entries)
     entries_by_id = {e.item: e for e in entries}
 
     try:
-        plan = ev.make_folds(interactions, ev.FoldSpec(**cfg["folds"]))
+        plan = ev.make_folds(table, ev.FoldSpec(**cfg["folds"]))
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

@@ -5,6 +5,12 @@ train/test, let every recommender produce a top-k slate from the training
 side, then report recall-style hit rates and popularity-bias metrics as
 mean plus/minus one standard error over folds.
 
+Splits are index arrays into the run's sorted ratings table: a
+``UserSplit`` holds the ascending rows of one user's training and test
+ratings, so both sides keep watch order, (timestamp, item). Its ``train``
+builds ``Interaction`` objects on demand, for readers that need them, such
+as the LLM recommender's watch history; nothing else does.
+
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
 training profiles and held-out items are gathered once into
 ``FoldInputs``, which every recommender of the fold shares.
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from popbias.catalog import Interaction
+from popbias.catalog import Interaction, Ratings
 from popbias.metrics import PhiArray, Profiles, evaluate_metric, kendall_tau
 from popbias.recommenders import BaseRecommender, RecRequest
 
@@ -65,11 +71,22 @@ class FoldSpec:
             raise ValueError("fold_count and users_per_fold must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserSplit:
+    """One user's train/test split: ascending rows of ``ratings``."""
+
     user: int
-    train: tuple[Interaction, ...]
-    test_items: frozenset[int]
+    ratings: Ratings
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+
+    @property
+    def train(self) -> tuple[Interaction, ...]:
+        return self.ratings[self.train_rows].interactions()
+
+    @property
+    def test_items(self) -> frozenset[int]:
+        return frozenset(self.ratings.item[self.test_rows].tolist())
 
 
 @dataclass
@@ -80,65 +97,54 @@ class FoldPlan:
 
 
 def split_user_ratings(
-    interactions: Sequence[Interaction], train_fraction: float, seed: int
-) -> tuple[tuple[Interaction, ...], tuple[Interaction, ...]]:
+    user: int, n_ratings: int, train_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Random train/test partition of one user's ratings.
 
-    Deterministic per (user, seed): the permutation is seeded by both, so
-    the split does not depend on evaluation order or fold membership.
+    Returns the ascending positions of the train and the test ratings among
+    the user's ratings in watch order. Deterministic per (user, seed): the
+    permutation is seeded by both, so the split does not depend on
+    evaluation order or fold membership.
     """
-    if not interactions:
+    if n_ratings < 1:
         raise ValueError("no interactions to split")
-    user = interactions[0].user
-    ordered = sorted(interactions, key=lambda it: (it.timestamp, it.item))
-    rng = np.random.default_rng([seed, user])
-    perm = rng.permutation(len(ordered))
-    n_train = int(round(train_fraction * len(ordered)))
-    train_idx = sorted(perm[:n_train])
-    test_idx = sorted(perm[n_train:])
-    return (
-        tuple(ordered[i] for i in train_idx),
-        tuple(ordered[i] for i in test_idx),
-    )
+    perm = np.random.default_rng([seed, user]).permutation(n_ratings)
+    n_train = int(round(train_fraction * n_ratings))
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def make_folds(interactions: Iterable[Interaction], spec: FoldSpec) -> FoldPlan:
+def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
     """Sample disjoint user folds and split each sampled user's ratings."""
-    by_user: dict[int, list[Interaction]] = {}
-    for it in interactions:
-        by_user.setdefault(it.user, []).append(it)
-
-    eligible = sorted(u for u, its in by_user.items() if len(its) >= spec.min_ratings)
-    ineligible = len(by_user) - len(eligible)
+    users, starts, counts = np.unique(ratings.user, return_index=True, return_counts=True)
+    eligible = users[counts >= spec.min_ratings]
+    ineligible = users.size - eligible.size
     needed = spec.fold_count * spec.users_per_fold
-    if len(eligible) < needed:
+    if eligible.size < needed:
         raise ValueError(
             f"need {needed} users with >= {spec.min_ratings} ratings, "
-            f"only {len(eligible)} available"
+            f"only {eligible.size} available"
         )
-    rng = np.random.default_rng([spec.seed, len(eligible)])
-    sampled = [eligible[i] for i in rng.permutation(len(eligible))[:needed]]
+    rng = np.random.default_rng([spec.seed, eligible.size])
+    sampled = eligible[rng.permutation(eligible.size)[:needed]]
 
     skipped: dict[int, str] = {}
     folds: list[list[UserSplit]] = []
     for f in range(spec.fold_count):
-        fold_users = sorted(sampled[f * spec.users_per_fold : (f + 1) * spec.users_per_fold])
+        fold_users = np.sort(sampled[f * spec.users_per_fold : (f + 1) * spec.users_per_fold])
+        # Each user's ratings are one run of the sorted table.
+        runs = np.searchsorted(users, fold_users)
         fold: list[UserSplit] = []
-        for user in fold_users:
-            train, test = split_user_ratings(by_user[user], spec.train_fraction, spec.seed)
-            if not test:
+        for user, start, count in zip(
+            fold_users.tolist(), starts[runs].tolist(), counts[runs].tolist()
+        ):
+            train, test = split_user_ratings(user, count, spec.train_fraction, spec.seed)
+            if not test.size:
                 skipped[user] = "empty test set after split"
                 continue
-            if not train:
+            if not train.size:
                 skipped[user] = "empty training set after split"
                 continue
-            fold.append(
-                UserSplit(
-                    user=user,
-                    train=train,
-                    test_items=frozenset(it.item for it in test),
-                )
-            )
+            fold.append(UserSplit(user, ratings, start + train, start + test))
         folds.append(fold)
     return FoldPlan(folds=folds, skipped=skipped, ineligible_users=ineligible)
 
@@ -160,12 +166,15 @@ class FoldStats:
 class FoldInputs:
     """What every recommender of one fold shares, one row per user in fold order.
 
-    ``requests`` ask for each user's slate, ``train`` holds the training
-    profiles the bias metrics compare slates against and ``test`` the
-    held-out items the hit rates count.
+    ``requests`` ask for each user's slate and carry the user's training
+    ratings. ``ratings`` is the fold's training table, user by user in fold
+    order, which the rating matrix is built from. ``train`` holds the
+    training profiles the bias metrics compare slates against and ``test``
+    the held-out items the hit rates count.
     """
 
     requests: list[RecRequest]
+    ratings: Ratings
     train: Profiles
     test: Profiles
 
@@ -174,15 +183,21 @@ class FoldInputs:
         if not fold:
             raise ValueError("fold has no users")
         for s in fold:
-            if not s.test_items:
+            if not s.test_rows.size:
                 raise ValueError(f"user {s.user} has an empty test set")
-        train = [tuple(it.item for it in s.train) for s in fold]
+            if s.ratings is not fold[0].ratings:
+                raise ValueError("a fold's splits must index one ratings table")
+        ratings = fold[0].ratings[np.concatenate([s.train_rows for s in fold])]
+        offsets = np.zeros(len(fold) + 1, dtype=np.int64)
+        np.cumsum([s.train_rows.size for s in fold], out=offsets[1:])
+        bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
         return cls(
             requests=[
-                RecRequest(user=s.user, train=s.train, exclude=frozenset(items))
-                for s, items in zip(fold, train)
+                RecRequest(s.user, ratings[a:b], frozenset(ratings.item[a:b].tolist()))
+                for s, (a, b) in zip(fold, bounds)
             ],
-            train=Profiles.of(train),
+            ratings=ratings,
+            train=Profiles(items=ratings.item, offsets=offsets),
             test=Profiles.of(s.test_items for s in fold),
         )
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from popbias.catalog import Interaction
+from popbias.catalog import Interaction, Ratings
 
 __all__ = [
     "DEFAULT_K_NEIGHBORS",
@@ -139,22 +139,14 @@ class Slate:
 class RatingMatrix:
     """User-item ratings with per-user means.
 
-    Duplicate (user, item) pairs keep the last rating seen.
+    ``users`` and ``items`` are the sorted ids of the rows and columns; each
+    CSR row stores its ratings in ascending item order.
     """
 
-    def __init__(self, ratings: Mapping[tuple[int, int], float]):
-        if not ratings:
-            raise ValueError("rating matrix is empty")
-        self.users = sorted({u for u, _ in ratings})
-        self.items = sorted({i for _, i in ratings})
-        self.user_index = {u: n for n, u in enumerate(self.users)}
-        self.item_index = {i: n for n, i in enumerate(self.items)}
-        rows = np.fromiter((self.user_index[u] for u, _ in ratings), dtype=np.int64)
-        cols = np.fromiter((self.item_index[i] for _, i in ratings), dtype=np.int64)
-        vals = np.fromiter(ratings.values(), dtype=float)
-        self.csr = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self.users), len(self.items))
-        )
+    def __init__(self, users: np.ndarray, items: np.ndarray, csr: sparse.csr_matrix):
+        self.users = users
+        self.items = items
+        self.csr = csr
         counts = np.diff(self.csr.indptr)
         sums = np.asarray(self.csr.sum(axis=1)).ravel()
         self.user_means = np.divide(
@@ -162,17 +154,49 @@ class RatingMatrix:
         )
 
     @classmethod
-    def from_interactions(cls, interactions: Iterable[Interaction]) -> "RatingMatrix":
-        ratings: dict[tuple[int, int], float] = {}
-        for it in interactions:
-            ratings[(it.user, it.item)] = it.rating
-        return cls(ratings)
+    def from_interactions(cls, ratings: Ratings) -> "RatingMatrix":
+        """The matrix of a ratings table, such as one fold's training side.
+
+        A duplicate (user, item) pair keeps the rating in its later row: in
+        a sorted table, the later one in (timestamp, file order).
+        """
+        if not len(ratings):
+            raise ValueError("rating matrix is empty")
+        users, rows = np.unique(ratings.user, return_inverse=True)
+        items, cols = np.unique(ratings.item, return_inverse=True)
+        keys = rows * items.size + cols
+        # The first of each key in the reversed table is its last row.
+        cells, from_end = np.unique(keys[::-1], return_index=True)
+        csr = _csr_of_rows(
+            cells // items.size,
+            cells % items.size,
+            ratings.rating[keys.size - 1 - from_end],
+            (users.size, items.size),
+        )
+        return cls(users, items, csr)
 
     def centered(self) -> sparse.csr_matrix:
         """Ratings with each user's mean subtracted from their entries."""
         centered = self.csr.tocoo(copy=True)
         centered.data = centered.data - self.user_means[centered.row]
         return centered.tocsr()
+
+
+def _csr_of_rows(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """A CSR matrix of (row, col, value) entries grouped by row, stored in the given order."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position in the sorted ids, and whether it is there at all."""
+    positions = np.searchsorted(ids, values)
+    found = positions < ids.size
+    found[found] = ids[positions[found]] == values[found]
+    return positions, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,13 +294,7 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
         picked = _first_k(rows, cols, sims, k_neighbors)
         kept.append((rows[picked] + start, cols[picked], sims[picked]))
     rows, cols, sims = (np.concatenate(parts) for parts in zip(*kept))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return KnnModel(
-        mode=mode,
-        ids=np.array(ids, dtype=np.int64),
-        sims=sparse.csr_matrix((sims, cols, indptr), shape=(n, n)),
-    )
+    return KnnModel(mode=mode, ids=ids, sims=_csr_of_rows(rows, cols, sims, (n, n)))
 
 
 def build_item_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
@@ -287,17 +305,6 @@ def build_item_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS)
 def build_user_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
     """Cosine similarity between user rows of the centered matrix."""
     return _build_knn(matrix, "user", k_neighbors)
-
-
-def _lists_to_csr(
-    lists: Sequence[Sequence[tuple[int, float]]], n_cols: int
-) -> sparse.csr_matrix:
-    """One row per list of (column, value) pairs, stored in list order."""
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(entries) for entries in lists], out=indptr[1:])
-    cols = np.fromiter((c for entries in lists for c, _ in entries), np.int64, indptr[-1])
-    vals = np.fromiter((v for entries in lists for _, v in entries), float, indptr[-1])
-    return sparse.csr_matrix((vals, cols, indptr), shape=(len(lists), n_cols))
 
 
 def _knn_block_slates(
@@ -339,7 +346,10 @@ def recommend_item_knn(
     items j in c's neighbor list. Candidates with no overlap are unscored,
     so the slate may come back short.
     """
-    return ItemKnnRecommender(model).profile_slates([profile], k)[0]
+    items = np.array([item for item, _ in profile], dtype=np.int64)
+    ratings = np.array([rating for _, rating in profile], dtype=float)
+    table = Ratings(np.zeros_like(items), items, ratings, np.arange(items.size))
+    return ItemKnnRecommender(model).profile_slates([table], k)[0]
 
 
 def recommend_user_knn(
@@ -354,13 +364,22 @@ def recommend_user_knn(
     return UserKnnRecommender(model, matrix).user_slates([user], k)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecRequest:
-    """One user's recommendation request within an evaluation run."""
+    """One user's recommendation request within an evaluation run.
+
+    ``profile`` holds the user's training ratings in watch order and
+    ``exclude`` the items no slate may hold.
+    """
 
     user: int
-    train: tuple[Interaction, ...]
+    profile: Ratings
     exclude: frozenset[int]
+
+    @property
+    def train(self) -> tuple[Interaction, ...]:
+        """The training ratings as Interaction objects, built on demand."""
+        return self.profile.interactions()
 
 
 @dataclass(frozen=True)
@@ -438,26 +457,26 @@ class ItemKnnRecommender(BaseRecommender):
             raise ValueError("model is not item-based")
         self.model = model
         self.items = model.ids
-        self.item_index = {item: n for n, item in enumerate(model.ids.tolist())}
         # Row j of sims_t holds sim(c, j) for every item c that lists j.
         self.sims_t = model.sims.T.tocsr()
         self.abs_sims_t = abs(self.sims_t)
 
-    def profile_slates(
-        self, profiles: Sequence[Sequence[tuple[int, float]]], k: int
-    ) -> list[Slate]:
-        """One slate per (item, rating) profile, scored SCORE_BLOCK at a time."""
-        if not all(profiles):
+    def profile_slates(self, profiles: Sequence[Ratings], k: int) -> list[Slate]:
+        """One slate per training profile, scored SCORE_BLOCK at a time."""
+        if not all(len(profile) for profile in profiles):
             raise ValueError("profile must be non-empty")
         slates: list[Slate] = []
         for start in range(0, len(profiles), SCORE_BLOCK):
+            block = profiles[start : start + SCORE_BLOCK]
+            items = np.concatenate([profile.item for profile in block])
+            rows = np.repeat(np.arange(len(block)), [len(profile) for profile in block])
             # An item without a neighbor list can be neither scored nor recommended.
-            ratings = _lists_to_csr(
-                [
-                    [(self.item_index[j], r) for j, r in profile if j in self.item_index]
-                    for profile in profiles[start : start + SCORE_BLOCK]
-                ],
-                len(self.items),
+            cols, known = _positions(self.items, items)
+            ratings = _csr_of_rows(
+                rows[known],
+                cols[known],
+                np.concatenate([profile.rating for profile in block])[known],
+                (len(block), self.items.size),
             )
             rated = ratings.copy()
             rated.data[:] = 1.0
@@ -467,8 +486,7 @@ class ItemKnnRecommender(BaseRecommender):
         return slates
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        profiles = [[(it.item, it.rating) for it in request.train] for request in requests]
-        return self.profile_slates(profiles, k)
+        return self.profile_slates([request.profile for request in requests], k)
 
 
 class UserKnnRecommender(BaseRecommender):
@@ -481,7 +499,7 @@ class UserKnnRecommender(BaseRecommender):
             raise ValueError("model was built from another rating matrix")
         self.model = model
         self.matrix = matrix
-        self.items = np.array(matrix.items, dtype=np.int64)
+        self.items = matrix.items
         self.centered = matrix.centered()
         csr = matrix.csr
         self.rated = sparse.csr_matrix(
@@ -490,14 +508,13 @@ class UserKnnRecommender(BaseRecommender):
 
     def user_slates(self, users: Sequence[int], k: int) -> list[Slate]:
         """One slate per user of the rating matrix, scored SCORE_BLOCK at a time."""
-        for user in users:
-            if user not in self.matrix.user_index:
-                raise ValueError(f"user {user} not in rating matrix")
-        index = self.matrix.user_index
+        users = np.asarray(users, dtype=np.int64)
+        positions, known = _positions(self.matrix.users, users)
+        if not known.all():
+            raise ValueError(f"user {users[~known][0]} not in rating matrix")
         slates: list[Slate] = []
         for start in range(0, len(users), SCORE_BLOCK):
-            block = users[start : start + SCORE_BLOCK]
-            rows = np.array([index[u] for u in block], dtype=np.int64)
+            rows = positions[start : start + SCORE_BLOCK]
             weights = self.model.sims[rows]
             num = weights @ self.centered
             # abs() of a sparse matrix would sort each row's entries first.

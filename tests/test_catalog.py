@@ -1,15 +1,20 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from popbias import catalog
 from popbias.catalog import (
     MAX_EDIT_DISTANCE,
     CatalogEntry,
     Interaction,
     ParseError,
+    ParseIssue,
+    Ratings,
     TitleIndex,
     compute_popularity,
     levenshtein,
@@ -17,7 +22,10 @@ from popbias.catalog import (
     parse_movies,
     parse_ratings,
     read_movies_file,
+    read_ratings_file,
 )
+from popbias.evaluation import FoldSpec, UserSplit, make_folds
+from popbias.recommenders import RatingMatrix
 
 
 class TestParseMovies:
@@ -87,16 +95,184 @@ def test_latin1_fallback(tmp_path):
     assert entries[0].title == "Amélie"
 
 
+def test_unicode_line_boundary_inside_a_movie_title_stays_in_its_line(tmp_path):
+    # Byte 0x85 is cp1252's ellipsis; decoded as latin-1 it is U+0085, which
+    # str.splitlines() treats as a line boundary.
+    path = tmp_path / "movies.dat"
+    path.write_bytes(b"1::Wait\x85 What (1999)::Drama\n2::Heat (1995)::Action\nbad line\n")
+    entries, issues = read_movies_file(path)
+    assert [(e.item, e.title, e.year) for e in entries] == [
+        (1, "Wait\x85 What", 1999),
+        (2, "Heat", 1995),
+    ]
+    assert [(i.line_no, i.line) for i in issues] == [(3, "bad line")]
+
+
+def test_form_feed_inside_a_ratings_line_stays_in_its_line(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"1::2::3\x0c::100\nx::y\n2::3::4::200\n")
+    ratings, issues = read_ratings_file(path)
+    assert ratings.interactions() == (Interaction(1, 2, 3.0, 100), Interaction(2, 3, 4.0, 200))
+    assert issues == [ParseIssue(2, "x::y", "expected 4 '::'-separated fields")]
+    with pytest.raises(ParseError, match="ratings line 2:"):
+        read_ratings_file(path, strict=True)
+
+
+def _lines_by_the_line_rule(data: bytes) -> list[str]:
+    """Decode as UTF-8, else latin-1; split at LF only; strip one trailing CR."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = data.decode("latin-1")
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+
+
+_RATING_TEXT = st.sampled_from(
+    ["1", "5", "0.5", "3.5", "4.", ".5", "05.50", "2.25", "4.999999999999999999", "5.000"]
+)
+_VALID_LINE = st.builds(
+    "{}::{}::{}::{}".format,
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    _RATING_TEXT,
+    st.integers(0, 2**40),
+)
+_MALFORMED_LINE = st.sampled_from(
+    [
+        "1::2::3",
+        "1::2::3::4::5",
+        "1::2::3::4::",
+        "1:::2::3::4",
+        "a::2::3::4",
+        "1::2::x::4",
+        "1::2::3::4.0",
+        "1_000::2::3::4",
+        "+1::2::3::4",
+        " 1::2::3::4",
+        "1::2::4#x::4",
+        "1::2::nan::4",
+        "1::2::inf::4",
+        "1::2::5.5::4",
+        "1::2::0::4",
+        "1::2::0.49::4",
+        "1::2::3::-4",
+        "-1::2::3::4",
+        "1::2::3::4\r",
+        "1::2::3\x0c::4",
+        "1::2::3::4\xe9",
+        "\u0661::2::3::4",
+        "1234567890123456789::2::3::4",
+        "12345678901234567890::2::3::4",
+        "::2::3::4",
+        "1::2::::4",
+        "1::2::1.2.3::4",
+        "1::2::.1.2::4",
+        "1::2::.::4",
+        "",
+        "   ",
+        "\t",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(lines=[("1::2::3::4\r", True)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("1::2::.1.2::4", False)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("::2::3::4", False)], clean=True, final_newline=True, latin1=False)
+@given(
+    lines=st.lists(st.tuples(_VALID_LINE | _MALFORMED_LINE, st.booleans()), max_size=25),
+    clean=st.booleans(),
+    final_newline=st.booleans(),
+    latin1=st.booleans(),
+)
+def test_read_ratings_file_equals_the_line_parser(
+    tmp_path_factory, lines, clean, final_newline, latin1
+):
+    if clean:
+        lines = [(line, crlf) for line, crlf in lines if re.fullmatch(r"[\d:.\r]*", line)]
+    text = "".join(line + ("\r\n" if crlf else "\n") for line, crlf in lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    data = text.encode("latin-1" if latin1 and max(text, default="a") <= "\xff" else "utf-8")
+    path = tmp_path_factory.mktemp("ratings") / "ratings.dat"
+    path.write_bytes(data)
+
+    expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
+    ratings, issues = read_ratings_file(path)
+    by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
+    assert ratings.interactions() == tuple(by_key)
+    assert issues == expected_issues
+
+    try:
+        parse_ratings(_lines_by_the_line_rule(data), strict=True)
+        strict_error = None
+    except ParseError as exc:
+        strict_error = str(exc)
+    if strict_error is None:
+        assert read_ratings_file(path, strict=True)[0].interactions() == tuple(by_key)
+    else:
+        with pytest.raises(ParseError) as raised:
+            read_ratings_file(path, strict=True)
+        assert str(raised.value) == strict_error
+
+
+def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatch):
+    def line_parser(*args, **kwargs):
+        raise AssertionError("the fast path fell back")
+
+    monkeypatch.setattr(catalog, "parse_ratings", line_parser)
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"\n2::7::.5::30\r\n\n1::9::5.::20\n1::8::04.50::20\n1::3::2::10")
+    ratings, issues = read_ratings_file(path, strict=True)
+    assert not issues
+    assert ratings.interactions() == (
+        Interaction(1, 3, 2.0, 10),
+        Interaction(1, 8, 4.5, 20),
+        Interaction(1, 9, 5.0, 20),
+        Interaction(2, 7, 0.5, 30),
+    )
+
+
+def test_duplicate_ratings_are_counted_and_the_later_one_is_kept(tmp_path):
+    # (1, 5) is rated twice, the later rating first in the file; (1, 6) twice
+    # at one timestamp; user 1's ratings at timestamp 30 come in descending item order.
+    path = tmp_path / "ratings.dat"
+    path.write_text(
+        "1::5::4::20\n1::5::2::10\n1::9::3::30\n1::6::3::30\n1::6::5::30\n"
+        "1::4::1::30\n2::5::3::5\n2::6::2::6\n",
+        encoding="utf-8",
+    )
+    ratings, _ = read_ratings_file(path)
+    assert compute_popularity(ratings) == {4: 1, 5: 3, 6: 3, 9: 1}
+    matrix = RatingMatrix.from_interactions(ratings)
+    dense = dict(zip(matrix.items.tolist(), matrix.csr.toarray()[0].tolist()))
+    assert dense == {4: 1.0, 5: 4.0, 6: 5.0, 9: 3.0}
+
+    plan = make_folds(ratings, FoldSpec(fold_count=1, users_per_fold=2, min_ratings=1))
+    for split in plan.folds[0]:
+        order = [(it.timestamp, it.item) for it in split.train]
+        assert order == sorted(order)
+    everything = UserSplit(1, ratings, np.arange(6), np.arange(0))
+    assert [(it.timestamp, it.item, it.rating) for it in everything.train] == [
+        (10, 5, 2.0),
+        (20, 5, 4.0),
+        (30, 4, 1.0),
+        (30, 6, 3.0),
+        (30, 6, 5.0),
+        (30, 9, 3.0),
+    ]
+
+
 class TestComputePopularity:
     def test_counts(self):
         interactions, _ = parse_ratings(
             [f"{u}::7::4::1" for u in range(3)] + ["9::9::3::1"]
         )
-        phi = compute_popularity(interactions)
+        phi = compute_popularity(Ratings.of(interactions))
         assert dict(phi) == {7: 3, 9: 1}
 
     def test_single_interaction(self):
-        phi = compute_popularity([Interaction(1, 5, 4.0, 0)])
+        phi = compute_popularity(Ratings.of([Interaction(1, 5, 4.0, 0)]))
         assert dict(phi) == {5: 1}
 
     def test_duplicate_user_item_pairs_both_counted(self):
@@ -107,11 +283,11 @@ class TestComputePopularity:
         for line in lines:
             item = int(line.split("::")[1])
             expected[item] = expected.get(item, 0) + 1
-        assert dict(compute_popularity(interactions)) == expected
+        assert dict(compute_popularity(Ratings.of(interactions))) == expected
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no interactions"):
-            compute_popularity([])
+            compute_popularity(Ratings.of([]))
 
     @given(
         st.lists(
@@ -120,7 +296,7 @@ class TestComputePopularity:
     )
     def test_total_equals_interaction_count(self, pairs):
         interactions = [Interaction(u, i, 3.0, 0) for u, i in pairs]
-        assert sum(compute_popularity(interactions).values()) == len(interactions)
+        assert sum(compute_popularity(Ratings.of(interactions)).values()) == len(interactions)
 
 
 class TestNormalizeTitle:
@@ -363,8 +539,6 @@ class TestResolveTitle:
 
 def test_popularity_scores_at_least_one(toy_files):
     _, ratings_path = toy_files
-    from popbias.catalog import read_ratings_file
-
     interactions, _ = read_ratings_file(ratings_path)
     phi = compute_popularity(interactions)
     assert all(v >= 1 for v in phi.values())

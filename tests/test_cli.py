@@ -6,6 +6,7 @@ from dataclasses import asdict
 from click.testing import CliRunner
 
 from popbias.cli import load_config, main
+from popbias.distfit import fit_pareto
 from popbias.evaluation import FoldSpec
 from popbias.llm_gateway import ProviderConfig
 
@@ -97,3 +98,80 @@ def test_default_config_restates_no_dataclass_default():
     config = load_config(None)
     assert config["provider"] == asdict(ProviderConfig())
     assert config["folds"] == asdict(FoldSpec())
+
+
+def _popularity_oracle(ratings_path):
+    """Ratings per item, counted from the raw lines, in ascending item id order."""
+    counts: dict[int, int] = {}
+    for line in ratings_path.read_text(encoding="utf-8").splitlines():
+        item = int(line.split("::")[1])
+        counts[item] = counts.get(item, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def test_ingest_writes_popularity_and_summary(small_corpus, tmp_path):
+    movies, ratings = small_corpus
+    counts = _popularity_oracle(ratings)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["ingest", "--movies", str(movies), "--ratings", str(ratings), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    top = max(counts, key=lambda item: (counts[item], -item))
+    assert result.output.splitlines() == [
+        "movies: 300 (0 malformed lines)",
+        f"ratings: {sum(counts.values())} (0 malformed lines)",
+        f"items with ratings: {len(counts)}",
+        "popularity quantiles (min/p25/p50/p75/max): 1/6/8/11/31",
+        f"most popular item: {top} ({counts[top]} ratings)",
+        f"wrote {out / 'popularity.csv'}",
+    ]
+    expected_csv = "item,count\r\n" + "".join(f"{i},{c}\r\n" for i, c in counts.items())
+    assert (out / "popularity.csv").read_bytes() == expected_csv.encode("utf-8")
+    assert json.loads((out / "ingest_summary.json").read_text(encoding="utf-8")) == {
+        "items_with_ratings": len(counts),
+        "max_popularity_item": top,
+        "movie_parse_issues": 0,
+        "movies": 300,
+        "rating_parse_issues": 0,
+        "ratings": sum(counts.values()),
+    }
+
+
+def test_fit_from_ratings_fits_the_popularity_counts(small_corpus):
+    _, ratings = small_corpus
+    result = CliRunner().invoke(main, ["fit", "--ratings", str(ratings)])
+    assert result.exit_code == 0, result.output
+    fit = fit_pareto([float(c) for c in _popularity_oracle(ratings).values()])
+    assert result.output == (
+        f"n: {fit.n}\nx_min: {fit.x_min:.6g}\nalpha: {fit.alpha:.4f}\nks_stat: {fit.ks_stat:.4f}\n"
+    )
+    assert result.output == "n: 300\nx_min: 1\nalpha: 0.4838\nks_stat: 0.4420\n"
+
+
+def test_strict_parse_names_the_malformed_line_and_lenient_run_skips_it(small_corpus, tmp_path):
+    movies, ratings = small_corpus
+    lines = ratings.read_text(encoding="utf-8").splitlines(keepends=True)
+    broken = tmp_path / "broken.dat"
+    broken.write_text("".join(lines[:100] + ["7::x::4::100\n"] + lines[100:]), encoding="utf-8")
+
+    def run(ratings_path, out, *flags):
+        args = ["evaluate", "--movies", str(movies), "--ratings", str(ratings_path)]
+        args += ["--out", str(out), *flags]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"folds": {"fold_count": 2, "users_per_fold": 30}}))
+        return CliRunner().invoke(main, [*args, "--config", str(config)])
+
+    result = run(broken, tmp_path / "strict", "--strict-parse")
+    assert result.exit_code == 1
+    assert "ratings line 101: non-numeric field" in result.output
+    assert not (tmp_path / "strict").exists()
+
+    outputs = []
+    for name, path in (("lenient", broken), ("clean", ratings)):
+        result = run(path, tmp_path / name)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["config"]["data"]
+        outputs.append(((tmp_path / name / "report.csv").read_bytes(), manifest))
+    assert outputs[0] == outputs[1]

@@ -4,10 +4,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from popbias.catalog import Interaction
+from popbias.catalog import Interaction, Ratings
 from popbias.cli import main
 from popbias.evaluation import (
     FoldInputs,
@@ -41,7 +42,7 @@ def _splits(plan):
 
 def test_make_folds_are_disjoint_and_partition_each_user():
     interactions = _interactions()
-    plan = make_folds(interactions, FoldSpec(fold_count=3, users_per_fold=10))
+    plan = make_folds(Ratings.of(interactions), FoldSpec(fold_count=3, users_per_fold=10))
     users = [{s.user for s in fold} for fold in plan.folds]
     assert [len(u) for u in users] == [10, 10, 10]
     assert len(set().union(*users)) == 30
@@ -54,22 +55,26 @@ def test_make_folds_are_disjoint_and_partition_each_user():
 
 def test_split_depends_only_on_user_and_seed():
     interactions = _interactions()
-    a = _splits(make_folds(interactions, FoldSpec(fold_count=3, users_per_fold=10, seed=7)))
+    spec = FoldSpec(fold_count=3, users_per_fold=10, seed=7)
+    a = _splits(make_folds(Ratings.of(interactions), spec))
     shuffled = list(interactions)
     random.Random(0).shuffle(shuffled)
-    b = _splits(make_folds(shuffled, FoldSpec(fold_count=2, users_per_fold=18, seed=7)))
+    spec = FoldSpec(fold_count=2, users_per_fold=18, seed=7)
+    b = _splits(make_folds(Ratings.of(shuffled), spec))
     shared = a.keys() & b.keys()
     assert shared
+
+    def own_split(user, seed):
+        own = sorted(
+            (it for it in shuffled if it.user == user), key=lambda it: (it.timestamp, it.item)
+        )
+        train, test = split_user_ratings(user, len(own), 0.8, seed=seed)
+        return tuple(own[i] for i in train), frozenset(own[i].item for i in test)
+
     for user in shared:
-        assert a[user] == b[user]
-        own = [it for it in shuffled if it.user == user]
-        train, _ = split_user_ratings(own, 0.8, seed=7)
-        assert train == a[user].train
-    other_seed = {
-        user: split_user_ratings([it for it in interactions if it.user == user], 0.8, seed=8)[0]
-        for user in shared
-    }
-    assert any(other_seed[user] != a[user].train for user in shared)
+        assert (a[user].train, a[user].test_items) == (b[user].train, b[user].test_items)
+        assert own_split(user, seed=7) == (a[user].train, a[user].test_items)
+    assert any(own_split(user, seed=8)[0] != a[user].train for user in shared)
 
 
 def _fold(hr, log_pop_diff, pru):
@@ -122,22 +127,33 @@ class FixedSlates(BaseRecommender):
         return [Slate(self.by_user[request.user], k) for request in requests]
 
 
-def _split(user, train, test):
-    return UserSplit(
-        user=user,
-        train=tuple(Interaction(user, item, 4.0, t) for t, item in enumerate(train)),
-        test_items=frozenset(test),
+def _fold_of(*splits):
+    """One fold of (user, train items, test items) splits over one ratings table.
+
+    Users come in ascending order; each rates its train items, then its
+    test items, 4.0 each, in that watch order.
+    """
+    table = Ratings.of(
+        Interaction(user, item, 4.0, t)
+        for user, train, test in splits
+        for t, item in enumerate((*train, *test))
     )
+    fold = []
+    for user, train, test in splits:
+        start = int(np.searchsorted(table.user, user))
+        rows = start + np.arange(len(train) + len(test))
+        fold.append(UserSplit(user, table, rows[: len(train)], rows[len(train) :]))
+    return fold
 
 
 def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
     phi = {1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 0.5}
-    fold = [
-        _split(1, train=(1, 2), test=(3,)),
-        _split(2, train=(1, 3), test=(4,)),  # empty slate: out of every metric
-        _split(3, train=(2, 4), test=(1,)),  # slate item 99 lacks phi: out of every metric
-        _split(4, train=(5, 1), test=(2, 6)),  # phi 0.5 < 1: out of log_pop_diff only
-    ]
+    fold = _fold_of(
+        (1, (1, 2), (3,)),
+        (2, (1, 3), (4,)),  # empty slate: out of every metric
+        (3, (2, 4), (1,)),  # slate item 99 lacks phi: out of every metric
+        (4, (5, 1), (2, 6)),  # phi 0.5 < 1: out of log_pop_diff only
+    )
     rec = FixedSlates({1: (3, 4), 2: (), 3: (1, 99), 4: (3, 2)})
     stats = evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS)
 
@@ -192,13 +208,14 @@ def test_fold_batch_equals_the_per_user_loop_exactly():
     rng = random.Random(5)
     items = range(1, 400)
     phi = {item: float(rng.randint(1, 500)) for item in items if item % 37}
-    fold, slates = [], {}
+    splits, slates = [], {}
     for user in range(300):
         rated = rng.sample(items, rng.choice([3, 9, 40, 130, 200]))
         cut = max(1, len(rated) // 5)
-        fold.append(_split(user, train=rated[cut:], test=rated[:cut]))
+        splits.append((user, rated[cut:], rated[:cut]))
         unseen = [item for item in items if item not in rated[cut:]]
         slates[user] = tuple(rng.sample(unseen, rng.choice([0, 3, 10, 10, 10])))
+    fold = _fold_of(*splits)
     stats = evaluate_recommender(
         FixedSlates(slates), FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS
     )

@@ -1,7 +1,8 @@
 import requests as requests_lib
+import numpy as np
 import pytest
 
-from popbias.catalog import CatalogEntry, Interaction, TitleIndex
+from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
 from popbias.llm_gateway import (
     MAX_HISTORY_TITLES,
     MITIGATE_INSTRUCTION,
@@ -337,7 +338,7 @@ class TestWokRecommender:
     def _setup(self, tmp_path, catalog_index):
         index, entries = catalog_index
         train = (Interaction(5, 2, 4.0, 100), Interaction(5, 4, 5.0, 200))
-        request = RecRequest(user=5, train=train, exclude=frozenset({2, 4}))
+        request = RecRequest(user=5, profile=Ratings.of(train), exclude=frozenset({2, 4}))
         history = build_watch_history(train, entries)
         prompt = render_prompt(history, 3)
         completion = "1. The Matrix (1999)\n2. Heat (1995)\n3. Fargo (1996)\n"
@@ -361,16 +362,21 @@ class TestWokRecommender:
     def test_user_without_catalogued_history_gets_empty_slate(self, tmp_path, catalog_index):
         rec, request = self._setup(tmp_path, catalog_index)
         uncatalogued = RecRequest(
-            user=6, train=(Interaction(6, 99, 3.0, 100),), exclude=frozenset({99})
+            user=6, profile=Ratings.of([Interaction(6, 99, 3.0, 100)]), exclude=frozenset({99})
         )
         results = rec.recommend_batch([request, uncatalogued], 3)
         assert results == [
             rec.recommend(request, 3),
             RecResult(slate=Slate(entries=(), requested_k=3), unmatched=3),
         ]
+        # Rows 0-1 and 3 are the two users' training ratings, 2 and 4 their test items.
+        table = Ratings.of(
+            [*request.train, Interaction(5, 3, 4.0, 300), *uncatalogued.train]
+            + [Interaction(6, 1, 4.0, 300)]
+        )
         fold = [
-            UserSplit(user=5, train=request.train, test_items=frozenset({3})),
-            UserSplit(user=6, train=uncatalogued.train, test_items=frozenset({1})),
+            UserSplit(5, table, train_rows=np.array([0, 1]), test_rows=np.array([2])),
+            UserSplit(6, table, train_rows=np.array([3]), test_rows=np.array([4])),
         ]
         phi = {1: 5.0, 2: 3.0, 3: 2.0, 4: 1.0, 99: 1.0}
         stats = evaluate_recommender(

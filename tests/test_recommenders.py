@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from popbias import recommenders
-from popbias.catalog import Interaction
+from popbias.catalog import Interaction, Ratings
 from popbias.recommenders import (
     SCORE_BLOCK,
     SCORE_SNAP_BITS,
@@ -152,8 +152,8 @@ def knn_model(mode, neighbors):
 
 def request_for(user, profile):
     """The evaluation request of a user whose training side is profile."""
-    train = tuple(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
-    return RecRequest(user=user, train=train, exclude=frozenset(i for i, _ in profile))
+    train = Ratings.of(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
+    return RecRequest(user=user, profile=train, exclude=frozenset(i for i, _ in profile))
 
 
 def random_ratings(rng, max_users=8, max_items=8):
@@ -229,7 +229,7 @@ class TestTopPop:
 
 def matrix_from(ratings):
     return RatingMatrix.from_interactions(
-        [Interaction(u, i, r, ts) for ts, ((u, i), r) in enumerate(ratings.items())]
+        Ratings.of(Interaction(u, i, r, ts) for ts, ((u, i), r) in enumerate(ratings.items()))
     )
 
 
@@ -462,10 +462,8 @@ class TestAdapters:
         ratings = {(u, i): 3.0 + (u + i) % 3 for u in range(1, 6) for i in range(1, 7)}
         matrix = matrix_from(ratings)
         phi = {i: float(10 - i) for i in range(1, 9)}
-        train = tuple(
-            Interaction(1, i, r, 0) for (u, i), r in ratings.items() if u == 1
-        )
-        request = RecRequest(user=1, train=train, exclude=frozenset(i.item for i in train))
+        train = Ratings.of(Interaction(1, i, r, 0) for (u, i), r in ratings.items() if u == 1)
+        request = RecRequest(user=1, profile=train, exclude=frozenset(train.item.tolist()))
         for rec in (
             RandomRecommender(phi.keys(), seed=4),
             TopPopRecommender(phi),
@@ -478,8 +476,8 @@ class TestAdapters:
     def test_random_adapter_user_seed_independent_of_order(self):
         phi = {i: 1.0 for i in range(50)}
         rec = RandomRecommender(phi.keys(), seed=11)
-        req_a = RecRequest(user=7, train=(), exclude=frozenset())
-        req_b = RecRequest(user=8, train=(), exclude=frozenset())
+        req_a = RecRequest(user=7, profile=Ratings.of(()), exclude=frozenset())
+        req_b = RecRequest(user=8, profile=Ratings.of(()), exclude=frozenset())
         ab = rec.recommend_batch([req_a, req_b], 5)
         ba = rec.recommend_batch([req_b, req_a], 5)
         assert ab[0].slate.entries == ba[1].slate.entries
