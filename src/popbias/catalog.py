@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -471,36 +471,75 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     return score
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TitleIndex:
     """Lookup from normalized (title, year) keys to catalog items.
 
     Resolution order: exact key, then year +/- 1, then unique fuzzy match
     with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
     candidates. Ambiguity at any stage resolves to ``None`` rather than
-    guessing an item.
+    guessing an item, and so does a title that normalizes to nothing
+    (punctuation only).
 
-    The fuzzy stage calls :func:`levenshtein` once per catalog title in the
-    three-year window, capped at ``MAX_EDIT_DISTANCE``. Each call costs
-    O(len) integer operations, not an O(len²) table, and returns the exact
-    distance up to the cap and ``MAX_EDIT_DISTANCE + 1`` past it.
+    ``build`` lays the catalog out once in (year, insertion) order: the
+    normalized titles and their items, an ``int64`` year array, the title
+    lengths and a small integer matrix of character counts (titles × the
+    catalog's alphabet). A year window is then one contiguous slice.
+
+    The fuzzy stage bounds every window candidate from below by its bag
+    distance to the query (Bartolini, Ciaccia and Patella, SPIRE 2002):
+    ``max(len(c), len(q))`` minus the characters the two share as
+    multisets, computed for the whole window in one numpy pass. Bag
+    distance never exceeds edit distance, so a candidate whose bound is
+    past ``MAX_EDIT_DISTANCE`` would score ``MAX_EDIT_DISTANCE + 1`` and
+    cannot win or tie; :func:`levenshtein` (looked up as the module
+    global, capped at ``MAX_EDIT_DISTANCE``) runs only on the others, in
+    window order. Results are those of scoring every window title.
+
+    The index is never modified after ``build`` (the dataclass is frozen
+    and the arrays are read-only), so threads may share it.
     """
 
-    _exact: dict[tuple[str, int], list[int]] = field(default_factory=dict)
-    _by_year: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
+    _exact: dict[tuple[str, int], list[int]]
+    _titles: tuple[str, ...]
+    _items: tuple[int, ...]
+    _years: np.ndarray
+    _lengths: np.ndarray
+    _alphabet: np.ndarray
+    _counts: np.ndarray
 
     @classmethod
     def build(cls, entries: Iterable[CatalogEntry]) -> "TitleIndex":
-        index = cls()
+        exact: dict[tuple[str, int], list[int]] = {}
+        keys: list[tuple[str, int, int]] = []
         for entry in entries:
             title = normalize_title(entry.title)
-            index._exact.setdefault((title, entry.year), []).append(entry.item)
-            index._by_year.setdefault(entry.year, []).append((title, entry.item))
-        return index
+            exact.setdefault((title, entry.year), []).append(entry.item)
+            keys.append((title, entry.year, entry.item))
+        years = np.array([year for _, year, _ in keys], dtype=np.int64)
+        order = np.argsort(years, kind="stable").tolist()
+        titles = tuple(keys[i][0] for i in order)
+        lengths = np.array([len(t) for t in titles], dtype=np.int64)
+        codes = np.frombuffer("".join(titles).encode("utf-32-le"), dtype="<u4")
+        present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+        present[codes] = True
+        alphabet = np.flatnonzero(present).astype(np.uint32)
+        columns = (np.cumsum(present, dtype=np.int32) - 1)[codes]
+        rows = np.repeat(np.arange(len(titles)), lengths)
+        counts = np.bincount(
+            rows * len(alphabet) + columns, minlength=len(titles) * len(alphabet)
+        ).reshape(len(titles), len(alphabet))
+        counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+        arrays = (years[order], lengths, alphabet, counts)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(exact, titles, tuple(keys[i][2] for i in order), *arrays)
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
         title = normalize_title(title)
+        if not title:
+            return None
 
         hits = self._exact.get((title, year), [])
         if len(hits) == 1:
@@ -522,18 +561,31 @@ class TitleIndex:
         if len(near) > 1:
             return None
 
+        lo = int(np.searchsorted(self._years, max(year - 1, 1), "left"))
+        hi = int(np.searchsorted(self._years, year + 1, "right"))
+        bound = self._bag_bounds(title, lo, hi)
         best_distance = MAX_EDIT_DISTANCE + 1
         best_items: list[int] = []
-        for y in (year - 1, year, year + 1):
-            if y <= 0:
-                continue
-            for candidate_title, item in self._by_year.get(y, []):
-                d = levenshtein(title, candidate_title, cap=MAX_EDIT_DISTANCE)
-                if d < best_distance:
-                    best_distance = d
-                    best_items = [item]
-                elif d == best_distance:
-                    best_items.append(item)
+        for i in (lo + np.flatnonzero(bound <= MAX_EDIT_DISTANCE)).tolist():
+            d = levenshtein(title, self._titles[i], cap=MAX_EDIT_DISTANCE)
+            if d < best_distance:
+                best_distance = d
+                best_items = [self._items[i]]
+            elif d == best_distance:
+                best_items.append(self._items[i])
         if best_distance <= MAX_EDIT_DISTANCE and len(best_items) == 1:
             return best_items[0]
         return None
+
+    def _bag_bounds(self, title: str, lo: int, hi: int) -> np.ndarray:
+        """Bag distance from ``title`` to each layout title in ``[lo, hi)``.
+
+        Characters outside the catalog's alphabet are shared with no title.
+        """
+        query = np.frombuffer(title.encode("utf-32-le"), dtype="<u4")
+        columns = np.searchsorted(self._alphabet, query)
+        known = columns < len(self._alphabet)
+        known[known] = self._alphabet[columns[known]] == query[known]
+        query_counts = np.bincount(columns[known], minlength=len(self._alphabet))
+        shared = np.minimum(self._counts[lo:hi], query_counts).sum(axis=1)
+        return np.maximum(self._lengths[lo:hi], len(title)) - shared

@@ -174,13 +174,24 @@ def _request_payload(prompt: str, cfg: ProviderConfig) -> tuple[dict, dict]:
     raise ProviderError(f"unknown provider dialect {cfg.dialect!r}")
 
 
-def _extract_text(cfg: ProviderConfig, body: dict) -> str:
+def _extract_text(cfg: ProviderConfig, response: requests.Response) -> str:
+    """The reply text of a 200 response; ``ProviderError`` when the body has none."""
+    try:
+        body = response.json()
+    except ValueError:
+        raise ProviderError("malformed provider response: body is not JSON") from None
     try:
         if cfg.dialect == "openai":
-            return body["choices"][0]["message"]["content"]
-        return body["content"][0]["text"]
+            text = body["choices"][0]["message"]["content"]
+        else:
+            text = body["content"][0]["text"]
     except (KeyError, IndexError, TypeError) as exc:
         raise ProviderError(f"malformed provider response: missing {exc}") from None
+    if not isinstance(text, str):
+        raise ProviderError(
+            f"malformed provider response: content is {type(text).__name__}, not text"
+        )
+    return text
 
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -211,7 +222,7 @@ def complete_chat(prompt: str, cfg: ProviderConfig) -> str:
             last_error = exc
             continue
         if response.status_code == 200:
-            return _extract_text(cfg, response.json())
+            return _extract_text(cfg, response)
         excerpt = response.text[:200]
         if response.status_code in _RETRYABLE_STATUS:
             last_error = ProviderError(

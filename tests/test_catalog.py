@@ -1,6 +1,10 @@
+import dataclasses
 import math
 import random
 import re
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -399,6 +403,8 @@ def _brute_force_resolve(entries, title, year):
     """The documented resolution order, scanning every entry."""
     keys = [(normalize_title(e.title), e.year, e.item) for e in entries]
     query = normalize_title(title)
+    if not query:
+        return None
     exact = [item for key, key_year, item in keys if (key, key_year) == (query, year)]
     if exact:
         return exact[0] if len(exact) == 1 else None
@@ -464,6 +470,114 @@ def test_resolve_matches_brute_force(seed):
         if r is not None and normalize_title(t) not in catalogued
     ]
     assert len(fuzzy_hits) >= 5
+
+
+# Catalog titles come from a small alphabet; queries add letters, digits and
+# characters normalization drops ("ß", "ø"), so some query characters are in
+# no catalog title and some queries normalize to nothing.
+_catalog_title = st.text(alphabet="abcd e", min_size=1, max_size=7).filter(str.strip)
+_query_title = st.text(alphabet="abcdexyz19 ß\u00f8", min_size=1, max_size=9).filter(str.strip)
+_years = st.sampled_from((0, 1, 2, 1990, 1991, 1992))
+
+
+@st.composite
+def _catalog_with_queries(draw):
+    titles = draw(st.lists(_catalog_title, min_size=1, max_size=5))
+    # An anagram has the same character bag, so its bound is 0 at any distance.
+    titles += ["".join(draw(st.permutations(t))) for t in titles]
+    entries = [
+        CatalogEntry(item, draw(st.sampled_from(titles)), draw(_years))
+        for item in range(1, draw(st.integers(1, 12)) + 1)
+    ]
+    # A planted tie: two titles one insertion away from the query `base`.
+    base = draw(_catalog_title)
+    tie_year = draw(st.sampled_from((1, 1991)))
+    entries += [
+        CatalogEntry(len(entries) + 1, base + "a", tie_year),
+        CatalogEntry(len(entries) + 2, base + "b", tie_year + draw(st.sampled_from((-1, 0, 1)))),
+    ]
+    queries = [(base, tie_year)]
+    queries += [(e.title, e.year + draw(st.sampled_from((-1, 0, 1)))) for e in entries]
+    queries += draw(
+        st.lists(
+            st.tuples(st.one_of(_query_title, st.sampled_from(titles)), _years),
+            max_size=8,
+        )
+    )
+    return entries, queries
+
+
+@given(_catalog_with_queries())
+# Punctuation-only queries normalize to "", within two edits of any short title.
+@example(
+    ([CatalogEntry(1, "Pi", 1998), CatalogEntry(2, "M", 1931)], [("...", 1998), ("--", 1931)])
+)
+@settings(deadline=None)
+def test_bag_filter_keeps_resolve_exact(case):
+    entries, queries = case
+    index = TitleIndex.build(entries)
+    for title, year in queries:
+        assert index.resolve(title, year) == _brute_force_resolve(entries, title, year)
+
+
+@given(
+    st.lists(_edit_text, min_size=1, max_size=6),
+    st.text(alphabet=_EDIT_ALPHABET + "19\u00f8", max_size=150),
+)
+@settings(deadline=None)
+def test_bag_bound_never_exceeds_edit_distance(titles, query):
+    # Titles from one alphabet, a query partly outside it: every bound is the
+    # bag distance to the title's normalized key, at most their edit distance.
+    index = TitleIndex.build(
+        CatalogEntry(item, title, 1990) for item, title in enumerate(titles, 1) if title.strip()
+    )
+    bounds = index._bag_bounds(query, 0, len(index._titles))
+    assert len(bounds) == len(index._titles)
+    for key, bound in zip(index._titles, bounds.tolist()):
+        shared = sum((Counter(query) & Counter(key)).values())
+        assert bound == max(len(query), len(key)) - shared
+        assert bound <= _reference_levenshtein(query, key)
+
+
+def test_resolve_looks_up_levenshtein_as_the_module_global(monkeypatch):
+    # Call counters wrap catalog.levenshtein by name; a local alias would
+    # hide every call from them.
+    calls = []
+
+    def counting(a, b, cap=None):
+        calls.append((a, b))
+        return min(_reference_levenshtein(a, b), cap + 1)
+
+    monkeypatch.setattr(catalog, "levenshtein", counting)
+    index = TitleIndex.build([CatalogEntry(1, "Amélie", 2001), CatalogEntry(2, "Heat", 1995)])
+    assert index.resolve("Amelie", 2001) == 1
+    assert calls == []
+    assert index.resolve("Amelei", 2001) == 1
+    assert calls == [("amelei", "amelie")]
+
+
+def test_index_is_read_only_and_shared_by_threads():
+    rng = random.Random(7)
+    entries = [
+        CatalogEntry(item, _typo("Garden Of Stone", rng, 3), rng.choice([1990, 1991]))
+        for item in range(1, 41)
+    ]
+    index = TitleIndex.build(entries)
+    for array in (index._years, index._lengths, index._alphabet, index._counts):
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index._titles = ()
+    queries = [(_typo(e.title, rng, 2), e.year) for e in entries] * 5
+    expected = [index.resolve(t, y) for t, y in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [pool.submit(lambda: [index.resolve(t, y) for t, y in queries]) for _ in range(8)]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
 
 
 class TestResolveTitle:

@@ -3,6 +3,7 @@ import io
 import json
 from dataclasses import asdict
 
+import requests
 from click.testing import CliRunner
 
 from popbias.cli import load_config, main
@@ -38,6 +39,44 @@ def test_evaluate_reports_baselines_and_records_provider_error(small_corpus, tmp
     assert list(errors) == ["wok-stub-model"]
     assert "no stub fixture" in errors["wok-stub-model"]
     assert outputs[1] == outputs[0]
+
+
+def test_non_json_provider_reply_fails_only_the_llm_recommender(
+    small_corpus, tmp_path, monkeypatch
+):
+    def canned(*args, **kwargs):
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"<html>upstream error</html>"
+        return response
+
+    monkeypatch.setenv("FAKE_KEY", "k")
+    monkeypatch.setattr("popbias.llm_gateway.requests.post", canned)
+    movies, ratings = small_corpus
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 2, "users_per_fold": 30},
+                "recommenders": ["top_pop", "wok"],
+                "provider": {
+                    "dialect": "openai",
+                    "endpoint": "http://provider",
+                    "api_key_env": "FAKE_KEY",
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO((out / "report.csv").read_text("utf-8"))))
+    assert [row["recommender"] for row in rows] == ["top_pop"]
+    errors = json.loads((out / "manifest.json").read_text("utf-8"))["errors"]
+    assert list(errors) == ["wok-stub-model"]
+    assert "not JSON" in errors["wok-stub-model"]
 
 
 def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):

@@ -187,6 +187,19 @@ class TestValidateAndResolve:
         assert result.slate.entries == (2,)
         assert result.unmatched_count == 2
 
+    @pytest.mark.parametrize(
+        ("title", "line"),
+        [("Pi", "1. ... (1998)\n"), ("M", "1. -- (1931)\n")],
+        ids=["ellipsis", "dashes"],
+    )
+    def test_punctuation_only_title_is_unmatched(self, title, line):
+        # It normalizes to "", which is within two edits of any short title.
+        year = int(line[-6:-2])
+        index = TitleIndex.build([CatalogEntry(1, title, year)])
+        result = validate_and_resolve(parse_recommendations(line), frozenset(), index, 10)
+        assert result.tags == (SlotTag(ValidityTag.UNMATCHED),)
+        assert result.slate.entries == ()
+
     def test_unmatched_bounded_by_k(self, catalog_index):
         index, _ = catalog_index
         parsed = parse_recommendations("")
@@ -271,6 +284,31 @@ class TestHttpProviders:
         )
         assert complete_chat("p", cfg) == "1. Heat (1995)"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        ("dialect", "content", "message"),
+        [
+            ("openai", b"<html>gateway says hi</html>", "not JSON"),
+            ("anthropic", b"", "not JSON"),
+            ("openai", b'{"choices":[{"message":{"content":null}}]}', "NoneType"),
+            ("anthropic", b'{"content":[{"text":["1. Heat (1995)"]}]}', "list"),
+            ("openai", b'{"choices":[]}', "missing"),
+        ],
+        ids=["html", "empty", "null_content", "list_content", "no_choices"],
+    )
+    def test_malformed_200_body_is_provider_error(self, monkeypatch, dialect, content, message):
+        def canned(*args, **kwargs):
+            response = requests_lib.Response()
+            response.status_code = 200
+            response._content = content
+            response.encoding = "utf-8"
+            return response
+
+        monkeypatch.setenv("FAKE_KEY", "k")
+        monkeypatch.setattr("popbias.llm_gateway.requests.post", canned)
+        cfg = ProviderConfig(dialect=dialect, endpoint="http://x", api_key_env="FAKE_KEY")
+        with pytest.raises(ProviderError, match=message):
+            complete_chat("p", cfg)
 
     def test_openai_payload_shape(self, monkeypatch):
         seen = {}
