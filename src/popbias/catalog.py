@@ -479,7 +479,8 @@ class TitleIndex:
     with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
     candidates. Ambiguity at any stage resolves to ``None`` rather than
     guessing an item, and so does a title that normalizes to nothing
-    (punctuation only).
+    (punctuation only). A catalog entry whose title normalizes to nothing
+    is left out of the index, so no query can resolve to it.
 
     ``build`` lays the catalog out once in (year, insertion) order: the
     normalized titles and their items, an ``int64`` year array, the title
@@ -514,6 +515,8 @@ class TitleIndex:
         keys: list[tuple[str, int, int]] = []
         for entry in entries:
             title = normalize_title(entry.title)
+            if not title:
+                continue
             exact.setdefault((title, entry.year), []).append(entry.item)
             keys.append((title, entry.year, entry.item))
         years = np.array([year for _, year, _ in keys], dtype=np.int64)

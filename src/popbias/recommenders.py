@@ -4,9 +4,10 @@ Both KNN variants use cosine similarity over mean-centered ratings (each
 rating centered by its user's mean) and keep only the top-K neighbors per
 entity whose similarity exceeds SIMILARITY_FLOOR (1e-12); a smaller cosine
 is rounding noise around zero and counts as no neighbor. One builder,
-_build_knn, serves both: it cuts each dense block of similarities with one
-_first_k call and returns a KnnModel whose n x n CSR row n holds entity n's
-neighbors, stored best first.
+_build_knn, serves both: it computes the similarities as sparse products of
+_BLOCK rows each, keeps the stored entries above the floor off the diagonal,
+cuts them with one _first_k call per block and returns a KnnModel whose
+n x n CSR row n holds entity n's neighbors, stored best first.
 
 Ranking rule, shared by top-pop slates, KNN slates and the top-K neighbor
 cut: a score is compared after snapping it to SCORE_SNAP_BITS (40)
@@ -58,6 +59,7 @@ __all__ = [
     "SCORE_BLOCK",
     "SCORE_SNAP_BITS",
     "SIMILARITY_FLOOR",
+    "TooFewCandidatesError",
     "RatingMatrix",
     "KnnModel",
     "Slate",
@@ -79,7 +81,7 @@ __all__ = [
 DEFAULT_K_NEIGHBORS = 30
 SCORE_SNAP_BITS = 40
 SIMILARITY_FLOOR = 1e-12
-_BLOCK = 1024  # rows of one dense similarity block in the KNN builds
+_BLOCK = 1024  # rows of one sparse similarity product in the KNN builds
 SCORE_BLOCK = 128  # requests scored by one pair of sparse products
 
 
@@ -199,6 +201,19 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return positions, found
 
 
+def _present(ids: np.ndarray, values: Iterable) -> np.ndarray:
+    """Positions in the sorted ids of those values that are ids; others are ignored."""
+    values = np.array(list(values))
+    if not values.size:
+        return np.empty(0, dtype=np.intp)
+    positions, found = _positions(ids, values)
+    return positions[found]
+
+
+class TooFewCandidatesError(ValueError):
+    """A request's exclusions leave fewer than k items to recommend."""
+
+
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     """Top-K neighbors (similarity above SIMILARITY_FLOOR) of every entity.
@@ -231,13 +246,14 @@ def _random_slates(
     """Per request, k distinct draws from the sorted pool minus its exclusions.
 
     Each request draws from np.random.default_rng(its seed), so a slate does
-    not depend on the other requests.
+    not depend on the other requests. Exclusions are found by sorted position;
+    ids outside the pool are ignored.
     """
     slates = []
     for exclude, seed in zip(excludes, seeds):
-        available = pool[~np.isin(pool, list(exclude))]
+        available = np.delete(pool, _present(pool, exclude))
         if len(available) < k:
-            raise ValueError(f"only {len(available)} candidates available for k={k}")
+            raise TooFewCandidatesError(f"only {len(available)} candidates available for k={k}")
         if k == 0:
             slates.append(Slate(entries=(), requested_k=0))
             continue
@@ -261,8 +277,11 @@ def recommend_top_pop(
 def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     """Cosine similarity between the item columns or user rows of the centered matrix.
 
-    Similarities are computed _BLOCK rows at a time; one _first_k call cuts
-    each dense block to its rows' top-K neighbors.
+    Similarities are computed _BLOCK rows at a time as a sparse product.
+    Its stored entries above SIMILARITY_FLOOR, minus each entity's own, go
+    straight to one _first_k call, which cuts them to their rows' top-K
+    neighbors; _first_k sorts each row in full, so the product's storage
+    order does not matter.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -284,11 +303,11 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     n = len(ids)
     kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, n, _BLOCK):
-        block = (left[start : start + _BLOCK] @ right).toarray()
-        local = np.arange(block.shape[0])
-        block[local, start + local] = 0.0  # no entity is its own neighbor
-        rows, cols = np.nonzero(block > SIMILARITY_FLOOR)
-        sims = block[rows, cols]
+        # A CSR product stores its rows in order, so the entries come grouped by row.
+        block = (left[start : start + _BLOCK] @ right).tocoo()
+        # No entity is its own neighbor.
+        keep = (block.data > SIMILARITY_FLOOR) & (block.col != block.row + start)
+        rows, cols, sims = block.row[keep], block.col[keep], block.data[keep]
         del block  # freed before _first_k pads the entries into its own dense array
         # Positions follow ids, which are sorted, so ranking positions ranks ids.
         picked = _first_k(rows, cols, sims, k_neighbors)
@@ -430,18 +449,26 @@ class TopPopRecommender(BaseRecommender):
         scores = np.fromiter((phi[item] for item in ids), dtype=float, count=len(ids))
         positions = np.arange(len(ids))
         order = _first_k(np.zeros_like(positions), positions, scores, len(ids))
-        self.ranking = np.array(ids)[order]
+        self.ids = np.array(ids)
+        self.ranking = self.ids[order]
+        # rank[p] is the place of ids[p] in the ranking.
+        self.rank = np.empty_like(order)
+        self.rank[order] = positions
 
     def slates_for(self, excludes: Sequence[Iterable[int]], k: int) -> list[Slate]:
-        """Per exclusion set, the first k items of the ranking outside it."""
+        """Per exclusion set, the first k items of the ranking outside it.
+
+        Exclusion ids outside phi are ignored.
+        """
         slates = []
         for exclude in excludes:
-            exclude = list(exclude)
-            # At most len(exclude) of the first k + len(exclude) items are excluded.
-            head = self.ranking[: k + len(exclude)]
-            kept = head[~np.isin(head, exclude)]
+            ranks = self.rank[_present(self.ids, exclude)]
+            # At most len(ranks) of the first k + len(ranks) items are excluded.
+            head = np.ones(min(k + len(ranks), len(self.ranking)), dtype=bool)
+            head[ranks[ranks < len(head)]] = False
+            kept = self.ranking[: len(head)][head]
             if len(kept) < k:
-                raise ValueError(f"only {len(kept)} items available for k={k}")
+                raise TooFewCandidatesError(f"only {len(kept)} items available for k={k}")
             slates.append(Slate(entries=tuple(kept[:k].tolist()), requested_k=k))
         return slates
 

@@ -556,6 +556,14 @@ def test_resolve_looks_up_levenshtein_as_the_module_global(monkeypatch):
     assert calls == [("amelei", "amelie")]
 
 
+def test_catalog_title_that_normalizes_to_nothing_is_never_resolved():
+    assert TitleIndex.build([CatalogEntry(1, "...", 1990)]).resolve("Up", 1991) is None
+    assert TitleIndex.build([CatalogEntry(1, "?!", 1990)]).resolve("ab", 1990) is None
+    index = TitleIndex.build([CatalogEntry(1, "?!", 1990), CatalogEntry(2, "Up", 1990)])
+    assert index.resolve("Up", 1990) == 2
+    assert index._titles == ("up",)
+
+
 def test_index_is_read_only_and_shared_by_threads():
     rng = random.Random(7)
     entries = [

@@ -79,6 +79,42 @@ def test_non_json_provider_reply_fails_only_the_llm_recommender(
     assert "not JSON" in errors["wok-stub-model"]
 
 
+def test_too_few_candidates_fails_only_that_recommender(tmp_path):
+    # 15 movies, 10 ratings per user: a training profile of 8 leaves 7 candidates for k=10.
+    movies = tmp_path / "movies.dat"
+    ratings = tmp_path / "ratings.dat"
+    movies.write_text("".join(f"{i}::Movie {i} (1990)::Drama\n" for i in range(1, 16)), "utf-8")
+    ratings.write_text(
+        "".join(
+            f"{u}::{(u + j) % 15 + 1}::{(u * j) % 5 + 1}::{100 * j}\n"
+            for u in range(1, 41)
+            for j in range(10)
+        ),
+        "utf-8",
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 2, "users_per_fold": 20},
+                "recommenders": ["random", "top_pop", "item_knn"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO((out / "report.csv").read_text("utf-8"))))
+    assert [row["recommender"] for row in rows] == ["item_knn"]
+    errors = json.loads((out / "manifest.json").read_text("utf-8"))["errors"]
+    assert errors == {
+        "random": "only 7 candidates available for k=10",
+        "top_pop": "only 7 items available for k=10",
+    }
+
+
 def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
     # Slates never hold training items, so PRU's profile intersection is empty.
     movies, ratings = small_corpus

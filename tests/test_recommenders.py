@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from popbias import recommenders
@@ -16,6 +19,7 @@ from popbias.recommenders import (
     RatingMatrix,
     RecRequest,
     Slate,
+    TooFewCandidatesError,
     TopPopRecommender,
     UserKnnRecommender,
     build_item_knn,
@@ -189,6 +193,12 @@ class TestRandom:
         with pytest.raises(ValueError, match="candidates"):
             recommend_random(range(3), {0, 1}, 2, seed=1)
 
+    def test_pinned_draw(self):
+        # Any change to the per-user draw stream shows here.
+        rec = RandomRecommender(range(100), seed=11)
+        request = RecRequest(user=7, profile=Ratings.of(()), exclude=frozenset({3, 50, 99}))
+        assert rec.recommend(request, 5).slate.entries == (98, 69, 42, 68, 53)
+
 
 class TestTopPop:
     def test_ordering(self):
@@ -220,6 +230,62 @@ class TestTopPop:
         phi = {i: float(i) for i in range(1, 30)}
         slates = {recommend_top_pop(phi, {3, 4}, 10).entries for _ in range(5)}
         assert len(slates) == 1
+
+
+def _isin_random_slate(pool, exclude, seed, k):
+    """A random slate by the former np.isin exclusion, or None when too few are left."""
+    available = pool[~np.isin(pool, list(exclude))]
+    if len(available) < k:
+        return None
+    if k == 0:
+        return ()
+    picks = np.random.default_rng(seed).choice(len(available), size=k, replace=False)
+    return tuple(available[picks].tolist())
+
+
+def _isin_top_pop_slate(ranking, exclude, k):
+    """A top-pop slate by the former np.isin exclusion, or None when too few are left."""
+    head = ranking[: k + len(exclude)]
+    kept = head[~np.isin(head, list(exclude))]
+    return tuple(kept[:k].tolist()) if len(kept) >= k else None
+
+
+# Pools and exclusions of one id type; exclusions reach ids outside the pool.
+_IDS = st.one_of(
+    st.tuples(st.sets(st.integers(0, 40), max_size=30), st.sets(st.integers(-5, 45), max_size=30)),
+    st.tuples(
+        st.sets(st.text("abc", max_size=3), max_size=30),
+        st.sets(st.text("abcd", max_size=4), max_size=30),
+    ),
+)
+
+
+def _slate_or_none(make):
+    try:
+        return make().entries
+    except TooFewCandidatesError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=_IDS, k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_random_slates_match_the_isin_form(ids, k, seed):
+    candidates, exclude = ids
+    pool = np.array(sorted(candidates))
+    rec = RandomRecommender(candidates, seed=seed)
+    request = RecRequest(user=3, profile=Ratings.of(()), exclude=frozenset(exclude))
+    got = _slate_or_none(lambda: rec.recommend(request, k).slate)
+    assert got == _isin_random_slate(pool, exclude, (seed, 3), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=_IDS, k=st.integers(0, 12), data=st.data())
+def test_top_pop_slates_match_the_isin_form(ids, k, data):
+    candidates, exclude = ids
+    phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in sorted(candidates)}
+    ranking = TopPopRecommender(phi).ranking
+    got = _slate_or_none(lambda: recommend_top_pop(phi, exclude, k))
+    assert got == _isin_top_pop_slate(ranking, exclude, k)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +484,27 @@ def test_knn_builds_match_oracles_across_block_seams(monkeypatch, block):
                 assert [s for _, s in got[entity]] == pytest.approx(
                     [s for _, s in neigh], abs=1e-12
                 )
+
+
+def test_item_build_over_a_wide_sparse_matrix_stays_small():
+    # About 19.7k distinct items: one dense block of similarities would be
+    # 1024 x 19.7k doubles, about 160 MB.
+    rng = np.random.default_rng(23)
+    users = np.repeat(np.arange(800), 40)
+    items = np.concatenate([rng.choice(30_000, size=40, replace=False) for _ in range(800)])
+    ratings = rng.integers(1, 11, size=users.size) / 2.0
+    matrix = RatingMatrix.from_interactions(
+        Ratings.from_columns(users, items, ratings, np.zeros_like(users))
+    )
+    assert 19_000 < matrix.items.size < 20_500
+    tracemalloc.start()
+    try:
+        model = build_item_knn(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.sims.nnz > 0
+    assert peak < 64 * 2**20
 
 
 def test_batches_larger_than_one_block_match_single_requests_in_any_order():
