@@ -13,14 +13,17 @@ physical lines. Blank lines are skipped but counted.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
 once by (user, timestamp, item). ``read_ratings_file`` first tries a fast
-path that parses the whole file at once. It accepts a file only when every
-line is blank or plain ``digits::digits::decimal::digits`` with at most one
-``.`` in the rating, a rating in [0.5, 5] and fields short enough to convert
-exactly; then every line is one the line parser accepts, with the same
-values, and there is nothing to report. On anything else (another byte, a
-malformed line, an out-of-range rating, an exception) it falls back to
-:func:`parse_ratings` over the file's lines, so lenient ``ParseIssue`` records
-and strict-mode errors are always the line parser's.
+path. It accepts a file only when every line is blank or plain
+``digits::digits::decimal::digits`` with at most one ``.`` in the rating, a
+rating in [0.5, 5] and fields short enough to convert exactly; then every
+line is one the line parser accepts, with the same values, and there is
+nothing to report. It parses the file in pieces of about 1 MiB, each ending
+just after a ``\n``, with numpy arrays of one value per line or per byte of
+the piece, and converts a field one digit position at a time; only the
+four columns grow with the file. On anything else (another byte, a
+malformed line in any piece, an out-of-range rating, an exception) it falls
+back to :func:`parse_ratings` over the whole file's lines, so lenient
+``ParseIssue`` records and strict-mode errors are always the line parser's.
 """
 
 from __future__ import annotations
@@ -271,24 +274,31 @@ _MAX_DIGITS = 18
 _MAX_RATING_DIGITS = 15
 _INT_POWERS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
 _FLOAT_POWERS = np.array([float(10**e) for e in range(_MAX_RATING_DIGITS + 1)])
+# The fast path parses the file in pieces of about this many bytes.
+_PIECE_BYTES = 1 << 20
 
 
 def _field_values(text: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Each field ``text[end - length:end]`` read as one integer; a '.' reads as 0.
 
-    ``text`` must have at least ``length.max()`` bytes before every field.
+    Digits are added one position at a time, from the widest field's first
+    position to the last, so every temporary is one value per field. A
+    field's positions before its first byte add nothing. ``text`` must have
+    at least ``length.max()`` bytes before every field.
     """
-    width = int(length.max())
-    chars = np.lib.stride_tricks.sliding_window_view(text, width)[end - width]
-    in_field = np.arange(width) >= width - length[:, None]
-    digits = np.where(in_field & (chars >= ord("0")), chars - ord("0"), 0)
-    return digits @ _INT_POWERS[width - 1 :: -1]
+    values = np.zeros(end.size, dtype=np.int64)
+    for offset in range(int(length.max()), 0, -1):
+        chars = text[end - offset]
+        values *= 10
+        values += np.where((offset <= length) & (chars >= ord("0")), chars - ord("0"), 0)
+    return values
 
 
-def _parse_ratings_fast(data: bytes) -> Ratings | None:
-    """The table of a file of plain rating lines, or None to use the line parser."""
-    if data.translate(None, b"0123456789:.\r\n"):
-        return None
+def _plain_lines(data: bytes) -> bytes | None:
+    r"""A piece's non-blank lines, each ending in ``\n`` with ',' between fields.
+
+    None when a line holds a ':' outside a '::' or a '\r' outside a final '\r\n'.
+    """
     if b"\r" in data:
         if data.count(b"\r") != data.count(b"\r\n"):
             return None
@@ -300,10 +310,17 @@ def _parse_ratings_fast(data: bytes) -> Ratings | None:
     while b"\n\n" in data:
         data = data.replace(b"\n\n", b"\n")
     data = data.lstrip(b"\n")
-    if not data:
-        return None
-    if not data.endswith(b"\n"):
+    if data and not data.endswith(b"\n"):
         data += b"\n"
+    return data
+
+
+def _piece_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The user, item, rating and timestamp columns of ``_plain_lines`` output.
+
+    None when a line is not plain ``digits,digits,decimal,digits`` or its
+    rating is outside [0.5, 5].
+    """
     # Leading padding keeps every field's window inside the text.
     text = np.frombuffer(b"0" * _MAX_DIGITS + data, dtype=np.uint8)
     newlines = np.flatnonzero(text == ord("\n"))
@@ -341,7 +358,36 @@ def _parse_ratings_fast(data: bytes) -> Ratings | None:
     rating = mantissa / _FLOAT_POWERS[after_dot]
     if not ((rating >= 0.5) & (rating <= 5.0)).all():
         return None
-    return Ratings.from_columns(user, item, rating, timestamp)
+    return user, item, rating, timestamp
+
+
+def _parse_ratings_fast(data: bytes) -> Ratings | None:
+    r"""The table of a file of plain rating lines, or None to use the line parser.
+
+    The file is read in pieces of about ``_PIECE_BYTES``, each ending just
+    after a ``\n``, and the pieces' columns are sorted once at the end.
+    """
+    if data.translate(None, b"0123456789:.\r\n"):
+        return None
+    pieces = []
+    start = 0
+    while start < len(data):
+        cut = data.find(b"\n", start + _PIECE_BYTES - 1)
+        end = len(data) if cut < 0 else cut + 1
+        lines = _plain_lines(data[start:end])
+        start = end
+        if lines is None:
+            return None
+        if lines:  # a piece of blank lines holds no rating
+            columns = _piece_columns(lines)
+            if columns is None:
+                return None
+            pieces.append(columns)
+    if not pieces:
+        return None
+    columns = [np.concatenate(parts) for parts in zip(*pieces)]
+    del pieces  # freed before the sort copies the columns
+    return Ratings.from_columns(*columns)
 
 
 def read_ratings_file(

@@ -186,13 +186,9 @@ def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
                 recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
             else:
                 recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
-        elif name == "wok":
+        else:  # "wok": evaluate has checked every name
             variant = PromptVariant(cfg["prompt_variant"])
             recs.append(WokRecommender(_provider_config(cfg), index, entries_by_id, variant))
-        else:
-            raise click.ClickException(
-                f"unknown recommender {name!r} (known: {', '.join(KNOWN_RECOMMENDERS)})"
-            )
     return recs
 
 
@@ -251,6 +247,17 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
                 f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "
                 "shares with the user's profile, and slates exclude the training profile"
             )
+    # A standard error over folds needs two of them.
+    if cfg["folds"]["fold_count"] < 2:
+        raise click.ClickException("folds.fold_count must be >= 2")
+    for name in cfg["recommenders"]:
+        if name not in KNOWN_RECOMMENDERS:
+            raise click.ClickException(
+                f"unknown recommender {name!r} (known: {', '.join(KNOWN_RECOMMENDERS)})"
+            )
+    if {"item_knn", "user_knn"}.intersection(cfg["recommenders"]):
+        # Loaded here, in set-up, rather than by the first fold's rating matrix.
+        import scipy.sparse  # noqa: F401
 
     entries, _, table, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]

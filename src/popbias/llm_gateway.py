@@ -4,7 +4,8 @@ The pipeline: render a watch-history prompt, call the provider, parse the
 free-text numbered list, then resolve and validate every line against the
 catalog. Two HTTPS dialects are supported plus a filesystem stub that
 replays canned completions keyed by a prompt hash, which keeps the whole
-pipeline deterministic in tests and offline runs.
+pipeline deterministic in tests and offline runs. ``requests`` is imported
+on the first call of a real dialect only, so stub runs never load it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from popbias.catalog import CatalogEntry, Interaction, TitleIndex
 from popbias.recommenders import BaseRecommender, RecRequest, RecResult, Slate
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "PromptVariant",
@@ -208,6 +211,8 @@ def complete_chat(prompt: str, cfg: ProviderConfig) -> str:
         if not path.is_file():
             raise ProviderError(f"no stub fixture for prompt {prompt_fingerprint(prompt)}")
         return path.read_text(encoding="utf-8")
+
+    import requests
 
     headers, payload = _request_payload(prompt, cfg)
     last_error: Exception | None = None

@@ -41,6 +41,12 @@ product drops entries that sum to exactly 0, so numerators are read back
 at the denominator's entries, a missing one counting as 0. The block
 bounds the dense requests x items arrays of one product.
 
+``scipy.sparse`` (about 0.2 s to import) is imported on first use, by the
+three functions that build a sparse matrix, so a run without a KNN
+recommender never loads it. ``cli.evaluate`` imports it while checking
+the config of a KNN run, so that the cost stays in set-up and out of the
+first rating-matrix build.
+
 Built models are immutable; recommend calls are thread-safe.
 """
 
@@ -48,11 +54,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from popbias.catalog import Interaction, Ratings
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "DEFAULT_K_NEIGHBORS",
@@ -188,6 +197,8 @@ def _csr_of_rows(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
 ) -> sparse.csr_matrix:
     """A CSR matrix of (row, col, value) entries grouped by row, stored in the given order."""
+    from scipy import sparse
+
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return sparse.csr_matrix((vals, cols, indptr), shape=shape)
@@ -283,6 +294,8 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     neighbors; _first_k sorts each row in full, so the product's storage
     order does not matter.
     """
+    from scipy import sparse
+
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     centered = matrix.centered()
@@ -520,6 +533,8 @@ class UserKnnRecommender(BaseRecommender):
     name = "user_knn"
 
     def __init__(self, model: KnnModel, matrix: RatingMatrix):
+        from scipy import sparse
+
         if model.mode != "user":
             raise ValueError("model is not user-based")
         if not np.array_equal(model.ids, matrix.users):

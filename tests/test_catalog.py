@@ -3,8 +3,10 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,6 +220,89 @@ def test_read_ratings_file_equals_the_line_parser(
         with pytest.raises(ParseError) as raised:
             read_ratings_file(path, strict=True)
         assert str(raised.value) == strict_error
+
+
+@settings(max_examples=200, deadline=None)
+# A malformed line in a later piece.
+@example(
+    lines=[("1::2::3::4", False)] * 3 + [("1::2::x::4", False)],
+    final_newline=True,
+    piece_bytes=11,
+)
+# A piece of blank lines only, between two pieces of ratings.
+@example(
+    lines=[("1::2::3::4", False)] + [("", False)] * 12 + [("5::6::4.5::7", True)],
+    final_newline=True,
+    piece_bytes=8,
+)
+# A CRLF at the end of every piece, and no final newline.
+@example(lines=[("1::2::3::4", True)] * 4, final_newline=False, piece_bytes=1)
+@given(
+    lines=st.lists(st.tuples(_VALID_LINE | _MALFORMED_LINE, st.booleans()), max_size=40),
+    final_newline=st.booleans(),
+    piece_bytes=st.integers(1, 48),
+)
+def test_read_ratings_file_in_small_pieces_equals_the_line_parser(
+    tmp_path_factory, lines, final_newline, piece_bytes
+):
+    text = "".join(line + ("\r\n" if crlf else "\n") for line, crlf in lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("ratings") / "ratings.dat"
+    path.write_bytes(data)
+
+    expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
+    with mock.patch.object(catalog, "_PIECE_BYTES", piece_bytes):
+        ratings, issues = read_ratings_file(path)
+    by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
+    assert ratings.interactions() == tuple(by_key)
+    assert issues == expected_issues
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 6, 13, 1 << 20])
+def test_plain_ratings_file_in_pieces_is_read_without_the_line_parser(
+    tmp_path, monkeypatch, piece_bytes
+):
+    def line_parser(*args, **kwargs):
+        raise AssertionError("the fast path fell back")
+
+    monkeypatch.setattr(catalog, "parse_ratings", line_parser)
+    monkeypatch.setattr(catalog, "_PIECE_BYTES", piece_bytes)
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"2::7::.5::30\r\n\n\n\n\n\n\n1::9::5.::20\r\n1::8::04.50::20\n1::3::2::10")
+    ratings, issues = read_ratings_file(path)
+    assert not issues
+    assert ratings.interactions() == (
+        Interaction(1, 3, 2.0, 10),
+        Interaction(1, 8, 4.5, 20),
+        Interaction(1, 9, 5.0, 20),
+        Interaction(2, 7, 0.5, 30),
+    )
+
+
+def test_fast_path_peak_memory_stays_within_six_times_the_file(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 100_000
+    lines = zip(
+        rng.integers(1, 10**5, n).tolist(),
+        rng.integers(1, 10**4, n).tolist(),
+        rng.choice(["1", "2.5", "3", "4.5", "5"], n).tolist(),
+        rng.integers(10**9, 2 * 10**9, n).tolist(),
+    )
+    path = tmp_path / "ratings.dat"
+    path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in lines), encoding="utf-8")
+    size = path.stat().st_size
+    assert size >= 2_000_000
+
+    tracemalloc.start()
+    try:
+        ratings, issues = read_ratings_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ratings) == n and not issues
+    assert peak < 6 * size, f"peak {peak / size:.1f}x the file size"
 
 
 def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatch):

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
+import pytest
 import requests
 from click.testing import CliRunner
 
@@ -51,7 +56,7 @@ def test_non_json_provider_reply_fails_only_the_llm_recommender(
         return response
 
     monkeypatch.setenv("FAKE_KEY", "k")
-    monkeypatch.setattr("popbias.llm_gateway.requests.post", canned)
+    monkeypatch.setattr("requests.post", canned)
     movies, ratings = small_corpus
     config = tmp_path / "config.json"
     config.write_text(
@@ -134,6 +139,80 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
     assert result.exit_code == 1
     assert "'pru' is a desiderata-only metric" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ({"folds": {"fold_count": 1}}, "folds.fold_count must be >= 2"),
+        ({"recommenders": ["random", "svd"]}, "unknown recommender 'svd'"),
+    ],
+)
+def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):
+    # The data paths do not exist, so only a check that runs first can fail here.
+    missing = tmp_path / "missing"
+    config = tmp_path / "config.json"
+    data = {"movies": str(missing / "movies.dat"), "ratings": str(missing / "ratings.dat")}
+    config.write_text(json.dumps({"data": data, **override}), encoding="utf-8")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+    assert not (out / "report.csv").exists()
+
+
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from click.testing import CliRunner
+import popbias.cli
+loaded = {"after_import": sorted(m for m in ("scipy", "requests") if m in sys.modules)}
+if len(sys.argv) > 1:
+    result = CliRunner().invoke(popbias.cli.main, sys.argv[1:])
+    assert result.exit_code == 0, result.output
+    loaded["after_run"] = sorted(m for m in ("scipy", "scipy.sparse", "requests") if m in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _modules_loaded(*args: str) -> dict:
+    """Which of scipy and requests a fresh process loads to import the CLI and run args."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_runs_load_scipy_and_requests_only_when_they_use_them(small_corpus, tmp_path):
+    movies, ratings = small_corpus
+    assert _modules_loaded() == {"after_import": []}
+
+    def run(name, recommenders):
+        config = tmp_path / f"{name}.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "data": {"movies": str(movies), "ratings": str(ratings)},
+                    "folds": {"fold_count": 2, "users_per_fold": 30},
+                    "recommenders": recommenders,
+                }
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / name
+        loaded = _modules_loaded("evaluate", "--config", str(config), "--out", str(out))
+        assert (out / "report.csv").is_file()
+        return loaded["after_run"]
+
+    # The stub provider has no fixtures here, so wok fails alone and the run completes.
+    assert run("no_knn", ["random", "top_pop", "wok"]) == []
+    assert run("knn", ["top_pop", "item_knn"]) == ["scipy", "scipy.sparse"]
 
 
 def test_correlate_renders_kendall_matrix_and_skips_blank_columns(tmp_path):

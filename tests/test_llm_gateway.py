@@ -246,7 +246,7 @@ class TestHttpProviders:
             raise requests_lib.Timeout("too slow")
 
         monkeypatch.setenv("FAKE_KEY", "k")
-        monkeypatch.setattr("popbias.llm_gateway.requests.post", raise_timeout)
+        monkeypatch.setattr("requests.post", raise_timeout)
         cfg = ProviderConfig(
             dialect="openai", endpoint="http://x", api_key_env="FAKE_KEY", retries=0
         )
@@ -256,7 +256,7 @@ class TestHttpProviders:
     def test_401_names_authentication(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "k")
         monkeypatch.setattr(
-            "popbias.llm_gateway.requests.post",
+            "requests.post",
             lambda *a, **kw: _FakeResponse(401, text="bad key"),
         )
         cfg = ProviderConfig(
@@ -277,7 +277,7 @@ class TestHttpProviders:
             )
 
         monkeypatch.setenv("FAKE_KEY", "k")
-        monkeypatch.setattr("popbias.llm_gateway.requests.post", flaky)
+        monkeypatch.setattr("requests.post", flaky)
         monkeypatch.setattr("popbias.llm_gateway.time.sleep", lambda s: None)
         cfg = ProviderConfig(
             dialect="openai", endpoint="http://x", api_key_env="FAKE_KEY", retries=2
@@ -305,7 +305,7 @@ class TestHttpProviders:
             return response
 
         monkeypatch.setenv("FAKE_KEY", "k")
-        monkeypatch.setattr("popbias.llm_gateway.requests.post", canned)
+        monkeypatch.setattr("requests.post", canned)
         cfg = ProviderConfig(dialect=dialect, endpoint="http://x", api_key_env="FAKE_KEY")
         with pytest.raises(ProviderError, match=message):
             complete_chat("p", cfg)
@@ -318,7 +318,7 @@ class TestHttpProviders:
             return _FakeResponse(200, body={"choices": [{"message": {"content": "ok"}}]})
 
         monkeypatch.setenv("FAKE_KEY", "secret")
-        monkeypatch.setattr("popbias.llm_gateway.requests.post", capture)
+        monkeypatch.setattr("requests.post", capture)
         cfg = ProviderConfig(
             dialect="openai",
             endpoint="http://api/chat",
@@ -341,7 +341,7 @@ class TestHttpProviders:
             return _FakeResponse(200, body={"content": [{"text": "ok"}]})
 
         monkeypatch.setenv("FAKE_KEY", "secret")
-        monkeypatch.setattr("popbias.llm_gateway.requests.post", capture)
+        monkeypatch.setattr("requests.post", capture)
         cfg = ProviderConfig(
             dialect="anthropic",
             endpoint="http://api/messages",
