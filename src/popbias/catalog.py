@@ -433,8 +433,10 @@ def normalize_title(title: str) -> str:
     if not title or not title.strip():
         raise ValueError("title must be non-empty")
     text = title.strip().lower()
-    text = unicodedata.normalize("NFKD", text)
-    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    # ASCII text is its own NFKD form and holds no combining mark.
+    if not text.isascii():
+        text = unicodedata.normalize("NFKD", text)
+        text = "".join(ch for ch in text if not unicodedata.combining(ch))
     m = _TRAILING_ARTICLE_RE.match(text)
     if m:
         text = m.group("body")

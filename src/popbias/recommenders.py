@@ -4,10 +4,10 @@ Both KNN variants use cosine similarity over mean-centered ratings (each
 rating centered by its user's mean) and keep only the top-K neighbors per
 entity whose similarity exceeds SIMILARITY_FLOOR (1e-12); a smaller cosine
 is rounding noise around zero and counts as no neighbor. One builder,
-_build_knn, serves both: it computes the similarities as sparse products of
-_BLOCK rows each, keeps the stored entries above the floor off the diagonal,
-cuts them with one _first_k call per block and returns a KnnModel whose
-n x n CSR row n holds entity n's neighbors, stored best first.
+_build_knn, serves both: it computes the similarities as sparse products
+over blocks of rows, keeps the stored entries above the floor off the
+diagonal, cuts them with one _first_k call per block and returns a KnnModel
+whose n x n CSR row n holds entity n's neighbors, stored best first.
 
 Ranking rule, shared by top-pop slates, KNN slates and the top-K neighbor
 cut: a score is compared after snapping it to SCORE_SNAP_BITS (40)
@@ -21,28 +21,46 @@ applies it to (row, col, score) entries of any number of rows at once.
 
 Batch scoring: every recommender scores a whole batch of requests; the
 single-request functions are batches of one. The KNN recommenders score
-SCORE_BLOCK requests at a time with sparse products over a requests x
-items matrix R of profile ratings:
+blocks of requests, each with one sparse product:
 
-- item-KNN: num = R @ S.T and den = 1_R @ |S.T|, where row c of S holds
-  item c's neighbor similarities; score = num / den;
-- user-KNN: num = W @ C and den = |W| @ B, where row r of W holds the
-  requesting user's neighbor similarities, C the mean-centered ratings and
-  B the rated indicator; score = mean(u) + num / den.
+- item-KNN: (R + 1j * 1_R) @ S.T, where R is the requests x items matrix of
+  profile ratings and row c of S holds item c's neighbor similarities;
+  score = num / den;
+- user-KNN: W @ (C + 1j * B), where row r of W holds the requesting user's
+  neighbor similarities, C the mean-centered ratings and B the rated
+  indicator; score = mean(u) + num / den.
 
-Seen items and entries with no positive denominator are dropped before
-ranking. A CSR product sums each output entry in the storage order of the
-left-hand row. R is built with each row in profile order and W is sliced
-from the model's similarity rows, stored best first, so every score is
-summed in the same order as a loop over the profile or the neighbor list.
-Nothing may therefore sort a row's indices: scipy's abs() and
-sum_duplicates do, so |W| replaces W's data array instead. A sparse
-product drops entries that sum to exactly 0, so numerators are read back
-at the denominator's entries, a missing one counting as 0. The block
-bounds the dense requests x items arrays of one product.
+The real part of the product is num and the imaginary part den. Both are
+exact: every stored similarity is above SIMILARITY_FLOOR, so it is positive
+and |s| = s, and each term is (r + 1i)(s + 0i) = (r*s - 0) + (r*0 + s)i or
+(w + 0i)(c + 1i) = (w*c - 0) + (w*1 + 0*c)i, so each part adds the same
+products in the same order as a real product of its own would. Both
+recommenders refuse a model that breaks the invariant. den > 0 at every
+entry, so the product keeps the entries whose num sums to exactly 0, which a
+real product drops.
+
+A CSR product sums each output entry in the storage order of the left-hand
+row. R is built with each row in profile order and W is sliced from the
+model's similarity rows, stored best first, so every score is summed in the
+same order as a loop over the profile or the neighbor list. Nothing may
+therefore sort a row's indices (scipy's abs() and sum_duplicates do).
+
+Seen items are dropped by sorted position: each entry of a block is keyed
+row * n_items + col and looked up among the sorted keys of the block's
+profile items (item-KNN) or of its users' rating-matrix rows (user-KNN), so
+no dense requests x items array is built.
+
+Blocks on worker threads: the row blocks of the builds and of both scorers
+are independent, and the sparse products and sorts that take their time run
+in native code that releases the GIL. _map_blocks runs them on a thread pool
+with one worker per usable CPU and returns their results in block order, so
+nothing depends on the worker count. The rows in flight stay fixed whatever
+the worker count: each task takes _BUILD_ROWS (512) similarity rows or
+SCORE_BLOCK (128) requests divided by the workers, which bounds the memory
+of the blocks being computed at once.
 
 ``scipy.sparse`` (about 0.2 s to import) is imported on first use, by the
-three functions that build a sparse matrix, so a run without a KNN
+two functions that build a sparse matrix, so a run without a KNN
 recommender never loads it. ``cli.evaluate`` imports it while checking
 the config of a KNN run, so that the cost stays in set-up and out of the
 first rating-matrix build.
@@ -52,9 +70,11 @@ Built models are immutable; recommend calls are thread-safe.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import os
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -90,8 +110,34 @@ __all__ = [
 DEFAULT_K_NEIGHBORS = 30
 SCORE_SNAP_BITS = 40
 SIMILARITY_FLOOR = 1e-12
-_BLOCK = 1024  # rows of one sparse similarity product in the KNN builds
-SCORE_BLOCK = 128  # requests scored by one pair of sparse products
+_BUILD_ROWS = 512  # similarity rows in flight, over all workers, in a KNN build
+SCORE_BLOCK = 128  # requests in flight, over all workers, in KNN scoring
+
+_T = TypeVar("_T")
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn: Callable[[int, int], _T], count: int, budget: int) -> list[_T]:
+    """fn(start, stop) over consecutive blocks of range(count), results in block order.
+
+    Each block holds budget // workers rows (at least one), so about budget
+    rows are in flight whatever the worker count. With one worker or one
+    block the blocks run inline, otherwise on a thread pool of the workers.
+    """
+    workers = _worker_count()
+    step = max(1, budget // workers)
+    starts = range(0, count, step)
+    if workers == 1 or len(starts) <= 1:
+        return [fn(start, start + step) for start in starts]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda start: fn(start, start + step), starts))
 
 
 def _snap(scores: np.ndarray) -> np.ndarray:
@@ -288,11 +334,12 @@ def recommend_top_pop(
 def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     """Cosine similarity between the item columns or user rows of the centered matrix.
 
-    Similarities are computed _BLOCK rows at a time as a sparse product.
-    Its stored entries above SIMILARITY_FLOOR, minus each entity's own, go
-    straight to one _first_k call, which cuts them to their rows' top-K
-    neighbors; _first_k sorts each row in full, so the product's storage
-    order does not matter.
+    Similarities are computed a block of rows at a time as a sparse
+    product, the blocks on worker threads (_map_blocks). A block's stored
+    entries above SIMILARITY_FLOOR, minus each entity's own, go straight to
+    one _first_k call, which cuts them to their rows' top-K neighbors;
+    _first_k sorts each row in full, so the product's storage order does not
+    matter.
     """
     from scipy import sparse
 
@@ -311,21 +358,25 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
         ids = matrix.items
     else:
         left = sparse.diags(inv) @ centered
-        right = left.T
+        # Converted once here, not by every block's product.
+        right = left.T.tocsr()
         ids = matrix.users
     n = len(ids)
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for start in range(0, n, _BLOCK):
+
+    def block(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # A CSR product stores its rows in order, so the entries come grouped by row.
-        block = (left[start : start + _BLOCK] @ right).tocoo()
+        product = (left[start:stop] @ right).tocoo()
         # No entity is its own neighbor.
-        keep = (block.data > SIMILARITY_FLOOR) & (block.col != block.row + start)
-        rows, cols, sims = block.row[keep], block.col[keep], block.data[keep]
-        del block  # freed before _first_k pads the entries into its own dense array
+        keep = (product.data > SIMILARITY_FLOOR) & (product.col != product.row + start)
+        rows, cols, sims = product.row[keep], product.col[keep], product.data[keep]
+        del product  # freed before _first_k pads the entries into its own dense array
         # Positions follow ids, which are sorted, so ranking positions ranks ids.
         picked = _first_k(rows, cols, sims, k_neighbors)
-        kept.append((rows[picked] + start, cols[picked], sims[picked]))
-    rows, cols, sims = (np.concatenate(parts) for parts in zip(*kept))
+        return rows[picked] + start, cols[picked], sims[picked]
+
+    rows, cols, sims = (
+        np.concatenate(parts) for parts in zip(*_map_blocks(block, n, _BUILD_ROWS))
+    )
     return KnnModel(mode=mode, ids=ids, sims=_csr_of_rows(rows, cols, sims, (n, n)))
 
 
@@ -340,29 +391,27 @@ def build_user_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS)
 
 
 def _knn_block_slates(
-    num: sparse.csr_matrix,
-    den: sparse.csr_matrix,
-    seen: sparse.csr_matrix,
+    product: sparse.csr_matrix,
+    seen: np.ndarray,
     ids: np.ndarray,
     k: int,
     base: np.ndarray | None = None,
 ) -> list[Slate]:
     """Slates of one scored block: score = base + num / den, ranked per row.
 
-    Only entries with den > 0 outside the seen pattern are scored. num is
-    read densely at den's entries, because the product drops a num entry
-    whose sum is exactly 0.
+    product is the block's num + 1j * den (see the module docstring); every
+    entry it stores has den > 0. seen holds the sorted keys
+    row * len(ids) + col of the entries no slate may hold.
     """
-    den = den.tocoo()
-    seen_mask = np.zeros(den.shape, dtype=bool)
-    seen_mask[seen.nonzero()] = True
-    keep = (den.data > 0) & ~seen_mask[den.row, den.col]
-    rows, cols = den.row[keep], den.col[keep]
-    scores = num.toarray()[rows, cols] / den.data[keep]
+    product = product.tocoo()
+    _, dropped = _positions(seen, product.row.astype(np.int64) * ids.size + product.col)
+    keep = ~dropped
+    rows, cols, fused = product.row[keep], product.col[keep], product.data[keep]
+    scores = fused.real / fused.imag
     if base is not None:
         scores = base[rows] + scores
     picked = _first_k(rows, cols, scores, k)
-    bounds = np.cumsum(np.bincount(rows[picked], minlength=den.shape[0]))[:-1]
+    bounds = np.cumsum(np.bincount(rows[picked], minlength=product.shape[0]))[:-1]
     return [
         Slate(entries=tuple(chunk.tolist()), requested_k=k)
         for chunk in np.split(ids[cols[picked]], bounds)
@@ -489,41 +538,50 @@ class TopPopRecommender(BaseRecommender):
         return self.slates_for([request.exclude for request in requests], k)
 
 
+def _checked(model: KnnModel, mode: str) -> KnnModel:
+    """model, once it is of the mode and stores only similarities above SIMILARITY_FLOOR.
+
+    The fused score product reads |sim| as sim, so a similarity that is not
+    positive and finite would give a wrong denominator.
+    """
+    if model.mode != mode:
+        raise ValueError(f"model is not {mode}-based")
+    sims = model.sims.data
+    if not np.all(np.isfinite(sims) & (sims > SIMILARITY_FLOOR)):
+        raise ValueError(
+            "model stores a similarity that is not finite or not above SIMILARITY_FLOOR"
+        )
+    return model
+
+
 class ItemKnnRecommender(BaseRecommender):
     name = "item_knn"
 
     def __init__(self, model: KnnModel):
-        if model.mode != "item":
-            raise ValueError("model is not item-based")
-        self.model = model
+        self.model = _checked(model, "item")
         self.items = model.ids
-        # Row j of sims_t holds sim(c, j) for every item c that lists j.
-        self.sims_t = model.sims.T.tocsr()
-        self.abs_sims_t = abs(self.sims_t)
+        # Row j of sims_t holds sim(c, j) for every item c that lists j,
+        # complex already so that no block's product converts it.
+        self.sims_t = model.sims.T.tocsr().astype(complex)
 
     def profile_slates(self, profiles: Sequence[Ratings], k: int) -> list[Slate]:
-        """One slate per training profile, scored SCORE_BLOCK at a time."""
+        """One slate per training profile, scored in blocks on worker threads."""
         if not all(len(profile) for profile in profiles):
             raise ValueError("profile must be non-empty")
-        slates: list[Slate] = []
-        for start in range(0, len(profiles), SCORE_BLOCK):
-            block = profiles[start : start + SCORE_BLOCK]
-            items = np.concatenate([profile.item for profile in block])
-            rows = np.repeat(np.arange(len(block)), [len(profile) for profile in block])
+        n = self.items.size
+
+        def block(start: int, stop: int) -> list[Slate]:
+            batch = profiles[start:stop]
+            items = np.concatenate([profile.item for profile in batch])
+            rows = np.repeat(np.arange(len(batch)), [len(profile) for profile in batch])
             # An item without a neighbor list can be neither scored nor recommended.
             cols, known = _positions(self.items, items)
-            ratings = _csr_of_rows(
-                rows[known],
-                cols[known],
-                np.concatenate([profile.rating for profile in block])[known],
-                (len(block), self.items.size),
-            )
-            rated = ratings.copy()
-            rated.data[:] = 1.0
-            num = ratings @ self.sims_t
-            den = rated @ self.abs_sims_t
-            slates += _knn_block_slates(num, den, rated, self.items, k)
-        return slates
+            rows, cols = rows[known], cols[known]
+            ratings = np.concatenate([profile.rating for profile in batch])[known]
+            product = _csr_of_rows(rows, cols, ratings + 1j, (len(batch), n)) @ self.sims_t
+            return _knn_block_slates(product, np.sort(rows * n + cols), self.items, k)
+
+        return [slate for part in _map_blocks(block, len(profiles), SCORE_BLOCK) for slate in part]
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         return self.profile_slates([request.profile for request in requests], k)
@@ -533,39 +591,32 @@ class UserKnnRecommender(BaseRecommender):
     name = "user_knn"
 
     def __init__(self, model: KnnModel, matrix: RatingMatrix):
-        from scipy import sparse
-
-        if model.mode != "user":
-            raise ValueError("model is not user-based")
+        self.model = _checked(model, "user")
         if not np.array_equal(model.ids, matrix.users):
             raise ValueError("model was built from another rating matrix")
-        self.model = model
         self.matrix = matrix
         self.items = matrix.items
-        self.centered = matrix.centered()
-        csr = matrix.csr
-        self.rated = sparse.csr_matrix(
-            (np.ones_like(csr.data), csr.indices, csr.indptr), shape=csr.shape
-        )
+        # C + 1j * B: the centered ratings, with imaginary part 1 at every rating.
+        self.scored = matrix.centered().astype(complex)
+        self.scored.data += 1j
 
     def user_slates(self, users: Sequence[int], k: int) -> list[Slate]:
-        """One slate per user of the rating matrix, scored SCORE_BLOCK at a time."""
+        """One slate per user of the rating matrix, scored in blocks on worker threads."""
         users = np.asarray(users, dtype=np.int64)
         positions, known = _positions(self.matrix.users, users)
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
-        slates: list[Slate] = []
-        for start in range(0, len(users), SCORE_BLOCK):
-            rows = positions[start : start + SCORE_BLOCK]
-            weights = self.model.sims[rows]
-            num = weights @ self.centered
-            # abs() of a sparse matrix would sort each row's entries first.
-            weights.data = np.abs(weights.data)
-            den = weights @ self.rated
-            slates += _knn_block_slates(
-                num, den, self.rated[rows], self.items, k, self.matrix.user_means[rows]
-            )
-        return slates
+        n = self.items.size
+
+        def block(start: int, stop: int) -> list[Slate]:
+            rows = positions[start:stop]
+            product = self.model.sims[rows] @ self.scored
+            seen = self.matrix.csr[rows]
+            # Matrix rows store their items in ascending order, so the keys come sorted.
+            keys = np.repeat(np.arange(rows.size), np.diff(seen.indptr)) * n + seen.indices
+            return _knn_block_slates(product, keys, self.items, k, self.matrix.user_means[rows])
+
+        return [slate for part in _map_blocks(block, len(users), SCORE_BLOCK) for slate in part]
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         return self.user_slates([request.user for request in requests], k)

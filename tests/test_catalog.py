@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+import unicodedata
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -419,6 +420,36 @@ class TestNormalizeTitle:
             return
         again = normalize_title(key)
         assert again == key
+
+
+def _nfkd_normalize_title(title: str) -> str:
+    """normalize_title with the NFKD pass run on every title, ASCII or not."""
+    if not title or not title.strip():
+        raise ValueError("title must be non-empty")
+    text = unicodedata.normalize("NFKD", title.strip().lower())
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    m = catalog._TRAILING_ARTICLE_RE.match(text)
+    if m:
+        text = m.group("body")
+    text = catalog._WS_RE.sub(" ", catalog._PUNCT_RE.sub("", text)).strip()
+    while m := catalog._LEADING_ARTICLE_RE.match(text):
+        text = m.group("body").strip()
+    return text
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(alphabet=st.characters(max_codepoint=127)), st.text()))
+@example("Matrix, The (1999)")
+@example("Amélie")
+@example("Crème Brûlée, A")
+def test_normalize_title_equals_the_full_nfkd_path(title):
+    try:
+        expected = _nfkd_normalize_title(title)
+    except ValueError:
+        with pytest.raises(ValueError):
+            normalize_title(title)
+        return
+    assert normalize_title(title) == expected
 
 
 def _reference_levenshtein(a: str, b: str) -> int:

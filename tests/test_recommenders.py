@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -466,7 +467,9 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_knn_builds_match_oracles_across_block_seams(monkeypatch, block):
-    monkeypatch.setattr(recommenders, "_BLOCK", block)
+    # Two workers take block rows each.
+    monkeypatch.setattr(recommenders, "_worker_count", lambda: 2)
+    monkeypatch.setattr(recommenders, "_BUILD_ROWS", 2 * block)
     for trial in range(40):
         rng = np.random.default_rng(5_000 + trial)
         ratings = random_ratings(rng)
@@ -486,16 +489,148 @@ def test_knn_builds_match_oracles_across_block_seams(monkeypatch, block):
                 )
 
 
-def test_item_build_over_a_wide_sparse_matrix_stays_small():
-    # About 19.7k distinct items: one dense block of similarities would be
-    # 1024 x 19.7k doubles, about 160 MB.
+def _block_matrix(rng, n_users=60, n_items=25):
+    """A random matrix in which most users rate an item exactly at their mean.
+
+    Each such user's ratings come in pairs m - d, m + d around a rating m
+    that the user also gives, so their mean is exactly m.
+    """
+    ratings = {}
+    for u in range(1, n_users + 1):
+        items = rng.permutation(np.arange(1, n_items + 1))[: int(rng.integers(3, 12))]
+        if u % 4:
+            mean = float(rng.integers(2, 5))
+            half = (len(items) - 1) // 2
+            steps = rng.integers(1, 3, size=half) / 2.0
+            values = [mean, *(mean - steps), *(mean + steps)]
+            items = items[: len(values)]
+        else:
+            values = rng.integers(1, 11, size=len(items)) / 2.0
+        ratings.update({(u, int(i)): float(r) for i, r in zip(items, values)})
+    return ratings
+
+
+def _knn_outputs(matrix, requests, k):
+    """Both models' CSR arrays and both recommenders' slates."""
+    item_model = build_item_knn(matrix, 5)
+    user_model = build_user_knn(matrix, 5)
+    arrays = [
+        array.tobytes()
+        for model in (item_model, user_model)
+        for array in (model.sims.indptr, model.sims.indices, model.sims.data)
+    ]
+    slates = [
+        [r.slate.entries for r in rec.recommend_batch(requests, k)]
+        for rec in (ItemKnnRecommender(item_model), UserKnnRecommender(user_model, matrix))
+    ]
+    return arrays, slates
+
+
+@pytest.mark.parametrize("workers, rows", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (8, 1)])
+def test_knn_outputs_do_not_depend_on_workers_or_block_size(monkeypatch, workers, rows):
+    ratings = _block_matrix(np.random.default_rng(41), n_users=90)
+    matrix = matrix_from(ratings)
+    requests = [
+        request_for(u, sorted((i, r) for (w, i), r in ratings.items() if w == u))
+        for u in range(1, 91)
+    ]
+    monkeypatch.setattr(recommenders, "_worker_count", lambda: 1)
+    expected = _knn_outputs(matrix, requests, 4)
+    assert any(expected[1][0]) and any(expected[1][1])
+    monkeypatch.setattr(recommenders, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recommenders, "_BUILD_ROWS", workers * rows)
+    monkeypatch.setattr(recommenders, "SCORE_BLOCK", workers * rows)
+    # Frequent thread switches, so that workers interleave inside each block.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _knn_outputs(matrix, requests, 4) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _bits(matrix):
+    return matrix.toarray().view(np.int64)
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, trial):
+    rng = np.random.default_rng(7_000 + trial)
+    ratings = _block_matrix(rng)
+    matrix = matrix_from(ratings)
+    centered = matrix.centered()
+    assert (centered.data == 0).any()
+    products = []
+
+    def record(product, *args, **kwargs):
+        products.append(product)
+        return knn_block_slates(product, *args, **kwargs)
+
+    knn_block_slates = recommenders._knn_block_slates
+    monkeypatch.setattr(recommenders, "_knn_block_slates", record)
+    monkeypatch.setattr(recommenders, "_worker_count", lambda: 1)
+    users = sorted({u for u, _ in ratings})
+    # Profiles in a shuffled watch order, so that each row sums out of id order.
+    profiles = []
+    for user in users:
+        profile = [(i, r) for (u, i), r in ratings.items() if u == user]
+        order = rng.permutation(len(profile))
+        profiles.append(Ratings.of(Interaction(user, *profile[n], ts) for ts, n in enumerate(order)))
+
+    item_model = build_item_knn(matrix, int(rng.choice([2, 5, 30])))
+    ItemKnnRecommender(item_model).profile_slates(profiles, 3)
+    cols = np.searchsorted(item_model.ids, np.concatenate([p.item for p in profiles]))
+    indptr = np.cumsum([0] + [len(p) for p in profiles])
+    shape = (len(profiles), item_model.ids.size)
+    profile_ratings = np.concatenate([p.rating for p in profiles])
+    left = sparse.csr_matrix((profile_ratings, cols, indptr), shape=shape)
+    rated = sparse.csr_matrix((np.ones_like(profile_ratings), cols, indptr), shape=shape)
+    sims_t = item_model.sims.T.tocsr()
+    (fused,) = products
+    assert np.array_equal(fused.toarray().real.view(np.int64), _bits(left @ sims_t))
+    assert np.array_equal(fused.toarray().imag.view(np.int64), _bits(rated @ sims_t))
+
+    products.clear()
+    user_model = build_user_knn(matrix, int(rng.choice([2, 5, 30])))
+    UserKnnRecommender(user_model, matrix).user_slates(users, 3)
+    weights = user_model.sims
+    rated = matrix.csr.copy()
+    rated.data[:] = 1.0
+    num = weights @ centered
+    (fused,) = products
+    assert np.array_equal(fused.toarray().real.view(np.int64), _bits(num))
+    assert np.array_equal(fused.toarray().imag.view(np.int64), _bits(weights @ rated))
+    # Numerators that sum to exactly 0 are stored, where the real product drops them.
+    assert fused.nnz > num.nnz
+
+
+@pytest.mark.parametrize(
+    "bad", [(-0.25, 0.0), (-0.5,), (0.0,), (SIMILARITY_FLOOR,), (math.nan,), (math.inf,)]
+)
+def test_recommenders_refuse_a_similarity_not_above_the_floor(bad):
+    neighbors = {1: ((2, 0.5),), 2: ((1, 0.5),), 3: tuple(zip((1, 2), bad))}
+    with pytest.raises(ValueError, match="SIMILARITY_FLOOR"):
+        ItemKnnRecommender(knn_model("item", neighbors))
+    matrix = matrix_from({(1, 10): 5.0, (2, 10): 3.0, (2, 11): 1.0, (3, 11): 2.0})
+    with pytest.raises(ValueError, match="SIMILARITY_FLOOR"):
+        UserKnnRecommender(knn_model("user", neighbors), matrix)
+    good = {1: ((2, 0.5),), 2: ((1, 0.5),), 3: ((1, 0.25),)}
+    ItemKnnRecommender(knn_model("item", good))
+    UserKnnRecommender(knn_model("user", good), matrix)
+
+
+def _wide_sparse_ratings():
+    """800 users with 40 ratings each over about 19.7k distinct items."""
     rng = np.random.default_rng(23)
     users = np.repeat(np.arange(800), 40)
     items = np.concatenate([rng.choice(30_000, size=40, replace=False) for _ in range(800)])
     ratings = rng.integers(1, 11, size=users.size) / 2.0
-    matrix = RatingMatrix.from_interactions(
-        Ratings.from_columns(users, items, ratings, np.zeros_like(users))
-    )
+    return Ratings.from_columns(users, items, ratings, np.zeros_like(users))
+
+
+def test_item_build_over_a_wide_sparse_matrix_stays_small():
+    # One dense block of similarities would be 512 x 19.7k doubles, about 80 MB.
+    matrix = RatingMatrix.from_interactions(_wide_sparse_ratings())
     assert 19_000 < matrix.items.size < 20_500
     tracemalloc.start()
     try:
@@ -505,6 +640,24 @@ def test_item_build_over_a_wide_sparse_matrix_stays_small():
         tracemalloc.stop()
     assert model.sims.nnz > 0
     assert peak < 64 * 2**20
+
+
+def test_item_scoring_over_a_wide_catalog_stays_small():
+    # A dense requests x items array of one 128-request block would be
+    # 128 x 19.7k doubles, about 20 MB.
+    table = _wide_sparse_ratings()
+    rec = ItemKnnRecommender(build_item_knn(RatingMatrix.from_interactions(table)))
+    bounds = np.flatnonzero(np.diff(table.user)) + 1
+    profiles = [table[start:stop] for start, stop in zip([0, *bounds], [*bounds, len(table)])]
+    assert len(profiles) == 800
+    tracemalloc.start()
+    try:
+        slates = rec.profile_slates(profiles, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(slate) == 10 for slate in slates)
+    assert peak < 16 * 2**20
 
 
 def test_batches_larger_than_one_block_match_single_requests_in_any_order():
