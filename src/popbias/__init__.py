@@ -16,7 +16,6 @@ from popbias.metrics import (
     METRICS,
     Metric,
     PhiArray,
-    Profile,
     Profiles,
     evaluate_metric,
     kendall_tau,
@@ -35,7 +34,6 @@ __all__ = [
     "METRICS",
     "Metric",
     "PhiArray",
-    "Profile",
     "Profiles",
     "evaluate_metric",
     "kendall_tau",

@@ -26,7 +26,6 @@ from popbias.recommenders import (
     build_item_knn,
     build_user_knn,
     RatingMatrix,
-    TooFewCandidatesError,
 )
 
 DEFAULT_CONFIG: dict = {
@@ -195,10 +194,9 @@ def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
 def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
     """Score every configured recommender on one fold, skipping those in errors.
 
-    A recommender whose provider fails, or which has fewer than k items left
-    to recommend to some user, is recorded in ``errors``. The
-    fold's models and shared inputs are dropped on return, so none of them
-    is alive while the next fold's models are built.
+    A recommender whose provider fails is recorded in ``errors``. The fold's
+    models and shared inputs are dropped on return, so none of them is alive
+    while the next fold's models are built.
     """
     inputs = ev.FoldInputs.of(fold)
     recs = _build_fold_recommenders(cfg, inputs.ratings, phi, index, entries_by_id)
@@ -210,7 +208,7 @@ def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
             fold_stats[rec.name] = ev.evaluate_recommender(
                 rec, inputs, phi_array, cfg["metrics"], cfg["k"]
             )
-        except (ProviderError, TooFewCandidatesError) as exc:
+        except ProviderError as exc:
             errors[rec.name] = str(exc)
             click.echo(f"note: {rec.name} aborted: {exc}", err=True)
     return fold_stats

@@ -6,6 +6,12 @@ monotonicity. Each check evaluates the real metric implementation on a
 small pinned fixture (or a seeded resampling experiment) and returns a
 verdict with a concrete witness, so the full metric-by-desideratum grid is
 deterministic and auditable.
+
+The checks run on the report's batch path: a fixture is a one-row
+``Profiles`` pair that the metric's ``evaluate_rows`` scores over a
+``PhiArray``, and the resampling experiment reduces each drawn profile with
+the metric's own transform and aggregate. A check that meets a value the
+metric leaves undefined (NaN) raises ValueError.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from popbias.distfit import sample_pareto
-from popbias.metrics import METRICS, Profile
+from popbias.metrics import METRICS, PhiArray, Profiles
 
 __all__ = [
     "DESIDERATA",
@@ -57,6 +63,11 @@ class PerturbationFixture:
             raise ValueError("epsilon must be positive")
         if any(s < 1 for s in self.recommender_scores + self.user_scores):
             raise ValueError("fixture scores must be >= 1")
+        if self.target is not None and not 0 <= self.target < len(self.recommender_scores):
+            raise ValueError(
+                f"target {self.target} is not a recommender item position "
+                f"(0 to {len(self.recommender_scores) - 1})"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,40 +126,42 @@ def _default_fixture(metric_id: str, desideratum: str) -> PerturbationFixture:
 
 def _build_profiles(
     metric_id: str, fixture: PerturbationFixture, identical: bool = False
-) -> tuple[Profile, Profile, dict[int, float]]:
-    """Materialize fixture scores as item profiles plus a popularity map."""
-    if metric_id == "pru":
-        items = tuple(3000 + i for i in range(len(fixture.recommender_scores)))
-        phi = dict(zip(items, fixture.recommender_scores))
-        r = Profile(items, ranked=True)
-        u = Profile(items, ranked=True)
-        return r, u, phi
-    r_items = tuple(1000 + i for i in range(len(fixture.recommender_scores)))
+) -> tuple[Profiles, Profiles, dict[int, float]]:
+    """Materialize fixture scores as one-row item profiles plus a popularity map.
+
+    PRU's profiles are one shared profile, so it reads only the recommender scores.
+    """
+    r_items = range(1000, 1000 + len(fixture.recommender_scores))
     phi = dict(zip(r_items, fixture.recommender_scores))
-    if identical:
-        return Profile(r_items), Profile(r_items), phi
-    u_items = tuple(2000 + i for i in range(len(fixture.user_scores)))
+    if identical or metric_id == "pru":
+        return Profiles.of([r_items]), Profiles.of([r_items]), phi
+    u_items = range(2000, 2000 + len(fixture.user_scores))
     phi.update(zip(u_items, fixture.user_scores))
-    return Profile(r_items), Profile(u_items), phi
+    return Profiles.of([r_items]), Profiles.of([u_items]), phi
+
+
+def _evaluate(metric_id: str, r: Profiles, u: Profiles, phi: dict[int, float]) -> float:
+    """M of a one-row fixture, scored on the batch path; ValueError where it is NaN."""
+    value = float(METRICS[metric_id].evaluate_rows(r, u, PhiArray.of(phi))[0])
+    if np.isnan(value):
+        raise ValueError(f"{metric_id} is undefined on this fixture")
+    return value
 
 
 def _perturbed_phi(
-    phi: dict[int, float], r: Profile, epsilon: float, target: int | None
+    phi: dict[int, float], r: Profiles, epsilon: float, target: int | None
 ) -> dict[int, float]:
     """Copy of phi with epsilon added to one (or every) recommender item."""
     out = dict(phi)
-    if target is None:
-        for a in r.items:
-            out[a] = phi[a] + epsilon
-    else:
-        a = r.items[target]
+    items = r.items.tolist()
+    for a in items if target is None else [items[target]]:
         out[a] = phi[a] + epsilon
     return out
 
 
 def _check_zero_centered(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
     r, u, phi = _build_profiles(metric_id, fixture, identical=True)
-    value = METRICS[metric_id].evaluate(r, u, phi)
+    value = _evaluate(metric_id, r, u, phi)
     passed = abs(value) < EXACT_ZERO_TOL
     return CheckVerdict(
         "zero_centered", metric_id, passed, f"M(p, p) = {value:.6g} on scores {list(fixture.recommender_scores)}"
@@ -156,10 +169,9 @@ def _check_zero_centered(metric_id: str, fixture: PerturbationFixture) -> CheckV
 
 
 def _check_anti_symmetric(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    forward = metric.evaluate(r, u, phi)
-    backward = metric.evaluate(u, r, phi)
+    forward = _evaluate(metric_id, r, u, phi)
+    backward = _evaluate(metric_id, u, r, phi)
     passed = abs(forward + backward) < EXACT_ZERO_TOL
     return CheckVerdict(
         "anti_symmetric",
@@ -170,14 +182,12 @@ def _check_anti_symmetric(metric_id: str, fixture: PerturbationFixture) -> Check
 
 
 def _check_long_tail(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    base = metric.evaluate(r, u, phi)
-    scores = [phi[a] for a in r.items]
-    low_target = int(np.argmin(scores))
-    high_target = int(np.argmax(scores))
-    low = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, low_target))
-    high = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, high_target))
+    base = _evaluate(metric_id, r, u, phi)
+    low_target = int(np.argmin(fixture.recommender_scores))
+    high_target = int(np.argmax(fixture.recommender_scores))
+    low = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, low_target))
+    high = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, high_target))
     low_resp = abs(low - base)
     high_resp = abs(high - base)
     passed = low_resp > high_resp
@@ -191,10 +201,9 @@ def _check_long_tail(metric_id: str, fixture: PerturbationFixture) -> CheckVerdi
 
 
 def _check_monotonic(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    metric = METRICS[metric_id]
     r, u, phi = _build_profiles(metric_id, fixture)
-    base = metric.evaluate(r, u, phi)
-    lifted = metric.evaluate(r, u, _perturbed_phi(phi, r, fixture.epsilon, fixture.target))
+    base = _evaluate(metric_id, r, u, phi)
+    lifted = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, fixture.target))
     delta = lifted - base
     what = (
         f"item {fixture.target}" if fixture.target is not None else "all recommender scores"
@@ -206,15 +215,29 @@ def _check_monotonic(metric_id: str, fixture: PerturbationFixture) -> CheckVerdi
     return CheckVerdict("monotonic", metric_id, delta > 0.0, witness)
 
 
-def _check_well_behaved(metric_id: str, cfg: SamplingConfig) -> CheckVerdict:
+def _sampled_statistic(
+    metric_id: str, size: int, cfg: SamplingConfig, rng: np.random.Generator
+) -> float:
+    """h(g(scores)) of one drawn profile; ValueError where it is NaN.
+
+    PRU's aggregate keeps the scores, which it correlates with a slate order
+    drawn from rng.
+    """
     metric = METRICS[metric_id]
+    block = sample_pareto(size, cfg.shape, cfg.x_min, rng)[None, :]
+    value = metric.aggregate(metric.transform(block))[0]
+    if metric_id == "pru":
+        value = metric.compare(value, rng.permutation(size) + 1.0)
+    if np.isnan(value):
+        raise ValueError(f"{metric_id} is undefined on a drawn profile")
+    return float(value)
+
+
+def _check_well_behaved(metric_id: str, cfg: SamplingConfig) -> CheckVerdict:
     rng = np.random.default_rng(cfg.seed)
     sds = []
     for size in (cfg.n, 4 * cfg.n):
-        values = [
-            metric.statistic(sample_pareto(size, cfg.shape, cfg.x_min, rng), rng)
-            for _ in range(cfg.resamples)
-        ]
+        values = [_sampled_statistic(metric_id, size, cfg, rng) for _ in range(cfg.resamples)]
         sds.append(float(np.std(values, ddof=1)))
     ratio = sds[1] / sds[0] if sds[0] > 0 else float("inf")
     passed = ratio <= cfg.stability_ratio

@@ -19,8 +19,8 @@ pru                identity     identity          spearman_rho
 The Gini and Herfindahl aggregates normalise scores to shares themselves.
 PRU is the exception to the pattern: it correlates the popularity of the
 items both profiles share with their slate positions, so its record
-carries its own evaluation. It is a desiderata-only metric: top-k slates
-exclude the user's training profile, so over a fold of slates its
+carries its own row evaluation. It is a desiderata-only metric: top-k
+slates exclude the user's training profile, so over a fold of slates its
 intersection is always empty and it is never scored there.
 
 A fold is scored in one batch. ``evaluate_metric`` takes the fold's slates
@@ -43,8 +43,11 @@ A row is undefined, and its value NaN, where
 * the relative difference meets a user aggregate of zero;
 * it is empty.
 
-``Metric.evaluate`` and ``Metric.statistic`` are the one-row case: they
-raise ``ValueError`` where a batch would hold NaN.
+PRU reads the order of each slate row as its ranking, position 1 being the
+top slot, and is NaN for a row pair that shares fewer than 2 distinct
+items, or whose shared items all have the same popularity. Because it is
+desiderata-only, ``evaluate_metric`` refuses it; the desiderata checks call
+its ``evaluate_rows`` directly.
 
 Profiles are multisets: duplicate items count with multiplicity. All
 functions are pure and safe to call concurrently.
@@ -60,38 +63,16 @@ from typing import ClassVar
 import numpy as np
 
 __all__ = [
-    "Profile",
     "Profiles",
     "PhiArray",
     "Metric",
     "METRICS",
-    "profile_scores",
     "gini_coefficient",
     "herfindahl_index",
     "spearman_rho",
     "kendall_tau",
     "evaluate_metric",
 ]
-
-
-@dataclass(frozen=True)
-class Profile:
-    """An item multiset: a recommendation slate or a user's history.
-
-    When ``ranked`` is true the item order encodes the recommender's
-    ranking, position 1 being the top slot.
-    """
-
-    items: tuple[int, ...]
-    ranked: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise ValueError("profile must contain at least one item")
-
-    @classmethod
-    def of(cls, items: Sequence[int], ranked: bool = False) -> "Profile":
-        return cls(items=tuple(items), ranked=ranked)
 
 
 @dataclass(frozen=True)
@@ -158,33 +139,6 @@ class PhiArray:
         return self.table[pos]
 
 
-def profile_scores(p: Profile, phi: Mapping[int, float]) -> np.ndarray:
-    """Look up the raw popularity score of every profile item, in order."""
-    scores = PhiArray.of(phi).lookup(np.asarray(p.items, dtype=np.int64))
-    missing = np.isnan(scores)
-    if missing.any():
-        raise ValueError(f"item {p.items[np.argmax(missing)]} missing from popularity table")
-    return scores
-
-
-def _undefined(message: str):
-    """Name the error a stage's one-row case raises where the stage gives NaN."""
-
-    def mark(stage):
-        stage.undefined = message
-        return stage
-
-    return mark
-
-
-def _defined(stage: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:
-    """``stage(*args)`` on one row, raising the stage's error where it gives NaN."""
-    out = stage(*args)
-    if hasattr(stage, "undefined") and np.isnan(out).any():
-        raise ValueError(stage.undefined)
-    return out
-
-
 def _rows(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Scores as floats whose last axis is a row; a row may not be empty."""
     x = np.asarray(scores, dtype=float)
@@ -201,7 +155,6 @@ def identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@_undefined("profile has a score < 1 (log domain)")
 def log(x: np.ndarray) -> np.ndarray:
     """Natural log of scores >= 1 (rating counts), which keeps it non-negative.
 
@@ -215,7 +168,6 @@ def mean(scores: np.ndarray) -> np.ndarray:
     return np.mean(_rows(scores), axis=-1)
 
 
-@_undefined("scores must be positive")
 def gini_coefficient(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Gini inequality of each row of positive scores, in [0, 1).
 
@@ -227,7 +179,6 @@ def gini_coefficient(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.sum((2 * i - n - 1) / n * x / x.sum(axis=-1, keepdims=True), axis=-1)
 
 
-@_undefined("scores must be positive")
 def herfindahl_index(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Concentration of each row of positive scores: sum of squared shares.
 
@@ -242,7 +193,6 @@ def difference(r_value: np.ndarray, u_value: np.ndarray) -> np.ndarray:
     return r_value - u_value
 
 
-@_undefined("aggregate of the user profile is zero")
 def relative_difference(r_value: np.ndarray, u_value: np.ndarray) -> np.ndarray:
     """(h(r) - h(u)) / h(u); undefined where the user aggregate is zero."""
     diff = r_value - u_value
@@ -282,7 +232,7 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class Metric:
-    """One bias metric: ``compare(statistic(phi(r)), statistic(phi(u)))``."""
+    """One bias metric: ``compare(h(g(phi(r))), h(g(phi(u))))``."""
 
     id: str
     transform: Callable[[np.ndarray], np.ndarray]
@@ -309,23 +259,6 @@ class Metric:
         """M of every (recommendation, user) row pair; NaN where it is undefined."""
         return self.compare(self.statistics(r, phi), self.statistics(u, phi))
 
-    def statistic(
-        self, scores: np.ndarray, rng: np.random.Generator | None = None
-    ) -> float:
-        """h(g(scores)): one profile's aggregate of its raw popularity scores.
-
-        The one-row case of ``statistics``. ``rng`` feeds a statistic that
-        needs draws beyond the scores; only PRU's does.
-        """
-        block = np.asarray(scores, dtype=float)[None, :]
-        return float(_defined(self.aggregate, _defined(self.transform, block))[0])
-
-    def evaluate(self, r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-        """M of one (recommendation, user) pair: the one-row case of ``evaluate_rows``."""
-        r_value = self.statistic(profile_scores(r, phi))
-        u_value = self.statistic(profile_scores(u, phi))
-        return float(_defined(self.compare, np.array([r_value]), np.array([u_value]))[0])
-
 
 class RankCorrelationMetric(Metric):
     """PRU: popularity against slate position over the profile intersection.
@@ -337,31 +270,30 @@ class RankCorrelationMetric(Metric):
 
     desiderata_only = True
 
-    def statistic(
-        self, scores: np.ndarray, rng: np.random.Generator | None = None
-    ) -> float:
-        """The correlation of ``scores`` with a slate order drawn from ``rng``."""
-        return self.compare(
-            self.aggregate(self.transform(scores)), rng.permutation(scores.size) + 1.0
-        )
-
     def evaluate_rows(self, r: Profiles, u: Profiles, phi: PhiArray) -> np.ndarray:
-        raise ValueError(f"{self.id} is a desiderata-only metric")
+        """PRU of every row pair, each slate row read in rank order; NaN where undefined.
 
-    def evaluate(self, r: Profile, u: Profile, phi: Mapping[int, float]) -> float:
-        if not r.ranked:
-            raise ValueError("PRU requires a rank-ordered recommendation profile")
-        u_items = set(u.items)
-        seen: dict[int, int] = {}
-        for pos, a in enumerate(r.items, start=1):
-            if a in u_items and a not in seen:
-                seen[a] = pos
-        if len(seen) < 2:
-            raise ValueError("PRU undefined: profile intersection has fewer than 2 items")
-        k = len(r.items)
-        scores = profile_scores(Profile.of(seen), phi)
-        alignment = [k + 1 - pos for pos in seen.values()]
-        return self.compare(self.aggregate(self.transform(scores)), alignment)
+        A row's slate length k counts every slot, and an item that fills
+        several slots takes the position of its first.
+        """
+        out = np.full(len(r), np.nan)
+        for row in range(len(r)):
+            slate = r.items[r.offsets[row] : r.offsets[row + 1]].tolist()
+            profile = set(u.items[u.offsets[row] : u.offsets[row + 1]].tolist())
+            positions: dict[int, int] = {}
+            for pos, a in enumerate(slate, start=1):
+                if a in profile:
+                    positions.setdefault(a, pos)
+            scores = phi.lookup(np.fromiter(positions, np.int64, len(positions)))
+            if np.isnan(scores).any():
+                continue
+            popularity = self.aggregate(self.transform(scores))
+            alignment = [len(slate) + 1 - pos for pos in positions.values()]
+            try:
+                out[row] = self.compare(popularity, alignment)
+            except ValueError:  # fewer than 2 shared items, or all equally popular
+                continue
+        return out
 
 
 METRICS: dict[str, Metric] = {
@@ -382,10 +314,13 @@ def evaluate_metric(
     """Score one registered metric over a batch of (slate, profile) row pairs.
 
     Returns one value per row, NaN where the metric is undefined for it.
+    A desiderata-only metric is refused with ValueError.
     """
     try:
         metric = METRICS[metric_id]
     except KeyError:
         known = ", ".join(sorted(METRICS))
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
+    if metric.desiderata_only:
+        raise ValueError(f"{metric_id} is a desiderata-only metric")
     return metric.evaluate_rows(r, u, phi)

@@ -19,9 +19,8 @@ airtight: a tie whose two computed values fall on opposite sides of a
 snapping boundary still ranks by the raw values. One kernel, _first_k,
 applies it to (row, col, score) entries of any number of rows at once.
 
-Batch scoring: every recommender scores a whole batch of requests; the
-single-request functions are batches of one. The KNN recommenders score
-blocks of requests, each with one sparse product:
+Batch scoring: every recommender scores a whole batch of requests. The KNN
+recommenders score blocks of requests, each with one sparse product:
 
 - item-KNN: (R + 1j * 1_R) @ S.T, where R is the requests x items matrix of
   profile ratings and row c of S holds item c's neighbor similarities;
@@ -88,7 +87,6 @@ __all__ = [
     "SCORE_BLOCK",
     "SCORE_SNAP_BITS",
     "SIMILARITY_FLOOR",
-    "TooFewCandidatesError",
     "RatingMatrix",
     "KnnModel",
     "Slate",
@@ -99,12 +97,8 @@ __all__ = [
     "TopPopRecommender",
     "ItemKnnRecommender",
     "UserKnnRecommender",
-    "recommend_random",
-    "recommend_top_pop",
     "build_item_knn",
-    "recommend_item_knn",
     "build_user_knn",
-    "recommend_user_knn",
 ]
 
 DEFAULT_K_NEIGHBORS = 30
@@ -267,10 +261,6 @@ def _present(ids: np.ndarray, values: Iterable) -> np.ndarray:
     return positions[found]
 
 
-class TooFewCandidatesError(ValueError):
-    """A request's exclusions leave fewer than k items to recommend."""
-
-
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     """Top-K neighbors (similarity above SIMILARITY_FLOOR) of every entity.
@@ -285,50 +275,6 @@ class KnnModel:
     mode: str  # "item" or "user"
     ids: np.ndarray
     sims: sparse.csr_matrix
-
-
-def recommend_random(
-    candidates: Iterable[int], exclude: Iterable[int], k: int, seed: int | Sequence[int]
-) -> Slate:
-    """k distinct items drawn uniformly from candidates minus exclusions."""
-    return _random_slates(np.array(sorted(set(candidates))), [exclude], [seed], k)[0]
-
-
-def _random_slates(
-    pool: np.ndarray,
-    excludes: Sequence[Iterable[int]],
-    seeds: Sequence[int | Sequence[int]],
-    k: int,
-) -> list[Slate]:
-    """Per request, k distinct draws from the sorted pool minus its exclusions.
-
-    Each request draws from np.random.default_rng(its seed), so a slate does
-    not depend on the other requests. Exclusions are found by sorted position;
-    ids outside the pool are ignored.
-    """
-    slates = []
-    for exclude, seed in zip(excludes, seeds):
-        available = np.delete(pool, _present(pool, exclude))
-        if len(available) < k:
-            raise TooFewCandidatesError(f"only {len(available)} candidates available for k={k}")
-        if k == 0:
-            slates.append(Slate(entries=(), requested_k=0))
-            continue
-        picks = np.random.default_rng(seed).choice(len(available), size=k, replace=False)
-        slates.append(Slate(entries=tuple(available[picks].tolist()), requested_k=k))
-    return slates
-
-
-def recommend_top_pop(
-    phi: Mapping[int, float], exclude: Iterable[int], k: int
-) -> Slate:
-    """The k most popular unexcluded items.
-
-    Scores are compared snapped to SCORE_SNAP_BITS significant bits and ties
-    break by ascending item id (see the module docstring), so counts that
-    are equal up to float rounding rank in id order.
-    """
-    return TopPopRecommender(phi).slates_for([exclude], k)[0]
 
 
 def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
@@ -418,33 +364,6 @@ def _knn_block_slates(
     ]
 
 
-def recommend_item_knn(
-    model: KnnModel, profile: Sequence[tuple[int, float]], k: int
-) -> Slate:
-    """Score unseen items by similarity-weighted ratings of profile items.
-
-    score(c) = sum(sim(c, j) * rating(j)) / sum(sim(c, j)) over profile
-    items j in c's neighbor list. Candidates with no overlap are unscored,
-    so the slate may come back short.
-    """
-    items = np.array([item for item, _ in profile], dtype=np.int64)
-    ratings = np.array([rating for _, rating in profile], dtype=float)
-    table = Ratings(np.zeros_like(items), items, ratings, np.arange(items.size))
-    return ItemKnnRecommender(model).profile_slates([table], k)[0]
-
-
-def recommend_user_knn(
-    model: KnnModel, matrix: RatingMatrix, user: int, k: int
-) -> Slate:
-    """Score unseen items from neighbors' mean-centered ratings.
-
-    score(c) = mean(u) + sum(sim(u, v) * (rating_v(c) - mean(v))) /
-    sum(|sim(u, v)|) over neighbors v who rated c. A user with no positive
-    neighbors gets an empty slate.
-    """
-    return UserKnnRecommender(model, matrix).user_slates([user], k)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class RecRequest:
     """One user's recommendation request within an evaluation run.
@@ -492,9 +411,21 @@ class RandomRecommender(BaseRecommender):
         self.seed = seed
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        # Seed derived per user so results are independent of batch order.
-        seeds = [(self.seed, request.user) for request in requests]
-        return _random_slates(self.pool, [request.exclude for request in requests], seeds, k)
+        """Per request, k distinct draws from the pool minus its exclusions.
+
+        A request with fewer than k items left draws them all, in random
+        order, and its slate comes back short. Each request draws from
+        np.random.default_rng((seed, user)), so a slate does not depend on
+        the other requests. Exclusions are found by sorted position; ids
+        outside the pool are ignored.
+        """
+        slates = []
+        for request in requests:
+            available = np.delete(self.pool, _present(self.pool, request.exclude))
+            rng = np.random.default_rng((self.seed, request.user))
+            picks = rng.choice(len(available), size=min(k, len(available)), replace=False)
+            slates.append(Slate(entries=tuple(available[picks].tolist()), requested_k=k))
+        return slates
 
 
 class TopPopRecommender(BaseRecommender):
@@ -520,7 +451,8 @@ class TopPopRecommender(BaseRecommender):
     def slates_for(self, excludes: Sequence[Iterable[int]], k: int) -> list[Slate]:
         """Per exclusion set, the first k items of the ranking outside it.
 
-        Exclusion ids outside phi are ignored.
+        The slate comes back short when fewer than k are left. Exclusion ids
+        outside phi are ignored.
         """
         slates = []
         for exclude in excludes:
@@ -529,8 +461,6 @@ class TopPopRecommender(BaseRecommender):
             head = np.ones(min(k + len(ranks), len(self.ranking)), dtype=bool)
             head[ranks[ranks < len(head)]] = False
             kept = self.ranking[: len(head)][head]
-            if len(kept) < k:
-                raise TooFewCandidatesError(f"only {len(kept)} items available for k={k}")
             slates.append(Slate(entries=tuple(kept[:k].tolist()), requested_k=k))
         return slates
 
@@ -565,7 +495,11 @@ class ItemKnnRecommender(BaseRecommender):
         self.sims_t = model.sims.T.tocsr().astype(complex)
 
     def profile_slates(self, profiles: Sequence[Ratings], k: int) -> list[Slate]:
-        """One slate per training profile, scored in blocks on worker threads."""
+        """One slate per training profile, scored in blocks on worker threads.
+
+        A candidate in no neighbor list of a profile item is unscored, so a
+        slate may come back short.
+        """
         if not all(len(profile) for profile in profiles):
             raise ValueError("profile must be non-empty")
         n = self.items.size
@@ -601,7 +535,10 @@ class UserKnnRecommender(BaseRecommender):
         self.scored.data += 1j
 
     def user_slates(self, users: Sequence[int], k: int) -> list[Slate]:
-        """One slate per user of the rating matrix, scored in blocks on worker threads."""
+        """One slate per user of the rating matrix, scored in blocks on worker threads.
+
+        A user without neighbors gets an empty slate.
+        """
         users = np.asarray(users, dtype=np.int64)
         positions, known = _positions(self.matrix.users, users)
         if not known.all():

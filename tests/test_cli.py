@@ -15,6 +15,7 @@ from popbias.cli import load_config, main
 from popbias.distfit import fit_pareto
 from popbias.evaluation import FoldSpec
 from popbias.llm_gateway import ProviderConfig
+from popbias.recommenders import BaseRecommender
 
 
 def test_evaluate_reports_baselines_and_records_provider_error(small_corpus, tmp_path):
@@ -84,15 +85,17 @@ def test_non_json_provider_reply_fails_only_the_llm_recommender(
     assert "not JSON" in errors["wok-stub-model"]
 
 
-def test_too_few_candidates_fails_only_that_recommender(tmp_path):
-    # 15 movies, 10 ratings per user: a training profile of 8 leaves 7 candidates for k=10.
+def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):
+    # 30 movies: user 1 rated 28, so a training side of 22 leaves 8 candidates
+    # for k=10; every other user rated 10.
     movies = tmp_path / "movies.dat"
     ratings = tmp_path / "ratings.dat"
-    movies.write_text("".join(f"{i}::Movie {i} (1990)::Drama\n" for i in range(1, 16)), "utf-8")
+    movies.write_text("".join(f"{i}::Movie {i} (1990)::Drama\n" for i in range(1, 31)), "utf-8")
     ratings.write_text(
-        "".join(
-            f"{u}::{(u + j) % 15 + 1}::{(u * j) % 5 + 1}::{100 * j}\n"
-            for u in range(1, 41)
+        "".join(f"1::{i}::{i % 5 + 1}::{100 * i}\n" for i in range(1, 29))
+        + "".join(
+            f"{u}::{(u + j) % 30 + 1}::{(u * j) % 5 + 1}::{100 * j}\n"
+            for u in range(2, 41)
             for j in range(10)
         ),
         "utf-8",
@@ -108,16 +111,24 @@ def test_too_few_candidates_fails_only_that_recommender(tmp_path):
         ),
         encoding="utf-8",
     )
+    lengths = {}
+    recommend_batch = BaseRecommender.recommend_batch
+
+    def recording(self, requests, k):
+        results = recommend_batch(self, requests, k)
+        for request, result in zip(requests, results):
+            lengths[self.name, request.user] = len(result.slate)
+        return results
+
+    monkeypatch.setattr(BaseRecommender, "recommend_batch", recording)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
     assert result.exit_code == 0, result.output
     rows = list(csv.DictReader(io.StringIO((out / "report.csv").read_text("utf-8"))))
-    assert [row["recommender"] for row in rows] == ["item_knn"]
-    errors = json.loads((out / "manifest.json").read_text("utf-8"))["errors"]
-    assert errors == {
-        "random": "only 7 candidates available for k=10",
-        "top_pop": "only 7 items available for k=10",
-    }
+    assert [row["recommender"] for row in rows] == ["random", "top_pop", "item_knn"]
+    assert json.loads((out / "manifest.json").read_text("utf-8"))["errors"] == {}
+    assert lengths["random", 1] == lengths["top_pop", 1] == 8
+    assert {lengths[name, u] for name in ("random", "top_pop") for u in range(2, 41)} == {10}
 
 
 def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):

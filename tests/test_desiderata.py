@@ -1,5 +1,9 @@
-import pytest
+from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
+from popbias.cli import main
 from popbias.desiderata import (
     DESIDERATA,
     PerturbationFixture,
@@ -104,6 +108,26 @@ def test_fixture_validation():
         PerturbationFixture((1.0,), (1.0,), epsilon=0.0)
     with pytest.raises(ValueError, match=">= 1"):
         PerturbationFixture((0.5,), (1.0,))
+    for target in (-1, 3):
+        with pytest.raises(ValueError, match=f"target {target} is not"):
+            PerturbationFixture((1.0, 2.0, 3.0), (1.0,), target=target)
+    PerturbationFixture((1.0, 2.0, 3.0), (1.0,), target=2)
+
+
+def test_a_check_that_meets_nan_raises():
+    # PRU needs 2 shared items; a one-item fixture leaves it undefined.
+    with pytest.raises(ValueError, match="undefined"):
+        check_desideratum("pru", "zero_centered", fixture=PerturbationFixture((2.0,), (2.0,)))
+    # Equal popularity leaves the rank correlation undefined too.
+    with pytest.raises(ValueError, match="undefined"):
+        check_desideratum("pru", "monotonic", fixture=PerturbationFixture((2.0, 2.0), (1.0,)))
+
+
+def test_witnesses_output_is_pinned():
+    expected = (Path(__file__).parent / "desiderata_witnesses.txt").read_text(encoding="utf-8")
+    result = CliRunner().invoke(main, ["desiderata", "--witnesses"])
+    assert result.exit_code == 0, result.output
+    assert result.output == expected
 
 
 def test_metric_filter():

@@ -20,7 +20,7 @@ from popbias.evaluation import (
     split_user_ratings,
     summarize,
 )
-from popbias.metrics import METRICS, PhiArray, Profile
+from popbias.metrics import METRICS, PhiArray, Profiles
 from popbias.recommenders import BaseRecommender, Slate
 
 BIAS_METRICS = ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff")
@@ -182,20 +182,19 @@ def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
 
 
 def _reference_stats(fold, slates, phi):
-    """The per-user loop: hit rates over sets, one-pair metrics, in-order sums."""
+    """The per-user loop: hit rates over sets, one-row metric calls, in-order sums."""
     hr = {5: 0.0, 10: 0.0}
     totals = {m: 0.0 for m in BIAS_METRICS}
     counts = {m: 0 for m in BIAS_METRICS}
+    phi_array = PhiArray.of(phi)
     for split in fold:
         slate = slates[split.user]
         for cut in hr:
             hr[cut] += len(set(slate[:cut]) & split.test_items) / len(split.test_items)
+        train = Profiles.of([(it.item for it in split.train)])
         for m in BIAS_METRICS:
-            try:
-                value = METRICS[m].evaluate(
-                    Profile(slate), Profile(tuple(it.item for it in split.train)), phi
-                )
-            except ValueError:
+            value = METRICS[m].evaluate_rows(Profiles.of([slate]), train, phi_array)[0]
+            if np.isnan(value):
                 continue
             totals[m] += value
             counts[m] += 1

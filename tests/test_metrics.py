@@ -10,12 +10,10 @@ from popbias import metrics
 from popbias.metrics import (
     METRICS,
     PhiArray,
-    Profile,
     Profiles,
     evaluate_metric,
     gini_coefficient,
     herfindahl_index,
-    profile_scores,
 )
 
 scores_lists = st.lists(
@@ -33,80 +31,83 @@ def _profiles(r_scores, u_scores):
     for i, s in enumerate(u_scores):
         phi[2000 + i] = s
         u_items.append(2000 + i)
-    return Profile(tuple(r_items)), Profile(tuple(u_items)), phi
+    return tuple(r_items), tuple(u_items), phi
+
+
+def one_row(metric_id, r, u, phi):
+    """M of one (recommendation, user) pair: a one-row ``evaluate_rows`` call."""
+    values = METRICS[metric_id].evaluate_rows(Profiles.of([r]), Profiles.of([u]), PhiArray.of(phi))
+    return float(values[0])
 
 
 class TestLogPopDifference:
     def test_identical_profiles_zero(self):
         phi = {1: 3.0, 2: 17.0}
-        p = Profile((1, 2))
-        assert METRICS["log_pop_diff"].evaluate(p, p, phi) == 0.0
+        assert one_row("log_pop_diff", (1, 2), (1, 2), phi) == 0.0
 
     def test_frozen_value(self):
         # Oracle: (ln10 + ln100)/2 - (ln1 + ln10)/2 = ln(10).
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert METRICS["log_pop_diff"].evaluate(r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
+        assert one_row("log_pop_diff", r, u, phi) == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_anti_symmetry_example(self):
         r, u, phi = _profiles([10.0, 100.0], [1.0, 10.0])
-        assert METRICS["log_pop_diff"].evaluate(u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
+        assert one_row("log_pop_diff", u, r, phi) == pytest.approx(-math.log(10.0), abs=1e-12)
 
     def test_missing_item_named(self):
-        with pytest.raises(ValueError, match="42"):
-            METRICS["log_pop_diff"].evaluate(Profile((42,)), Profile((42,)), {})
+        # A row holding an item missing from phi is undefined: NaN.
+        assert math.isnan(one_row("log_pop_diff", (42,), (42,), {}))
+        assert math.isnan(one_row("log_pop_diff", (1, 42), (1,), {1: 2.0}))
 
     def test_score_below_one_rejected(self):
         r, u, phi = _profiles([0.5], [2.0])
-        with pytest.raises(ValueError, match="log domain"):
-            METRICS["log_pop_diff"].evaluate(r, u, phi)
+        assert math.isnan(one_row("log_pop_diff", r, u, phi))
 
     @given(scores_lists, scores_lists)
     def test_anti_symmetry_property(self, a, b):
         r, u, phi = _profiles(a, b)
-        fwd = METRICS["log_pop_diff"].evaluate(r, u, phi)
-        assert abs(fwd + METRICS["log_pop_diff"].evaluate(u, r, phi)) < 1e-12
+        fwd = one_row("log_pop_diff", r, u, phi)
+        assert abs(fwd + one_row("log_pop_diff", u, r, phi)) < 1e-12
 
     @given(scores_lists, scores_lists, st.floats(min_value=1.0, max_value=1e3))
     def test_scaling_invariance(self, a, b, c):
         # Scale factors >= 1 keep scores inside the count domain.
         r, u, phi = _profiles(a, b)
         scaled = {k: v * c for k, v in phi.items()}
-        assert METRICS["log_pop_diff"].evaluate(r, u, phi) == pytest.approx(
-            METRICS["log_pop_diff"].evaluate(r, u, scaled), abs=1e-9
+        assert one_row("log_pop_diff", r, u, phi) == pytest.approx(
+            one_row("log_pop_diff", r, u, scaled), abs=1e-9
         )
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone_in_any_recommender_score(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = METRICS["log_pop_diff"].evaluate(r, u, phi)
+        base = one_row("log_pop_diff", r, u, phi)
         bumped = dict(phi)
-        bumped[r.items[0]] += eps
-        assert METRICS["log_pop_diff"].evaluate(r, u, bumped) > base
+        bumped[r[0]] += eps
+        assert one_row("log_pop_diff", r, u, bumped) > base
 
 
 class TestAvgPopLift:
     def test_asymmetry_counterexample(self):
         phi = {1: 1.0, 2: 0.5}
-        r, u = Profile((1,)), Profile((2,))
-        assert METRICS["avg_pop_lift"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
-        assert METRICS["avg_pop_lift"].evaluate(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert one_row("avg_pop_lift", (1,), (2,), phi) == pytest.approx(1.0, abs=1e-12)
+        assert one_row("avg_pop_lift", (2,), (1,), phi) == pytest.approx(-0.5, abs=1e-12)
 
     def test_identical_zero(self):
         phi = {1: 4.0}
-        p = Profile((1,))
-        assert METRICS["avg_pop_lift"].evaluate(p, p, phi) == 0.0
+        assert one_row("avg_pop_lift", (1,), (1,), phi) == 0.0
 
     def test_direct_arithmetic(self):
         r, u, phi = _profiles([4.0], [2.0])
-        assert METRICS["avg_pop_lift"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert one_row("avg_pop_lift", r, u, phi) == pytest.approx(1.0, abs=1e-12)
 
     @given(scores_lists, scores_lists, st.floats(min_value=0.01, max_value=100.0))
     def test_monotone(self, a, b, eps):
         r, u, phi = _profiles(a, b)
-        base = METRICS["avg_pop_lift"].evaluate(r, u, phi)
+        base = one_row("avg_pop_lift", r, u, phi)
         bumped = dict(phi)
-        bumped[r.items[-1]] += eps
-        assert METRICS["avg_pop_lift"].evaluate(r, u, bumped) > base
+        bumped[r[-1]] += eps
+        assert one_row("avg_pop_lift", r, u, bumped) > base
 
 
 class TestGini:
@@ -130,8 +131,8 @@ class TestGini:
 
     def test_diff_and_antisymmetry(self):
         r, u, phi = _profiles([1.0, 3.0], [2.0, 2.0])
-        assert METRICS["gini_diff"].evaluate(r, u, phi) == pytest.approx(0.25, abs=1e-12)
-        assert METRICS["gini_diff"].evaluate(u, r, phi) == pytest.approx(-0.25, abs=1e-12)
+        assert one_row("gini_diff", r, u, phi) == pytest.approx(0.25, abs=1e-12)
+        assert one_row("gini_diff", u, r, phi) == pytest.approx(-0.25, abs=1e-12)
 
     def test_empty_profile_error(self):
         with pytest.raises(ValueError):
@@ -160,9 +161,8 @@ class TestHerfindahl:
 
     def test_diff(self):
         phi = {1: 5.0, 2: 3.0, 3: 3.0}
-        r, u = Profile((1,)), Profile((2, 3))
-        assert METRICS["herfindahl_diff"].evaluate(r, u, phi) == pytest.approx(0.5, abs=1e-12)
-        assert METRICS["herfindahl_diff"].evaluate(u, r, phi) == pytest.approx(-0.5, abs=1e-12)
+        assert one_row("herfindahl_diff", (1,), (2, 3), phi) == pytest.approx(0.5, abs=1e-12)
+        assert one_row("herfindahl_diff", (2, 3), (1,), phi) == pytest.approx(-0.5, abs=1e-12)
 
     @given(scores_lists)
     def test_bounds(self, scores):
@@ -179,51 +179,65 @@ class TestHerfindahl:
 class TestPru:
     def test_popular_on_top_is_plus_one(self):
         phi = {1: 30.0, 2: 20.0, 3: 10.0}
-        r = Profile((1, 2, 3), ranked=True)
-        u = Profile((3, 1, 2))
-        assert METRICS["pru"].evaluate(r, u, phi) == pytest.approx(1.0, abs=1e-12)
+        assert one_row("pru", (1, 2, 3), (3, 1, 2), phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_popular_on_bottom_is_minus_one(self):
         phi = {1: 10.0, 2: 20.0, 3: 30.0}
-        r = Profile((1, 2, 3), ranked=True)
-        u = Profile((1, 2, 3))
-        assert METRICS["pru"].evaluate(r, u, phi) == pytest.approx(-1.0, abs=1e-12)
+        assert one_row("pru", (1, 2, 3), (1, 2, 3), phi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_empty_intersection_error(self):
+        # Undefined below 2 shared items: NaN.
         phi = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
-        with pytest.raises(ValueError, match="PRU undefined"):
-            METRICS["pru"].evaluate(Profile((1, 2), ranked=True), Profile((3, 4)), phi)
+        assert math.isnan(one_row("pru", (1, 2), (3, 4), phi))
 
-    def test_requires_rank_order(self):
-        phi = {1: 1.0, 2: 2.0}
-        with pytest.raises(ValueError, match="rank-ordered"):
-            METRICS["pru"].evaluate(Profile((1, 2)), Profile((1, 2)), phi)
+    def test_rows_are_ranked_slates_with_nan_rows(self):
+        phi = {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0, 5: 20.0}
+        slates = [
+            (4, 3, 2, 1),  # most popular on top
+            (1, 9, 2, 3),  # item 9 takes a slot but is not shared
+            (3, 3, 1),  # a repeated item keeps its first position
+            (1, 2),  # one shared item
+            (2, 5),  # shared items of equal popularity
+            (1, 7),  # shared item 7 is missing from phi
+            (),
+        ]
+        profiles = [(1, 2, 3, 4), (3, 2, 1), (1, 3), (2, 8), (2, 5), (1, 7), (1,)]
+        values = METRICS["pru"].evaluate_rows(
+            Profiles.of(slates), Profiles.of(profiles), PhiArray.of(phi)
+        )
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        # Alignments k + 1 - position: item 1 scores 4, 2 scores 2, 3 scores 1.
+        assert values[1] == pytest.approx(-1.0, abs=1e-12)
+        # Item 3 at position 1 and item 1 at position 3 of k = 3.
+        assert values[2] == pytest.approx(1.0, abs=1e-12)
+        assert np.isnan(values[3:]).all()
+        for row, (r, u) in enumerate(zip(slates, profiles)):
+            assert np.array_equal(one_row("pru", r, u, phi), values[row], equal_nan=True)
 
 
 class TestZeroCenteringAllDifferenceMetrics:
     @given(scores_lists)
     def test_difference_metrics_zero_on_identical(self, scores):
         phi = {i + 1: s for i, s in enumerate(scores)}
-        p = Profile(tuple(phi), ranked=True)
+        p = tuple(phi)
         for metric_id in METRICS:
             if metric_id == "pru":
                 continue
-            assert abs(METRICS[metric_id].evaluate(p, p, phi)) < 1e-12
+            assert abs(one_row(metric_id, p, p, phi)) < 1e-12
 
     @given(scores_lists, scores_lists)
     def test_difference_form_anti_symmetry(self, a, b):
         r, u, phi = _profiles(a, b)
         for metric_id in ("log_pop_diff", "gini_diff", "herfindahl_diff"):
-            fwd = METRICS[metric_id].evaluate(r, u, phi)
-            bwd = METRICS[metric_id].evaluate(u, r, phi)
+            fwd = one_row(metric_id, r, u, phi)
+            bwd = one_row(metric_id, u, r, phi)
             assert abs(fwd + bwd) < 1e-12
 
 
 def test_profiles_are_multisets():
     phi = {1: 8.0, 2: 2.0}
-    with_dup = Profile((1, 1, 2))
     expected = (math.log(8) + math.log(8) + math.log(2)) / 3 - math.log(2)
-    assert METRICS["log_pop_diff"].evaluate(with_dup, Profile((2,)), phi) == pytest.approx(expected)
+    assert one_row("log_pop_diff", (1, 1, 2), (2,), phi) == pytest.approx(expected)
 
 
 def test_module_table_names_each_records_functions():
@@ -232,27 +246,23 @@ def test_module_table_names_each_records_functions():
         assert re.search(r"^" + r"\s+".join(row) + r"\s*$", metrics.__doc__, re.M), row
 
 
-def test_profile_requires_items():
-    with pytest.raises(ValueError):
-        Profile(())
-
-
 def test_unknown_metric_rejected():
-    phi = {1: 1.0}
+    batch = Profiles.of([(1,)])
     with pytest.raises(ValueError, match="unknown metric"):
-        evaluate_metric("nope", Profile((1,)), Profile((1,)), phi)
+        evaluate_metric("nope", batch, batch, PhiArray.of({1: 1.0}))
 
 
 @settings(max_examples=25)
 @given(scores_lists, scores_lists)
 def test_gini_profile_matches_sorted_formula(a, b):
     r, u, phi = _profiles(a, b)
-    direct = METRICS["gini_diff"].statistic(profile_scores(r, phi))
+    row = Profiles.of([r])
+    direct = METRICS["gini_diff"].statistics(row, PhiArray.of(phi))[0]
     n = len(a)
     total = sum(a)
     manual = sum((2 * i - n - 1) / n * (s / total) for i, s in enumerate(sorted(a), 1))
     assert direct == pytest.approx(manual, abs=1e-9)
-    assert METRICS["herfindahl_diff"].statistic(profile_scores(r, phi)) == pytest.approx(
+    assert METRICS["herfindahl_diff"].statistics(row, PhiArray.of(phi))[0] == pytest.approx(
         sum((s / total) ** 2 for s in a), abs=1e-9
     )
 
@@ -301,10 +311,7 @@ def test_batched_metric_equals_one_pair_bit_for_bit(batch):
         )
         assert values.shape == (len(slates),)
         for value, r, u in zip(values, slates, profiles):
-            try:
-                expected = METRICS[metric_id].evaluate(Profile.of(r), Profile.of(u), phi)
-            except ValueError:
-                expected = math.nan
+            expected = one_row(metric_id, r, u, phi)
             if math.isnan(expected):
                 assert math.isnan(value), (metric_id, r, u)
             else:
@@ -329,8 +336,9 @@ ONE_PROFILE_REFERENCE = {
 @pytest.mark.parametrize("length", PAIRWISE_BOUNDARY_LENGTHS)
 def test_row_statistic_is_the_one_dimensional_reduction(length):
     x = np.random.default_rng(length).pareto(0.7, size=length) + 1.0
+    row, phi = Profiles.of([range(length)]), PhiArray.of(dict(enumerate(x)))
     for metric_id, reference in ONE_PROFILE_REFERENCE.items():
-        assert METRICS[metric_id].statistic(x) == reference(x), metric_id
+        assert METRICS[metric_id].statistics(row, phi)[0] == reference(x), metric_id
 
 
 def test_batched_pru_is_rejected_as_desiderata_only():

@@ -20,15 +20,10 @@ from popbias.recommenders import (
     RatingMatrix,
     RecRequest,
     Slate,
-    TooFewCandidatesError,
     TopPopRecommender,
     UserKnnRecommender,
     build_item_knn,
     build_user_knn,
-    recommend_item_knn,
-    recommend_random,
-    recommend_top_pop,
-    recommend_user_knn,
 )
 
 # ---------------------------------------------------------------------------
@@ -161,6 +156,17 @@ def request_for(user, profile):
     return RecRequest(user=user, profile=train, exclude=frozenset(i for i, _ in profile))
 
 
+def random_slate(candidates, exclude, k, seed, user=0):
+    """The random slate of one request that excludes exclude."""
+    request = RecRequest(user=user, profile=Ratings.of(()), exclude=frozenset(exclude))
+    return RandomRecommender(candidates, seed).slates([request], k)[0]
+
+
+def item_knn_slate(model, profile, k):
+    """The item-KNN slate of one training profile of (item, rating) pairs."""
+    return ItemKnnRecommender(model).profile_slates([request_for(0, profile).profile], k)[0]
+
+
 def random_ratings(rng, max_users=8, max_items=8):
     n_users = int(rng.integers(2, max_users + 1))
     n_items = int(rng.integers(2, max_items + 1))
@@ -180,19 +186,22 @@ def random_ratings(rng, max_users=8, max_items=8):
 
 class TestRandom:
     def test_forced_outcome(self):
-        slate = recommend_random({"a", "b", "c"} - set(), {"a"}, 2, seed=0)
+        slate = random_slate({"a", "b", "c"}, {"a"}, 2, seed=0)
         assert set(slate.entries) == {"b", "c"}
 
     def test_deterministic(self):
         args = (range(100), {3, 4}, 10, 1234)
-        assert recommend_random(*args).entries == recommend_random(*args).entries
+        assert random_slate(*args).entries == random_slate(*args).entries
 
     def test_k_zero(self):
-        assert recommend_random(range(5), set(), 0, seed=1).entries == ()
+        assert random_slate(range(5), set(), 0, seed=1).entries == ()
 
     def test_insufficient_candidates(self):
-        with pytest.raises(ValueError, match="candidates"):
-            recommend_random(range(3), {0, 1}, 2, seed=1)
+        # Fewer than k candidates left: all of them, in a short slate.
+        slate = random_slate(range(3), {0, 1}, 2, seed=1)
+        assert slate.entries == (2,) and slate.requested_k == 2
+        assert set(random_slate(range(6), {0, 1}, 5, seed=1).entries) == {2, 3, 4, 5}
+        assert random_slate(range(3), {0, 1, 2}, 2, seed=1).entries == ()
 
     def test_pinned_draw(self):
         # Any change to the per-user draw stream shows here.
@@ -204,51 +213,53 @@ class TestRandom:
 class TestTopPop:
     def test_ordering(self):
         phi = {"a": 5, "b": 3, "c": 1}
-        assert recommend_top_pop(phi, set(), 2).entries == ("a", "b")
+        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == ("a", "b")
 
     def test_exclusion(self):
         phi = {"a": 5, "b": 3, "c": 1}
-        assert recommend_top_pop(phi, {"a"}, 2).entries == ("b", "c")
+        assert TopPopRecommender(phi).slates_for([{"a"}], 2)[0].entries == ("b", "c")
 
     def test_tie_broken_by_id(self):
         phi = {2: 5.0, 1: 5.0}
-        assert recommend_top_pop(phi, set(), 2).entries == (1, 2)
+        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == (1, 2)
 
     def test_scores_equal_up_to_rounding_tie_by_id(self):
-        assert recommend_top_pop({7: 1.5, 5: 1.4999999999999998}, set(), 2).entries == (5, 7)
+        rec = TopPopRecommender({7: 1.5, 5: 1.4999999999999998})
+        assert rec.slates_for([set()], 2)[0].entries == (5, 7)
 
     def test_tied_group_straddling_k_admitted_in_id_order(self):
         # 9, 6 and 4 tie up to rounding; raw order would admit 9, then 6.
         phi = {1: 3.0, 9: 2.0000000000000004, 6: 2.0, 4: 1.9999999999999998, 2: 1.0}
-        assert recommend_top_pop(phi, set(), 2).entries == (1, 4)
-        assert recommend_top_pop(phi, set(), 3).entries == (1, 4, 6)
+        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == (1, 4)
+        assert TopPopRecommender(phi).slates_for([set()], 3)[0].entries == (1, 4, 6)
 
     def test_insufficient(self):
-        with pytest.raises(ValueError):
-            recommend_top_pop({1: 2.0}, set(), 2)
+        # Fewer than k items left: all of them, in ranking order, in a short slate.
+        slate = TopPopRecommender({1: 2.0}).slates_for([set()], 2)[0]
+        assert slate.entries == (1,) and slate.requested_k == 2
+        rec = TopPopRecommender({1: 2.0, 2: 5.0, 3: 1.0})
+        assert rec.slates_for([{2}], 5)[0].entries == (1, 3)
+        assert TopPopRecommender({1: 2.0}).slates_for([{1}], 2)[0].entries == ()
 
     def test_identical_slates_for_identical_exclusions(self):
         phi = {i: float(i) for i in range(1, 30)}
-        slates = {recommend_top_pop(phi, {3, 4}, 10).entries for _ in range(5)}
+        slates = {TopPopRecommender(phi).slates_for([{3, 4}], 10)[0].entries for _ in range(5)}
         assert len(slates) == 1
 
 
 def _isin_random_slate(pool, exclude, seed, k):
-    """A random slate by the former np.isin exclusion, or None when too few are left."""
+    """A random slate by the former np.isin exclusion; short when fewer than k are left."""
     available = pool[~np.isin(pool, list(exclude))]
-    if len(available) < k:
-        return None
-    if k == 0:
-        return ()
-    picks = np.random.default_rng(seed).choice(len(available), size=k, replace=False)
+    size = min(k, len(available))
+    picks = np.random.default_rng(seed).choice(len(available), size=size, replace=False)
     return tuple(available[picks].tolist())
 
 
 def _isin_top_pop_slate(ranking, exclude, k):
-    """A top-pop slate by the former np.isin exclusion, or None when too few are left."""
+    """A top-pop slate by the former np.isin exclusion; short when fewer than k are left."""
     head = ranking[: k + len(exclude)]
     kept = head[~np.isin(head, list(exclude))]
-    return tuple(kept[:k].tolist()) if len(kept) >= k else None
+    return tuple(kept[:k].tolist())
 
 
 # Pools and exclusions of one id type; exclusions reach ids outside the pool.
@@ -261,13 +272,6 @@ _IDS = st.one_of(
 )
 
 
-def _slate_or_none(make):
-    try:
-        return make().entries
-    except TooFewCandidatesError:
-        return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(ids=_IDS, k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
 def test_random_slates_match_the_isin_form(ids, k, seed):
@@ -275,7 +279,7 @@ def test_random_slates_match_the_isin_form(ids, k, seed):
     pool = np.array(sorted(candidates))
     rec = RandomRecommender(candidates, seed=seed)
     request = RecRequest(user=3, profile=Ratings.of(()), exclude=frozenset(exclude))
-    got = _slate_or_none(lambda: rec.recommend(request, k).slate)
+    got = rec.recommend(request, k).slate.entries
     assert got == _isin_random_slate(pool, exclude, (seed, 3), k)
 
 
@@ -285,7 +289,7 @@ def test_top_pop_slates_match_the_isin_form(ids, k, data):
     candidates, exclude = ids
     phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in sorted(candidates)}
     ranking = TopPopRecommender(phi).ranking
-    got = _slate_or_none(lambda: recommend_top_pop(phi, exclude, k))
+    got = TopPopRecommender(phi).slates_for([exclude], k)[0].entries
     assert got == _isin_top_pop_slate(ranking, exclude, k)
 
 
@@ -344,12 +348,12 @@ class TestBuildItemKnn:
 class TestRecommendItemKnn:
     def test_forced_single_neighbor(self):
         model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
-        slate = recommend_item_knn(model, [(3, 4.5)], 1)
+        slate = item_knn_slate(model, [(3, 4.5)], 1)
         assert slate.entries == (7,)
 
     def test_k_larger_than_scorable(self):
         model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
-        slate = recommend_item_knn(model, [(3, 4.0)], 10)
+        slate = item_knn_slate(model, [(3, 4.0)], 10)
         assert slate.entries == (7,)
         assert slate.requested_k == 10
 
@@ -359,12 +363,12 @@ class TestRecommendItemKnn:
         sim5, sim7 = 0.38692217758657976, 0.25877791363493624
         model = knn_model("item", {5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))})
         assert sim5 * 1.5 / sim5 < sim7 * 1.5 / sim7
-        assert recommend_item_knn(model, [(2, 1.5)], 2).entries == (5, 7)
+        assert item_knn_slate(model, [(2, 1.5)], 2).entries == (5, 7)
 
     def test_mode_check(self):
         model = knn_model("user", {})
         with pytest.raises(ValueError):
-            recommend_item_knn(model, [(1, 3.0)], 2)
+            item_knn_slate(model, [(1, 3.0)], 2)
 
 
 class TestUserKnn:
@@ -394,7 +398,7 @@ class TestUserKnn:
         }
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 30)
-        slate = recommend_user_knn(model, matrix, 1, 2)
+        slate = UserKnnRecommender(model, matrix).user_slates([1], 2)[0]
         assert slate.entries[0] == 99
 
     def test_no_neighbors_empty_slate(self):
@@ -404,7 +408,7 @@ class TestUserKnn:
         }
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 30)
-        slate = recommend_user_knn(model, matrix, 1, 5)
+        slate = UserKnnRecommender(model, matrix).user_slates([1], 5)[0]
         assert slate.entries == ()
 
     def test_model_of_another_matrix_rejected(self):
@@ -427,7 +431,7 @@ class TestUserKnn:
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 1)
         assert neighbor_lists(model)[3] == ()
-        assert recommend_user_knn(model, matrix, 3, 2).entries == ()
+        assert UserKnnRecommender(model, matrix).user_slates([3], 2)[0].entries == ()
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -448,9 +452,9 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
     for user in users:
         profile = sorted((i, r) for (u, i), r in ratings.items() if u == user)
         profiles[user] = profile
-        got_item = recommend_item_knn(item_model, profile, k)
+        got_item = item_knn_slate(item_model, profile, k)
         assert got_item.entries == oracle_item_slate(item_oracle, profile, k)
-        got_user = recommend_user_knn(user_model, matrix, user, k)
+        got_user = UserKnnRecommender(user_model, matrix).user_slates([user], k)[0]
         assert got_user.entries == oracle_user_slate(ratings, user_oracle, user, k)
 
     requests = [request_for(user, profiles[user]) for user in users]
