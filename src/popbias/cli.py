@@ -165,10 +165,6 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     click.echo(f"ks_stat: {result.ks_stat:.4f}")
 
 
-def _provider_config(cfg: dict) -> ProviderConfig:
-    return ProviderConfig(**cfg["provider"])
-
-
 def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
     """Construct the configured recommenders, trained on the fold's training ratings."""
     recs = []
@@ -187,7 +183,8 @@ def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
                 recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
         else:  # "wok": evaluate has checked every name
             variant = PromptVariant(cfg["prompt_variant"])
-            recs.append(WokRecommender(_provider_config(cfg), index, entries_by_id, variant))
+            provider = ProviderConfig(**cfg["provider"])
+            recs.append(WokRecommender(provider, index, entries_by_id, variant))
     return recs
 
 
@@ -278,8 +275,6 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
         fold_stats = _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors)
         for name, stats in fold_stats.items():
             per_rec_stats.setdefault(name, []).append(stats)
-    for name in errors:
-        per_rec_stats.pop(name, None)
 
     rows = [
         ev.summarize(name, stats)

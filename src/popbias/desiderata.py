@@ -16,7 +16,7 @@ metric leaves undefined (NaN) raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,8 +129,11 @@ def _build_profiles(
 ) -> tuple[Profiles, Profiles, dict[int, float]]:
     """Materialize fixture scores as one-row item profiles plus a popularity map.
 
-    PRU's profiles are one shared profile, so it reads only the recommender scores.
+    PRU's profiles are one shared profile, so a PRU fixture whose user scores
+    differ from its recommender scores raises ValueError.
     """
+    if metric_id == "pru" and fixture.user_scores != fixture.recommender_scores:
+        raise ValueError("a pru fixture is one shared profile: its two score lists must be equal")
     r_items = range(1000, 1000 + len(fixture.recommender_scores))
     phi = dict(zip(r_items, fixture.recommender_scores))
     if identical or metric_id == "pru":

@@ -8,8 +8,8 @@ mean plus/minus one standard error over folds.
 Splits are index arrays into the run's sorted ratings table: a
 ``UserSplit`` holds the ascending rows of one user's training and test
 ratings, so both sides keep watch order, (timestamp, item). Its ``train``
-builds ``Interaction`` objects on demand, for readers that need them, such
-as the LLM recommender's watch history; nothing else does.
+builds ``Interaction`` objects on demand for readers outside a run, such as
+perfbench's stub fixtures; recommenders read the table's columns instead.
 
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
 training profiles and held-out items are gathered once into

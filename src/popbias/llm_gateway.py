@@ -5,7 +5,9 @@ free-text numbered list, then resolve and validate every line against the
 catalog. Two HTTPS dialects are supported plus a filesystem stub that
 replays canned completions keyed by a prompt hash, which keeps the whole
 pipeline deterministic in tests and offline runs. ``requests`` is imported
-on the first call of a real dialect only, so stub runs never load it.
+on the first call of a real dialect only, so stub runs never load it. A batch
+overlaps network round trips on up to ``max_in_flight`` threads; the stub,
+whose requests hold the GIL throughout, replays it on one worker thread.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import hashlib
 import os
 import re
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from popbias.catalog import CatalogEntry, Interaction, TitleIndex
+from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
 from popbias.recommenders import BaseRecommender, RecRequest, RecResult, Slate
 
 if TYPE_CHECKING:
@@ -97,7 +99,9 @@ class ProviderConfig:
 
     The API key is read from the environment variable named by
     ``api_key_env`` at call time and never stored or logged. ``top_k`` is
-    only sent on dialects that accept it.
+    only sent on dialects that accept it. ``max_in_flight`` bounds the
+    provider calls one batch has open at once on a network dialect; the stub
+    replays a batch on one worker whatever its value.
     """
 
     dialect: str = "stub"  # "openai", "anthropic", or "stub"
@@ -207,10 +211,13 @@ def complete_chat(prompt: str, cfg: ProviderConfig) -> str:
     are retried with exponential backoff up to ``cfg.retries`` times.
     """
     if cfg.dialect == "stub":
-        path = Path(cfg.fixtures_dir) / f"{prompt_fingerprint(prompt)}.txt"
-        if not path.is_file():
-            raise ProviderError(f"no stub fixture for prompt {prompt_fingerprint(prompt)}")
-        return path.read_text(encoding="utf-8")
+        fingerprint = prompt_fingerprint(prompt)
+        try:
+            return (Path(cfg.fixtures_dir) / f"{fingerprint}.txt").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ProviderError(f"no stub fixture for prompt {fingerprint}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProviderError(f"unreadable stub fixture {fingerprint}: {exc}") from None
 
     import requests
 
@@ -353,24 +360,25 @@ def validate_and_resolve(
 
 
 def build_watch_history(
-    train: Sequence[Interaction], entries: Mapping[int, CatalogEntry]
+    profile: Ratings | Iterable[Interaction], entries: Mapping[int, CatalogEntry]
 ) -> list[tuple[str, int]]:
-    """Chronological (title, year) watch history from training interactions."""
-    ordered = sorted(train, key=lambda it: (it.timestamp, it.item))
-    history = []
-    for it in ordered:
-        entry = entries.get(it.item)
-        if entry is not None:
-            history.append((entry.title, entry.year))
-    return history
+    """Chronological (title, year) history of one user's catalogued training items.
+
+    A ``Ratings`` profile is read in row order, the (timestamp, item) order of
+    every table ``Ratings.from_columns`` makes; interactions become one first.
+    """
+    if not isinstance(profile, Ratings):
+        profile = Ratings.of(profile)
+    found = map(entries.get, profile.item.tolist())
+    return [(entry.title, entry.year) for entry in found if entry is not None]
 
 
 class WokRecommender(BaseRecommender):
     """World-knowledge recommender: prompt, complete, parse, resolve.
 
-    Issues at most ``cfg.max_in_flight`` provider calls concurrently;
-    results are joined back to their requests by position regardless of
-    completion order.
+    A batch runs on a thread pool: up to ``cfg.max_in_flight`` workers on a
+    network dialect, one on the stub. Results are joined back to their
+    requests by position regardless of completion order.
     """
 
     def __init__(
@@ -390,7 +398,7 @@ class WokRecommender(BaseRecommender):
     def recommend(self, request: RecRequest, k: int) -> RecResult:
         """One user's slate; a user with no catalogued training item gets an
         empty slate with all ``k`` slots unmatched, since there is no prompt."""
-        history = build_watch_history(request.train, self.entries)
+        history = build_watch_history(request.profile, self.entries)
         if not history:
             return RecResult(slate=Slate(entries=(), requested_k=k), unmatched=k)
         prompt = render_prompt(history, k, self.variant)
@@ -403,6 +411,6 @@ class WokRecommender(BaseRecommender):
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         if not requests:
             return []
-        workers = max(1, min(self.cfg.max_in_flight, len(requests)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        workers = 1 if self.cfg.dialect == "stub" else min(self.cfg.max_in_flight, len(requests))
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             return list(pool.map(lambda r: self.recommend(r, k), requests))

@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
-from popbias.catalog import Interaction, Ratings
+from popbias.catalog import Ratings
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -376,11 +376,6 @@ class RecRequest:
     profile: Ratings
     exclude: frozenset[int]
 
-    @property
-    def train(self) -> tuple[Interaction, ...]:
-        """The training ratings as Interaction objects, built on demand."""
-        return self.profile.interactions()
-
 
 @dataclass(frozen=True)
 class RecResult:
@@ -395,9 +390,6 @@ class BaseRecommender:
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         raise NotImplementedError
-
-    def recommend(self, request: RecRequest, k: int) -> RecResult:
-        return self.recommend_batch([request], k)[0]
 
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         return [RecResult(slate=slate) for slate in self.slates(requests, k)]

@@ -11,10 +11,16 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+from popbias.catalog import read_movies_file, read_ratings_file
 from popbias.cli import load_config, main
 from popbias.distfit import fit_pareto
-from popbias.evaluation import FoldSpec
-from popbias.llm_gateway import ProviderConfig
+from popbias.evaluation import FoldSpec, make_folds
+from popbias.llm_gateway import (
+    ProviderConfig,
+    build_watch_history,
+    prompt_fingerprint,
+    render_prompt,
+)
 from popbias.recommenders import BaseRecommender
 
 
@@ -83,6 +89,41 @@ def test_non_json_provider_reply_fails_only_the_llm_recommender(
     errors = json.loads((out / "manifest.json").read_text("utf-8"))["errors"]
     assert list(errors) == ["wok-stub-model"]
     assert "not JSON" in errors["wok-stub-model"]
+
+
+def test_an_unreadable_stub_fixture_fails_only_the_llm_recommender(small_corpus, tmp_path):
+    # Every fold user gets a fixture, keyed as the stub keys it; the first is not UTF-8.
+    movies, ratings = small_corpus
+    by_id = {e.item: e for e in read_movies_file(movies)[0]}
+    plan = make_folds(read_ratings_file(ratings)[0], FoldSpec(fold_count=2, users_per_fold=30))
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    paths = []
+    for split in (split for fold in plan.folds for split in fold):
+        history = build_watch_history(split.ratings[split.train_rows], by_id)
+        paths.append(fixtures / f"{prompt_fingerprint(render_prompt(history, 10))}.txt")
+        paths[-1].write_text("Sorry, no picks today.\n", encoding="utf-8")
+    paths[0].write_bytes("1. Café (1995)\n".encode("latin-1"))
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 2, "users_per_fold": 30},
+                "recommenders": ["random", "top_pop", "wok"],
+                "provider": {"fixtures_dir": str(fixtures)},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO((out / "report.csv").read_text("utf-8"))))
+    assert [row["recommender"] for row in rows] == ["random", "top_pop"]
+    errors = json.loads((out / "manifest.json").read_text("utf-8"))["errors"]
+    assert list(errors) == ["wok-stub-model"]
+    assert f"unreadable stub fixture {paths[0].stem}" in errors["wok-stub-model"]
 
 
 def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):

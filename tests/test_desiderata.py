@@ -120,7 +120,19 @@ def test_a_check_that_meets_nan_raises():
         check_desideratum("pru", "zero_centered", fixture=PerturbationFixture((2.0,), (2.0,)))
     # Equal popularity leaves the rank correlation undefined too.
     with pytest.raises(ValueError, match="undefined"):
-        check_desideratum("pru", "monotonic", fixture=PerturbationFixture((2.0, 2.0), (1.0,)))
+        check_desideratum("pru", "monotonic", fixture=PerturbationFixture((2.0, 2.0), (2.0, 2.0)))
+
+
+def test_a_pru_fixture_with_its_own_user_scores_is_rejected():
+    # PRU reads one shared profile, so user scores of their own would be dropped.
+    for user_scores in ((9.0, 5.0, 7.0), (1.0,)):
+        fixture = PerturbationFixture((1.0, 2.0, 3.0), user_scores)
+        with pytest.raises(ValueError, match="two score lists must be equal"):
+            check_desideratum("pru", "anti_symmetric", fixture=fixture)
+    shared = PerturbationFixture((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+    assert check_desideratum("pru", "anti_symmetric", fixture=shared).witness == (
+        "M(r, u) = -1, M(u, r) = -1"
+    )
 
 
 def test_witnesses_output_is_pinned():

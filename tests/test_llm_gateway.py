@@ -1,3 +1,6 @@
+import re
+import threading
+
 import requests as requests_lib
 import numpy as np
 import pytest
@@ -229,6 +232,17 @@ class TestStubProvider:
         with pytest.raises(ProviderError, match="no stub fixture"):
             complete_chat("nobody wrote this", cfg)
 
+    def test_unreadable_fixture_is_error_naming_its_fingerprint(self, tmp_path):
+        cfg = ProviderConfig(dialect="stub", fixtures_dir=str(tmp_path))
+        fixture = tmp_path / f"{prompt_fingerprint('a prompt')}.txt"
+        fixture.write_bytes("1. Café (1995)\n".encode("latin-1"))  # not UTF-8
+        with pytest.raises(ProviderError, match=f"unreadable stub fixture {fixture.stem}"):
+            complete_chat("a prompt", cfg)
+        fixture.unlink()
+        fixture.mkdir()  # an OSError other than a missing file
+        with pytest.raises(ProviderError, match=f"unreadable stub fixture {fixture.stem}"):
+            complete_chat("a prompt", cfg)
+
 
 class _FakeResponse:
     def __init__(self, status_code, body=None, text=""):
@@ -364,12 +378,21 @@ class TestHttpProviders:
 
 
 def test_build_watch_history_orders_by_timestamp():
-    entries = {
-        1: CatalogEntry(1, "First", 1990),
-        2: CatalogEntry(2, "Second", 1991),
-    }
-    train = (Interaction(9, 2, 4.0, 200), Interaction(9, 1, 3.0, 100))
-    assert build_watch_history(train, entries) == [("First", 1990), ("Second", 1991)]
+    # A profile table and the same rows as shuffled interactions give one history.
+    entries = {i: CatalogEntry(i, f"Film {i}", 1990 + i) for i in (2, 5, 7)}
+    rows = [
+        Interaction(3, 5, 4.0, 100),
+        Interaction(3, 2, 3.0, 100),  # ties item 5 on timestamp, so it comes first
+        Interaction(3, 7, 5.0, 50),
+        Interaction(3, 7, 5.0, 50),  # a duplicate row is watched twice
+        Interaction(3, 99, 2.0, 70),  # missing from the catalog, so skipped
+    ]
+    expected = [("Film 7", 1997), ("Film 7", 1997), ("Film 2", 1992), ("Film 5", 1995)]
+    assert build_watch_history(Ratings.of(rows), entries) == expected
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = tuple(rows[i] for i in rng.permutation(len(rows)))
+        assert build_watch_history(shuffled, entries) == expected
 
 
 class TestWokRecommender:
@@ -409,8 +432,8 @@ class TestWokRecommender:
         ]
         # Rows 0-1 and 3 are the two users' training ratings, 2 and 4 their test items.
         table = Ratings.of(
-            [*request.train, Interaction(5, 3, 4.0, 300), *uncatalogued.train]
-            + [Interaction(6, 1, 4.0, 300)]
+            [*request.profile.interactions(), Interaction(5, 3, 4.0, 300)]
+            + [*uncatalogued.profile.interactions(), Interaction(6, 1, 4.0, 300)]
         )
         fold = [
             UserSplit(5, table, train_rows=np.array([0, 1]), test_rows=np.array([2])),
@@ -432,6 +455,77 @@ class TestWokRecommender:
             WokRecommender(cfg, index, entries, PromptVariant.MINIMIZE).name
             == "wok-m-minimize"
         )
+
+
+class TestBatchConcurrency:
+    """Stub batches replay on one pool thread; network batches overlap calls."""
+
+    @staticmethod
+    def _setup(n):
+        # User i watched Film i; the reply to that user names Film i + n.
+        entries = {i: CatalogEntry(i, f"Film {i}", 1990) for i in range(1, 2 * n + 1)}
+        requests = [
+            RecRequest(i, Ratings.of([Interaction(i, i, 4.0, 0)]), exclude=frozenset({i}))
+            for i in range(1, n + 1)
+        ]
+        return TitleIndex.build(list(entries.values())), entries, requests
+
+    def test_stub_batch_runs_on_one_worker_thread(self, tmp_path):
+        n = 8
+        index, entries, requests = self._setup(n)
+        for request in requests:
+            prompt = render_prompt(build_watch_history(request.profile, entries), 3)
+            reply = f"1. Film {request.user + n} (1990)\n"
+            (tmp_path / f"{prompt_fingerprint(prompt)}.txt").write_text(reply)
+        threads = []
+
+        class Recording(WokRecommender):
+            def recommend(self, request, k):
+                threads.append(threading.get_ident())
+                return super().recommend(request, k)
+
+        cfg = ProviderConfig(dialect="stub", fixtures_dir=str(tmp_path), max_in_flight=4)
+        results = Recording(cfg, index, entries).recommend_batch(requests, 3)
+        assert [r.slate.entries for r in results] == [(user + n,) for user in range(1, n + 1)]
+        assert len(threads) == n
+        assert len(set(threads)) == 1
+        assert threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("max_in_flight, n", [(4, 4), (8, 3), (2, 6)])
+    def test_network_batch_overlaps_up_to_max_in_flight_calls(self, monkeypatch, max_in_flight, n):
+        index, entries, requests = self._setup(n)
+        width = min(max_in_flight, n)
+        # Calls meet in waves of `width`; each wave finishes in reverse request order.
+        barrier = threading.Barrier(width, timeout=10)
+        done = [threading.Event() for _ in range(n)]
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, peak
+
+        def post(url, json=None, **kwargs):
+            i = int(re.search(r"Film (\d+)", json["messages"][0]["content"]).group(1)) - 1
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            barrier.wait()
+            if (i + 1) % width and i + 1 < n:
+                assert done[i + 1].wait(10)
+            with lock:
+                in_flight[0] -= 1
+            done[i].set()
+            reply = f"1. Film {i + 1 + n} (1990)\n"
+            return _FakeResponse(200, {"choices": [{"message": {"content": reply}}]})
+
+        monkeypatch.setenv("FAKE_KEY", "k")
+        monkeypatch.setattr(requests_lib, "post", post)
+        cfg = ProviderConfig(
+            dialect="openai",
+            endpoint="http://provider",
+            api_key_env="FAKE_KEY",
+            max_in_flight=max_in_flight,
+        )
+        results = WokRecommender(cfg, index, entries).recommend_batch(requests, 3)
+        assert [r.slate.entries for r in results] == [(user + n,) for user in range(1, n + 1)]
+        assert in_flight == [0, width]
 
 
 def test_slot_tag_carries_item():

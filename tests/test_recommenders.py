@@ -207,7 +207,7 @@ class TestRandom:
         # Any change to the per-user draw stream shows here.
         rec = RandomRecommender(range(100), seed=11)
         request = RecRequest(user=7, profile=Ratings.of(()), exclude=frozenset({3, 50, 99}))
-        assert rec.recommend(request, 5).slate.entries == (98, 69, 42, 68, 53)
+        assert rec.slates([request], 5)[0].entries == (98, 69, 42, 68, 53)
 
 
 class TestTopPop:
@@ -279,7 +279,7 @@ def test_random_slates_match_the_isin_form(ids, k, seed):
     pool = np.array(sorted(candidates))
     rec = RandomRecommender(candidates, seed=seed)
     request = RecRequest(user=3, profile=Ratings.of(()), exclude=frozenset(exclude))
-    got = rec.recommend(request, k).slate.entries
+    got = rec.slates([request], k)[0].entries
     assert got == _isin_random_slate(pool, exclude, (seed, 3), k)
 
 
@@ -686,7 +686,7 @@ def test_batches_larger_than_one_block_match_single_requests_in_any_order():
         UserKnnRecommender(build_user_knn(matrix, 5), matrix),
     ):
         batch = [r.slate.entries for r in rec.recommend_batch(requests, 5)]
-        assert batch == [rec.recommend(request, 5).slate.entries for request in requests]
+        assert batch == [rec.slates([request], 5)[0].entries for request in requests]
         reversed_batch = rec.recommend_batch(requests[::-1], 5)
         assert [r.slate.entries for r in reversed_batch[::-1]] == batch
         assert any(batch), rec.name
@@ -714,7 +714,7 @@ class TestAdapters:
             ItemKnnRecommender(build_item_knn(matrix, 30)),
             UserKnnRecommender(build_user_knn(matrix, 30), matrix),
         ):
-            result = rec.recommend(request, 2)
+            result = rec.recommend_batch([request], 2)[0]
             assert not set(result.slate.entries) & request.exclude
 
     def test_random_adapter_user_seed_independent_of_order(self):
