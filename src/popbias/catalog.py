@@ -106,7 +106,8 @@ class Ratings:
     returns) is stable-sorted by (user, timestamp, item): each user's
     ratings are one contiguous run in watch order, and rows tied on all
     three keys keep file order. Indexing with a slice or with ascending row
-    positions keeps that order.
+    positions keeps that order, and gives another table; iterating yields
+    the rows as :class:`Interaction` objects.
     """
 
     user: np.ndarray  # int64
@@ -140,16 +141,14 @@ class Ratings:
     def __getitem__(self, rows) -> "Ratings":
         return Ratings(self.user[rows], self.item[rows], self.rating[rows], self.timestamp[rows])
 
-    def interactions(self) -> tuple[Interaction, ...]:
-        """The rows as :class:`Interaction` objects, built on demand."""
-        return tuple(
-            map(
-                Interaction,
-                self.user.tolist(),
-                self.item.tolist(),
-                self.rating.tolist(),
-                self.timestamp.tolist(),
-            )
+    def __iter__(self) -> Iterator[Interaction]:
+        """The rows as :class:`Interaction` objects of Python scalars, in row order."""
+        return map(
+            Interaction,
+            self.user.tolist(),
+            self.item.tolist(),
+            self.rating.tolist(),
+            self.timestamp.tolist(),
         )
 
 

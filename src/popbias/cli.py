@@ -75,11 +75,14 @@ def main() -> None:
     """Popularity-bias measurement toolkit for top-k recommenders."""
 
 
+def _require_file(path: str, kind: str) -> None:
+    if not Path(path).is_file():
+        raise click.ClickException(f"{kind} file not found: {path}")
+
+
 def _load_data(movies: str, ratings: str, strict: bool):
-    if not Path(movies).is_file():
-        raise click.ClickException(f"movies file not found: {movies}")
-    if not Path(ratings).is_file():
-        raise click.ClickException(f"ratings file not found: {ratings}")
+    _require_file(movies, "movies")
+    _require_file(ratings, "ratings")
     try:
         entries, movie_issues = cat.read_movies_file(movies, strict=strict)
         table, rating_issues = cat.read_ratings_file(ratings, strict=strict)
@@ -141,18 +144,15 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     if (scores_file is None) == (ratings is None):
         raise click.ClickException("provide either SCORES_FILE or --ratings")
     if ratings is not None:
+        _require_file(ratings, "ratings")
         table, _ = cat.read_ratings_file(ratings)
         if not len(table):
             raise click.ClickException("no interactions parsed")
         samples = [float(v) for v in cat.compute_popularity(table).values()]
     else:
-        path = Path(scores_file)
-        if not path.is_file():
-            raise click.ClickException(f"scores file not found: {scores_file}")
+        _require_file(scores_file, "scores")
         try:
-            samples = [
-                float(line) for line in path.read_text(encoding="utf-8").split() if line
-            ]
+            samples = [float(v) for v in Path(scores_file).read_text(encoding="utf-8").split()]
         except ValueError as exc:
             raise click.ClickException(f"non-numeric score: {exc}")
     try:
@@ -245,6 +245,9 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     # A standard error over folds needs two of them.
     if cfg["folds"]["fold_count"] < 2:
         raise click.ClickException("folds.fold_count must be >= 2")
+    for key in ("k", "knn_k"):
+        if type(cfg[key]) is not int or cfg[key] < 1:
+            raise click.ClickException(f"{key} must be an integer >= 1")
     for name in cfg["recommenders"]:
         if name not in KNOWN_RECOMMENDERS:
             raise click.ClickException(

@@ -8,8 +8,8 @@ mean plus/minus one standard error over folds.
 Splits are index arrays into the run's sorted ratings table: a
 ``UserSplit`` holds the ascending rows of one user's training and test
 ratings, so both sides keep watch order, (timestamp, item). Its ``train``
-builds ``Interaction`` objects on demand for readers outside a run, such as
-perfbench's stub fixtures; recommenders read the table's columns instead.
+is that slice of the table; iterating it yields ``Interaction`` rows for
+readers that want one object per rating.
 
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
 training profiles and held-out items are gathered once into
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from popbias.catalog import Interaction, Ratings
+from popbias.catalog import Ratings
 from popbias.metrics import PhiArray, Profiles, evaluate_metric, kendall_tau
 from popbias.recommenders import BaseRecommender, RecRequest
 
@@ -81,8 +81,8 @@ class UserSplit:
     test_rows: np.ndarray
 
     @property
-    def train(self) -> tuple[Interaction, ...]:
-        return self.ratings[self.train_rows].interactions()
+    def train(self) -> Ratings:
+        return self.ratings[self.train_rows]
 
     @property
     def test_items(self) -> frozenset[int]:
@@ -167,10 +167,11 @@ class FoldInputs:
     """What every recommender of one fold shares, one row per user in fold order.
 
     ``requests`` ask for each user's slate and carry the user's training
-    ratings. ``ratings`` is the fold's training table, user by user in fold
-    order, which the rating matrix is built from. ``train`` holds the
-    training profiles the bias metrics compare slates against and ``test``
-    the held-out items the hit rates count.
+    ratings, whose items the slate leaves out. ``ratings`` is the fold's
+    training table, user by user in fold order, which the rating matrix is
+    built from. ``train`` holds the training profiles the bias metrics
+    compare slates against and ``test`` the held-out items the hit rates
+    count.
     """
 
     requests: list[RecRequest]
@@ -193,8 +194,7 @@ class FoldInputs:
         bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
         return cls(
             requests=[
-                RecRequest(s.user, ratings[a:b], frozenset(ratings.item[a:b].tolist()))
-                for s, (a, b) in zip(fold, bounds)
+                RecRequest(s.user, ratings[a:b]) for s, (a, b) in zip(fold, bounds)
             ],
             ratings=ratings,
             train=Profiles(items=ratings.item, offsets=offsets),

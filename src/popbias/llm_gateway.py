@@ -16,14 +16,14 @@ import hashlib
 import os
 import re
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
+from popbias.catalog import CatalogEntry, Ratings, TitleIndex
 from popbias.recommenders import BaseRecommender, RecRequest, RecResult, Slate
 
 if TYPE_CHECKING:
@@ -354,21 +354,19 @@ def validate_and_resolve(
             valid_items.append(item)
             tags.append(SlotTag(ValidityTag.VALID, item=item))
     tags.extend(SlotTag(ValidityTag.MALFORMED) for _ in parsed.malformed)
-    slate = Slate(entries=tuple(valid_items[:requested_k]), requested_k=requested_k)
+    slate = Slate(entries=tuple(valid_items[:requested_k]))
     unmatched = max(0, requested_k - len(valid_items))
     return ValidationResult(slate=slate, tags=tuple(tags), unmatched_count=unmatched)
 
 
 def build_watch_history(
-    profile: Ratings | Iterable[Interaction], entries: Mapping[int, CatalogEntry]
+    profile: Ratings, entries: Mapping[int, CatalogEntry]
 ) -> list[tuple[str, int]]:
     """Chronological (title, year) history of one user's catalogued training items.
 
-    A ``Ratings`` profile is read in row order, the (timestamp, item) order of
-    every table ``Ratings.from_columns`` makes; interactions become one first.
+    The profile is read in row order, the (timestamp, item) order of every
+    table ``Ratings.from_columns`` makes.
     """
-    if not isinstance(profile, Ratings):
-        profile = Ratings.of(profile)
     found = map(entries.get, profile.item.tolist())
     return [(entry.title, entry.year) for entry in found if entry is not None]
 
@@ -400,11 +398,11 @@ class WokRecommender(BaseRecommender):
         empty slate with all ``k`` slots unmatched, since there is no prompt."""
         history = build_watch_history(request.profile, self.entries)
         if not history:
-            return RecResult(slate=Slate(entries=(), requested_k=k), unmatched=k)
+            return RecResult(slate=Slate(entries=()), unmatched=k)
         prompt = render_prompt(history, k, self.variant)
         text = complete_chat(prompt, self.cfg)
         parsed = parse_recommendations(text)
-        # Validation tags every excluded (watched) item and keeps it off the slate.
+        # Validation tags every watched (profile) item and keeps it off the slate.
         validated = validate_and_resolve(parsed, request.exclude, self.index, k)
         return RecResult(slate=validated.slate, unmatched=validated.unmatched_count)
 

@@ -19,8 +19,11 @@ airtight: a tie whose two computed values fall on opposite sides of a
 snapping boundary still ranks by the raw values. One kernel, _first_k,
 applies it to (row, col, score) entries of any number of rows at once.
 
-Batch scoring: every recommender scores a whole batch of requests. The KNN
-recommenders score blocks of requests, each with one sparse product:
+Batch scoring: every recommender answers a batch through one entry point,
+slates(requests, k), which BaseRecommender.recommend_batch wraps. A
+request's training profile is its exclusion set; random and top-pop search
+the whole batch's profile items at once (_excluded). The KNN recommenders
+score blocks of requests, each with one sparse product:
 
 - item-KNN: (R + 1j * 1_R) @ S.T, where R is the requests x items matrix of
   profile ratings and row c of S holds item c's neighbor similarities;
@@ -73,6 +76,7 @@ import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
@@ -172,16 +176,13 @@ def _first_k(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int) -> 
 
 @dataclass(frozen=True)
 class Slate:
-    """Ordered top-k recommendation; may be shorter than requested_k."""
+    """Ordered top-k recommendation; may be shorter than the k asked for."""
 
     entries: tuple[int, ...]
-    requested_k: int
 
     def __post_init__(self) -> None:
         if len(set(self.entries)) != len(self.entries):
             raise ValueError("slate contains duplicate items")
-        if self.requested_k < 0:
-            raise ValueError("requested_k must be non-negative")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -252,13 +253,12 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return positions, found
 
 
-def _present(ids: np.ndarray, values: Iterable) -> np.ndarray:
-    """Positions in the sorted ids of those values that are ids; others are ignored."""
-    values = np.array(list(values))
-    if not values.size:
-        return np.empty(0, dtype=np.intp)
-    positions, found = _positions(ids, values)
-    return positions[found]
+def _excluded(ids: np.ndarray, requests: Sequence[RecRequest]) -> list[np.ndarray]:
+    """Per request, the positions in the sorted ids of its profile items; others are ignored."""
+    items = np.concatenate([np.empty(0, np.int64), *(r.profile.item for r in requests)])
+    positions, found = _positions(ids, items)
+    rows = np.repeat(np.arange(len(requests)), [len(r.profile) for r in requests])[found]
+    return np.split(positions[found], np.cumsum(np.bincount(rows, minlength=len(requests)))[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +359,7 @@ def _knn_block_slates(
     picked = _first_k(rows, cols, scores, k)
     bounds = np.cumsum(np.bincount(rows[picked], minlength=product.shape[0]))[:-1]
     return [
-        Slate(entries=tuple(chunk.tolist()), requested_k=k)
-        for chunk in np.split(ids[cols[picked]], bounds)
+        Slate(entries=tuple(chunk.tolist())) for chunk in np.split(ids[cols[picked]], bounds)
     ]
 
 
@@ -368,13 +367,17 @@ def _knn_block_slates(
 class RecRequest:
     """One user's recommendation request within an evaluation run.
 
-    ``profile`` holds the user's training ratings in watch order and
-    ``exclude`` the items no slate may hold.
+    ``profile`` holds the user's training ratings in watch order. Its items
+    are the ones no slate may hold.
     """
 
     user: int
     profile: Ratings
-    exclude: frozenset[int]
+
+    @cached_property
+    def exclude(self) -> frozenset[int]:
+        """The profile's items as a set, built on first use."""
+        return frozenset(self.profile.item.tolist())
 
 
 @dataclass(frozen=True)
@@ -384,7 +387,7 @@ class RecResult:
 
 
 class BaseRecommender:
-    """Shared request entry points; subclasses implement batch slates."""
+    """One entry point, ``slates(requests, k)``; ``recommend_batch`` wraps it."""
 
     name: str = "base"
 
@@ -399,29 +402,28 @@ class RandomRecommender(BaseRecommender):
     name = "random"
 
     def __init__(self, candidates: Iterable[int], seed: int):
-        self.pool = np.array(sorted(set(candidates)))
+        self.pool = np.array(sorted(set(candidates)), dtype=np.int64)
         self.seed = seed
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        """Per request, k distinct draws from the pool minus its exclusions.
+        """Per request, k distinct draws from the pool minus its profile items.
 
         A request with fewer than k items left draws them all, in random
         order, and its slate comes back short. Each request draws from
         np.random.default_rng((seed, user)), so a slate does not depend on
-        the other requests. Exclusions are found by sorted position; ids
-        outside the pool are ignored.
+        the other requests. Profile items outside the pool are ignored.
         """
         slates = []
-        for request in requests:
-            available = np.delete(self.pool, _present(self.pool, request.exclude))
+        for request, excluded in zip(requests, _excluded(self.pool, requests)):
+            available = np.delete(self.pool, excluded)
             rng = np.random.default_rng((self.seed, request.user))
             picks = rng.choice(len(available), size=min(k, len(available)), replace=False)
-            slates.append(Slate(entries=tuple(available[picks].tolist()), requested_k=k))
+            slates.append(Slate(entries=tuple(available[picks].tolist())))
         return slates
 
 
 class TopPopRecommender(BaseRecommender):
-    """Most popular unexcluded items, by the popularity table it is given.
+    """Most popular items outside each profile, by the popularity table it is given.
 
     The evaluation passes phi counted over all ratings, held-out test
     ratings included, so the popularity ranking sees the test side.
@@ -434,30 +436,27 @@ class TopPopRecommender(BaseRecommender):
         scores = np.fromiter((phi[item] for item in ids), dtype=float, count=len(ids))
         positions = np.arange(len(ids))
         order = _first_k(np.zeros_like(positions), positions, scores, len(ids))
-        self.ids = np.array(ids)
+        self.ids = np.array(ids, dtype=np.int64)
         self.ranking = self.ids[order]
         # rank[p] is the place of ids[p] in the ranking.
         self.rank = np.empty_like(order)
         self.rank[order] = positions
 
-    def slates_for(self, excludes: Sequence[Iterable[int]], k: int) -> list[Slate]:
-        """Per exclusion set, the first k items of the ranking outside it.
+    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
+        """Per request, the first k items of the ranking outside its profile.
 
-        The slate comes back short when fewer than k are left. Exclusion ids
+        The slate comes back short when fewer than k are left. Profile items
         outside phi are ignored.
         """
         slates = []
-        for exclude in excludes:
-            ranks = self.rank[_present(self.ids, exclude)]
+        for excluded in _excluded(self.ids, requests):
+            ranks = self.rank[excluded]
             # At most len(ranks) of the first k + len(ranks) items are excluded.
             head = np.ones(min(k + len(ranks), len(self.ranking)), dtype=bool)
             head[ranks[ranks < len(head)]] = False
             kept = self.ranking[: len(head)][head]
-            slates.append(Slate(entries=tuple(kept[:k].tolist()), requested_k=k))
+            slates.append(Slate(entries=tuple(kept[:k].tolist())))
         return slates
-
-    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        return self.slates_for([request.exclude for request in requests], k)
 
 
 def _checked(model: KnnModel, mode: str) -> KnnModel:
@@ -486,12 +485,13 @@ class ItemKnnRecommender(BaseRecommender):
         # complex already so that no block's product converts it.
         self.sims_t = model.sims.T.tocsr().astype(complex)
 
-    def profile_slates(self, profiles: Sequence[Ratings], k: int) -> list[Slate]:
+    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         """One slate per training profile, scored in blocks on worker threads.
 
         A candidate in no neighbor list of a profile item is unscored, so a
         slate may come back short.
         """
+        profiles = [request.profile for request in requests]
         if not all(len(profile) for profile in profiles):
             raise ValueError("profile must be non-empty")
         n = self.items.size
@@ -509,9 +509,6 @@ class ItemKnnRecommender(BaseRecommender):
 
         return [slate for part in _map_blocks(block, len(profiles), SCORE_BLOCK) for slate in part]
 
-    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        return self.profile_slates([request.profile for request in requests], k)
-
 
 class UserKnnRecommender(BaseRecommender):
     name = "user_knn"
@@ -526,12 +523,13 @@ class UserKnnRecommender(BaseRecommender):
         self.scored = matrix.centered().astype(complex)
         self.scored.data += 1j
 
-    def user_slates(self, users: Sequence[int], k: int) -> list[Slate]:
-        """One slate per user of the rating matrix, scored in blocks on worker threads.
+    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
+        """One slate per requesting user, scored in blocks on worker threads.
 
-        A user without neighbors gets an empty slate.
+        Each user must be a row of the rating matrix, whose row holds the
+        items left out. A user without neighbors gets an empty slate.
         """
-        users = np.asarray(users, dtype=np.int64)
+        users = np.array([request.user for request in requests], dtype=np.int64)
         positions, known = _positions(self.matrix.users, users)
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
@@ -546,6 +544,3 @@ class UserKnnRecommender(BaseRecommender):
             return _knn_block_slates(product, keys, self.items, k, self.matrix.user_means[rows])
 
         return [slate for part in _map_blocks(block, len(users), SCORE_BLOCK) for slate in part]
-
-    def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
-        return self.user_slates([request.user for request in requests], k)

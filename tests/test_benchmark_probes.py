@@ -10,8 +10,9 @@ import ast
 import importlib
 from pathlib import Path
 
-from popbias.catalog import Interaction, Ratings, read_ratings_file
-from popbias.evaluation import FoldSpec, make_folds
+from popbias.catalog import Interaction, Ratings, read_movies_file, read_ratings_file
+from popbias.evaluation import FoldInputs, FoldSpec, make_folds
+from popbias.llm_gateway import build_watch_history
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -83,3 +84,20 @@ def test_split_train_and_parsed_ratings_have_what_the_benchmark_reads(toy_files)
         assert split.train
         for it in split.train:
             assert isinstance(it.item, int) and isinstance(it.timestamp, int)
+
+
+def test_each_split_reads_like_the_request_the_run_builds_for_it(small_corpus):
+    # The benchmark keys `wok` validity tags to users by the watched set it
+    # builds from split.train, and pins stub fixtures rendered from
+    # split.train; the run passes request.exclude and renders request.profile.
+    movies, ratings = small_corpus
+    entries, _ = read_movies_file(movies)
+    by_id = {entry.item: entry for entry in entries}
+    plan = make_folds(read_ratings_file(ratings)[0], FoldSpec(fold_count=2, users_per_fold=30))
+    for fold in plan.folds:
+        requests = FoldInputs.of(fold).requests
+        assert [request.user for request in requests] == [split.user for split in fold]
+        for split, request in zip(fold, requests):
+            assert request.exclude == frozenset(it.item for it in split.train)
+            history = build_watch_history(split.train, by_id)
+            assert history and history == build_watch_history(request.profile, by_id)

@@ -115,11 +115,22 @@ def test_unicode_line_boundary_inside_a_movie_title_stays_in_its_line(tmp_path):
     assert [(i.line_no, i.line) for i in issues] == [(3, "bad line")]
 
 
+def test_iterating_a_table_yields_its_rows_as_interactions(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_text("2::7::3.5::20\n1::9::4::30\n1::5::2::10\n", encoding="utf-8")
+    table, _ = read_ratings_file(path)
+    parsed, _ = parse_ratings(path.read_text(encoding="utf-8").splitlines())
+    rows = list(table)
+    assert rows == sorted(parsed, key=lambda it: (it.user, it.timestamp, it.item))
+    assert all(list(map(type, dataclasses.astuple(row))) == [int, int, float, int] for row in rows)
+    assert list(table[1:]) == rows[1:]
+
+
 def test_form_feed_inside_a_ratings_line_stays_in_its_line(tmp_path):
     path = tmp_path / "ratings.dat"
     path.write_bytes(b"1::2::3\x0c::100\nx::y\n2::3::4::200\n")
     ratings, issues = read_ratings_file(path)
-    assert ratings.interactions() == (Interaction(1, 2, 3.0, 100), Interaction(2, 3, 4.0, 200))
+    assert tuple(ratings) == (Interaction(1, 2, 3.0, 100), Interaction(2, 3, 4.0, 200))
     assert issues == [ParseIssue(2, "x::y", "expected 4 '::'-separated fields")]
     with pytest.raises(ParseError, match="ratings line 2:"):
         read_ratings_file(path, strict=True)
@@ -207,7 +218,7 @@ def test_read_ratings_file_equals_the_line_parser(
     expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
     ratings, issues = read_ratings_file(path)
     by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
-    assert ratings.interactions() == tuple(by_key)
+    assert tuple(ratings) == tuple(by_key)
     assert issues == expected_issues
 
     try:
@@ -216,7 +227,7 @@ def test_read_ratings_file_equals_the_line_parser(
     except ParseError as exc:
         strict_error = str(exc)
     if strict_error is None:
-        assert read_ratings_file(path, strict=True)[0].interactions() == tuple(by_key)
+        assert tuple(read_ratings_file(path, strict=True)[0]) == tuple(by_key)
     else:
         with pytest.raises(ParseError) as raised:
             read_ratings_file(path, strict=True)
@@ -257,7 +268,7 @@ def test_read_ratings_file_in_small_pieces_equals_the_line_parser(
     with mock.patch.object(catalog, "_PIECE_BYTES", piece_bytes):
         ratings, issues = read_ratings_file(path)
     by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
-    assert ratings.interactions() == tuple(by_key)
+    assert tuple(ratings) == tuple(by_key)
     assert issues == expected_issues
 
 
@@ -274,7 +285,7 @@ def test_plain_ratings_file_in_pieces_is_read_without_the_line_parser(
     path.write_bytes(b"2::7::.5::30\r\n\n\n\n\n\n\n1::9::5.::20\r\n1::8::04.50::20\n1::3::2::10")
     ratings, issues = read_ratings_file(path)
     assert not issues
-    assert ratings.interactions() == (
+    assert tuple(ratings) == (
         Interaction(1, 3, 2.0, 10),
         Interaction(1, 8, 4.5, 20),
         Interaction(1, 9, 5.0, 20),
@@ -315,7 +326,7 @@ def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatc
     path.write_bytes(b"\n2::7::.5::30\r\n\n1::9::5.::20\n1::8::04.50::20\n1::3::2::10")
     ratings, issues = read_ratings_file(path, strict=True)
     assert not issues
-    assert ratings.interactions() == (
+    assert tuple(ratings) == (
         Interaction(1, 3, 2.0, 10),
         Interaction(1, 8, 4.5, 20),
         Interaction(1, 9, 5.0, 20),

@@ -198,6 +198,9 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
     [
         ({"folds": {"fold_count": 1}}, "folds.fold_count must be >= 2"),
         ({"recommenders": ["random", "svd"]}, "unknown recommender 'svd'"),
+        ({"k": -1}, "k must be an integer >= 1"),
+        ({"knn_k": 0}, "knn_k must be an integer >= 1"),
+        ({"k": 2.5}, "k must be an integer >= 1"),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):
@@ -353,6 +356,14 @@ def test_fit_from_ratings_fits_the_popularity_counts(small_corpus):
         f"n: {fit.n}\nx_min: {fit.x_min:.6g}\nalpha: {fit.alpha:.4f}\nks_stat: {fit.ks_stat:.4f}\n"
     )
     assert result.output == "n: 300\nx_min: 1\nalpha: 0.4838\nks_stat: 0.4420\n"
+
+
+def test_fit_reports_a_missing_ratings_file(tmp_path):
+    missing = tmp_path / "ratings.dat"
+    result = CliRunner().invoke(main, ["fit", "--ratings", str(missing)])
+    assert result.exit_code == 1
+    assert f"Error: ratings file not found: {missing}" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_strict_parse_names_the_malformed_line_and_lenient_run_skips_it(small_corpus, tmp_path):

@@ -72,9 +72,12 @@ def test_split_depends_only_on_user_and_seed():
         return tuple(own[i] for i in train), frozenset(own[i].item for i in test)
 
     for user in shared:
-        assert (a[user].train, a[user].test_items) == (b[user].train, b[user].test_items)
-        assert own_split(user, seed=7) == (a[user].train, a[user].test_items)
-    assert any(own_split(user, seed=8)[0] != a[user].train for user in shared)
+        assert (tuple(a[user].train), a[user].test_items) == (
+            tuple(b[user].train),
+            b[user].test_items,
+        )
+        assert own_split(user, seed=7) == (tuple(a[user].train), a[user].test_items)
+    assert any(own_split(user, seed=8)[0] != tuple(a[user].train) for user in shared)
 
 
 def _fold(hr, log_pop_diff, pru):
@@ -124,7 +127,7 @@ class FixedSlates(BaseRecommender):
         self.by_user = by_user
 
     def slates(self, requests, k):
-        return [Slate(self.by_user[request.user], k) for request in requests]
+        return [Slate(self.by_user[request.user]) for request in requests]
 
 
 def _fold_of(*splits):

@@ -378,7 +378,7 @@ class TestHttpProviders:
 
 
 def test_build_watch_history_orders_by_timestamp():
-    # A profile table and the same rows as shuffled interactions give one history.
+    # Profile tables built from the same rows in any order give one history.
     entries = {i: CatalogEntry(i, f"Film {i}", 1990 + i) for i in (2, 5, 7)}
     rows = [
         Interaction(3, 5, 4.0, 100),
@@ -392,14 +392,14 @@ def test_build_watch_history_orders_by_timestamp():
     rng = np.random.default_rng(0)
     for _ in range(5):
         shuffled = tuple(rows[i] for i in rng.permutation(len(rows)))
-        assert build_watch_history(shuffled, entries) == expected
+        assert build_watch_history(Ratings.of(shuffled), entries) == expected
 
 
 class TestWokRecommender:
     def _setup(self, tmp_path, catalog_index):
         index, entries = catalog_index
-        train = (Interaction(5, 2, 4.0, 100), Interaction(5, 4, 5.0, 200))
-        request = RecRequest(user=5, profile=Ratings.of(train), exclude=frozenset({2, 4}))
+        train = Ratings.of([Interaction(5, 2, 4.0, 100), Interaction(5, 4, 5.0, 200)])
+        request = RecRequest(user=5, profile=train)
         history = build_watch_history(train, entries)
         prompt = render_prompt(history, 3)
         completion = "1. The Matrix (1999)\n2. Heat (1995)\n3. Fargo (1996)\n"
@@ -422,18 +422,16 @@ class TestWokRecommender:
 
     def test_user_without_catalogued_history_gets_empty_slate(self, tmp_path, catalog_index):
         rec, request = self._setup(tmp_path, catalog_index)
-        uncatalogued = RecRequest(
-            user=6, profile=Ratings.of([Interaction(6, 99, 3.0, 100)]), exclude=frozenset({99})
-        )
+        uncatalogued = RecRequest(user=6, profile=Ratings.of([Interaction(6, 99, 3.0, 100)]))
         results = rec.recommend_batch([request, uncatalogued], 3)
         assert results == [
             rec.recommend(request, 3),
-            RecResult(slate=Slate(entries=(), requested_k=3), unmatched=3),
+            RecResult(slate=Slate(entries=()), unmatched=3),
         ]
         # Rows 0-1 and 3 are the two users' training ratings, 2 and 4 their test items.
         table = Ratings.of(
-            [*request.profile.interactions(), Interaction(5, 3, 4.0, 300)]
-            + [*uncatalogued.profile.interactions(), Interaction(6, 1, 4.0, 300)]
+            [*request.profile, Interaction(5, 3, 4.0, 300)]
+            + [*uncatalogued.profile, Interaction(6, 1, 4.0, 300)]
         )
         fold = [
             UserSplit(5, table, train_rows=np.array([0, 1]), test_rows=np.array([2])),
@@ -465,8 +463,7 @@ class TestBatchConcurrency:
         # User i watched Film i; the reply to that user names Film i + n.
         entries = {i: CatalogEntry(i, f"Film {i}", 1990) for i in range(1, 2 * n + 1)}
         requests = [
-            RecRequest(i, Ratings.of([Interaction(i, i, 4.0, 0)]), exclude=frozenset({i}))
-            for i in range(1, n + 1)
+            RecRequest(i, Ratings.of([Interaction(i, i, 4.0, 0)])) for i in range(1, n + 1)
         ]
         return TitleIndex.build(list(entries.values())), entries, requests
 

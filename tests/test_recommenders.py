@@ -153,18 +153,36 @@ def knn_model(mode, neighbors):
 def request_for(user, profile):
     """The evaluation request of a user whose training side is profile."""
     train = Ratings.of(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
-    return RecRequest(user=user, profile=train, exclude=frozenset(i for i, _ in profile))
+    return RecRequest(user=user, profile=train)
+
+
+def watched(user, items):
+    """The request of a user whose training profile holds items, each rated 3."""
+    return request_for(user, [(i, 3.0) for i in sorted(items)])
 
 
 def random_slate(candidates, exclude, k, seed, user=0):
-    """The random slate of one request that excludes exclude."""
-    request = RecRequest(user=user, profile=Ratings.of(()), exclude=frozenset(exclude))
-    return RandomRecommender(candidates, seed).slates([request], k)[0]
+    """The random slate of one request whose profile is exclude."""
+    return RandomRecommender(candidates, seed).slates([watched(user, exclude)], k)[0]
+
+
+def top_pop_slate(phi, exclude, k):
+    """The top-pop slate of one request whose profile is exclude."""
+    return TopPopRecommender(phi).slates([watched(0, exclude)], k)[0]
 
 
 def item_knn_slate(model, profile, k):
     """The item-KNN slate of one training profile of (item, rating) pairs."""
-    return ItemKnnRecommender(model).profile_slates([request_for(0, profile).profile], k)[0]
+    return ItemKnnRecommender(model).slates([request_for(0, profile)], k)[0]
+
+
+def user_knn_slates(model, matrix, users, k):
+    """The user-KNN slates of users, each asking with their rating-matrix row as profile."""
+    requests = []
+    for user in users:
+        row = matrix.csr[int(np.searchsorted(matrix.users, user))]
+        requests.append(request_for(user, zip(matrix.items[row.indices].tolist(), row.data)))
+    return UserKnnRecommender(model, matrix).slates(requests, k)
 
 
 def random_ratings(rng, max_users=8, max_items=8):
@@ -186,8 +204,8 @@ def random_ratings(rng, max_users=8, max_items=8):
 
 class TestRandom:
     def test_forced_outcome(self):
-        slate = random_slate({"a", "b", "c"}, {"a"}, 2, seed=0)
-        assert set(slate.entries) == {"b", "c"}
+        slate = random_slate({1, 2, 3}, {1}, 2, seed=0)
+        assert set(slate.entries) == {2, 3}
 
     def test_deterministic(self):
         args = (range(100), {3, 4}, 10, 1234)
@@ -198,52 +216,47 @@ class TestRandom:
 
     def test_insufficient_candidates(self):
         # Fewer than k candidates left: all of them, in a short slate.
-        slate = random_slate(range(3), {0, 1}, 2, seed=1)
-        assert slate.entries == (2,) and slate.requested_k == 2
+        assert random_slate(range(3), {0, 1}, 2, seed=1).entries == (2,)
         assert set(random_slate(range(6), {0, 1}, 5, seed=1).entries) == {2, 3, 4, 5}
         assert random_slate(range(3), {0, 1, 2}, 2, seed=1).entries == ()
 
     def test_pinned_draw(self):
         # Any change to the per-user draw stream shows here.
         rec = RandomRecommender(range(100), seed=11)
-        request = RecRequest(user=7, profile=Ratings.of(()), exclude=frozenset({3, 50, 99}))
-        assert rec.slates([request], 5)[0].entries == (98, 69, 42, 68, 53)
+        assert rec.slates([watched(7, {3, 50, 99})], 5)[0].entries == (98, 69, 42, 68, 53)
 
 
 class TestTopPop:
     def test_ordering(self):
-        phi = {"a": 5, "b": 3, "c": 1}
-        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == ("a", "b")
+        phi = {10: 1, 20: 5, 30: 3}
+        assert top_pop_slate(phi, set(), 2).entries == (20, 30)
 
     def test_exclusion(self):
-        phi = {"a": 5, "b": 3, "c": 1}
-        assert TopPopRecommender(phi).slates_for([{"a"}], 2)[0].entries == ("b", "c")
+        phi = {10: 1, 20: 5, 30: 3}
+        assert top_pop_slate(phi, {20}, 2).entries == (30, 10)
 
     def test_tie_broken_by_id(self):
         phi = {2: 5.0, 1: 5.0}
-        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == (1, 2)
+        assert top_pop_slate(phi, set(), 2).entries == (1, 2)
 
     def test_scores_equal_up_to_rounding_tie_by_id(self):
-        rec = TopPopRecommender({7: 1.5, 5: 1.4999999999999998})
-        assert rec.slates_for([set()], 2)[0].entries == (5, 7)
+        assert top_pop_slate({7: 1.5, 5: 1.4999999999999998}, set(), 2).entries == (5, 7)
 
     def test_tied_group_straddling_k_admitted_in_id_order(self):
         # 9, 6 and 4 tie up to rounding; raw order would admit 9, then 6.
         phi = {1: 3.0, 9: 2.0000000000000004, 6: 2.0, 4: 1.9999999999999998, 2: 1.0}
-        assert TopPopRecommender(phi).slates_for([set()], 2)[0].entries == (1, 4)
-        assert TopPopRecommender(phi).slates_for([set()], 3)[0].entries == (1, 4, 6)
+        assert top_pop_slate(phi, set(), 2).entries == (1, 4)
+        assert top_pop_slate(phi, set(), 3).entries == (1, 4, 6)
 
     def test_insufficient(self):
         # Fewer than k items left: all of them, in ranking order, in a short slate.
-        slate = TopPopRecommender({1: 2.0}).slates_for([set()], 2)[0]
-        assert slate.entries == (1,) and slate.requested_k == 2
-        rec = TopPopRecommender({1: 2.0, 2: 5.0, 3: 1.0})
-        assert rec.slates_for([{2}], 5)[0].entries == (1, 3)
-        assert TopPopRecommender({1: 2.0}).slates_for([{1}], 2)[0].entries == ()
+        assert top_pop_slate({1: 2.0}, set(), 2).entries == (1,)
+        assert top_pop_slate({1: 2.0, 2: 5.0, 3: 1.0}, {2}, 5).entries == (1, 3)
+        assert top_pop_slate({1: 2.0}, {1}, 2).entries == ()
 
     def test_identical_slates_for_identical_exclusions(self):
         phi = {i: float(i) for i in range(1, 30)}
-        slates = {TopPopRecommender(phi).slates_for([{3, 4}], 10)[0].entries for _ in range(5)}
+        slates = {top_pop_slate(phi, {3, 4}, 10).entries for _ in range(5)}
         assert len(slates) == 1
 
 
@@ -262,13 +275,9 @@ def _isin_top_pop_slate(ranking, exclude, k):
     return tuple(kept[:k].tolist())
 
 
-# Pools and exclusions of one id type; exclusions reach ids outside the pool.
-_IDS = st.one_of(
-    st.tuples(st.sets(st.integers(0, 40), max_size=30), st.sets(st.integers(-5, 45), max_size=30)),
-    st.tuples(
-        st.sets(st.text("abc", max_size=3), max_size=30),
-        st.sets(st.text("abcd", max_size=4), max_size=30),
-    ),
+# Pools and profile items; profile items reach ids outside the pool.
+_IDS = st.tuples(
+    st.sets(st.integers(0, 40), max_size=30), st.sets(st.integers(-5, 45), max_size=30)
 )
 
 
@@ -277,9 +286,7 @@ _IDS = st.one_of(
 def test_random_slates_match_the_isin_form(ids, k, seed):
     candidates, exclude = ids
     pool = np.array(sorted(candidates))
-    rec = RandomRecommender(candidates, seed=seed)
-    request = RecRequest(user=3, profile=Ratings.of(()), exclude=frozenset(exclude))
-    got = rec.slates([request], k)[0].entries
+    got = random_slate(candidates, exclude, k, seed, user=3).entries
     assert got == _isin_random_slate(pool, exclude, (seed, 3), k)
 
 
@@ -289,8 +296,7 @@ def test_top_pop_slates_match_the_isin_form(ids, k, data):
     candidates, exclude = ids
     phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in sorted(candidates)}
     ranking = TopPopRecommender(phi).ranking
-    got = TopPopRecommender(phi).slates_for([exclude], k)[0].entries
-    assert got == _isin_top_pop_slate(ranking, exclude, k)
+    assert top_pop_slate(phi, exclude, k).entries == _isin_top_pop_slate(ranking, exclude, k)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +359,7 @@ class TestRecommendItemKnn:
 
     def test_k_larger_than_scorable(self):
         model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
-        slate = item_knn_slate(model, [(3, 4.0)], 10)
-        assert slate.entries == (7,)
-        assert slate.requested_k == 10
+        assert item_knn_slate(model, [(3, 4.0)], 10).entries == (7,)
 
     def test_scores_differing_in_last_bit_tie_by_id(self):
         # Both candidates score sim * 1.5 / sim, exactly 1.5; item 5's
@@ -398,8 +402,7 @@ class TestUserKnn:
         }
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 30)
-        slate = UserKnnRecommender(model, matrix).user_slates([1], 2)[0]
-        assert slate.entries[0] == 99
+        assert user_knn_slates(model, matrix, [1], 2)[0].entries[0] == 99
 
     def test_no_neighbors_empty_slate(self):
         ratings = {
@@ -408,8 +411,7 @@ class TestUserKnn:
         }
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 30)
-        slate = UserKnnRecommender(model, matrix).user_slates([1], 5)[0]
-        assert slate.entries == ()
+        assert user_knn_slates(model, matrix, [1], 5)[0].entries == ()
 
     def test_model_of_another_matrix_rejected(self):
         ratings = {(1, 10): 5.0, (1, 11): 1.0, (2, 10): 4.0, (2, 11): 2.0}
@@ -431,7 +433,7 @@ class TestUserKnn:
         matrix = matrix_from(ratings)
         model = build_user_knn(matrix, 1)
         assert neighbor_lists(model)[3] == ()
-        assert UserKnnRecommender(model, matrix).user_slates([3], 2)[0].entries == ()
+        assert user_knn_slates(model, matrix, [3], 2)[0].entries == ()
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -454,7 +456,7 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
         profiles[user] = profile
         got_item = item_knn_slate(item_model, profile, k)
         assert got_item.entries == oracle_item_slate(item_oracle, profile, k)
-        got_user = UserKnnRecommender(user_model, matrix).user_slates([user], k)[0]
+        got_user = user_knn_slates(user_model, matrix, [user], k)[0]
         assert got_user.entries == oracle_user_slate(ratings, user_oracle, user, k)
 
     requests = [request_for(user, profiles[user]) for user in users]
@@ -575,14 +577,14 @@ def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, tria
     monkeypatch.setattr(recommenders, "_worker_count", lambda: 1)
     users = sorted({u for u, _ in ratings})
     # Profiles in a shuffled watch order, so that each row sums out of id order.
-    profiles = []
+    requests = []
     for user in users:
         profile = [(i, r) for (u, i), r in ratings.items() if u == user]
-        order = rng.permutation(len(profile))
-        profiles.append(Ratings.of(Interaction(user, *profile[n], ts) for ts, n in enumerate(order)))
+        requests.append(request_for(user, [profile[n] for n in rng.permutation(len(profile))]))
+    profiles = [request.profile for request in requests]
 
     item_model = build_item_knn(matrix, int(rng.choice([2, 5, 30])))
-    ItemKnnRecommender(item_model).profile_slates(profiles, 3)
+    ItemKnnRecommender(item_model).slates(requests, 3)
     cols = np.searchsorted(item_model.ids, np.concatenate([p.item for p in profiles]))
     indptr = np.cumsum([0] + [len(p) for p in profiles])
     shape = (len(profiles), item_model.ids.size)
@@ -596,7 +598,7 @@ def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, tria
 
     products.clear()
     user_model = build_user_knn(matrix, int(rng.choice([2, 5, 30])))
-    UserKnnRecommender(user_model, matrix).user_slates(users, 3)
+    UserKnnRecommender(user_model, matrix).slates(requests, 3)
     weights = user_model.sims
     rated = matrix.csr.copy()
     rated.data[:] = 1.0
@@ -652,11 +654,14 @@ def test_item_scoring_over_a_wide_catalog_stays_small():
     table = _wide_sparse_ratings()
     rec = ItemKnnRecommender(build_item_knn(RatingMatrix.from_interactions(table)))
     bounds = np.flatnonzero(np.diff(table.user)) + 1
-    profiles = [table[start:stop] for start, stop in zip([0, *bounds], [*bounds, len(table)])]
-    assert len(profiles) == 800
+    requests = [
+        RecRequest(int(table.user[start]), table[start:stop])
+        for start, stop in zip([0, *bounds], [*bounds, len(table)])
+    ]
+    assert len(requests) == 800
     tracemalloc.start()
     try:
-        slates = rec.profile_slates(profiles, 10)
+        slates = rec.slates(requests, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -695,10 +700,10 @@ def test_batches_larger_than_one_block_match_single_requests_in_any_order():
 class TestSlate:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Slate(entries=(1, 1), requested_k=2)
+            Slate(entries=(1, 1))
 
     def test_len(self):
-        assert len(Slate(entries=(1, 2), requested_k=5)) == 2
+        assert len(Slate(entries=(1, 2))) == 2
 
 
 class TestAdapters:
@@ -707,7 +712,7 @@ class TestAdapters:
         matrix = matrix_from(ratings)
         phi = {i: float(10 - i) for i in range(1, 9)}
         train = Ratings.of(Interaction(1, i, r, 0) for (u, i), r in ratings.items() if u == 1)
-        request = RecRequest(user=1, profile=train, exclude=frozenset(train.item.tolist()))
+        request = RecRequest(user=1, profile=train)
         for rec in (
             RandomRecommender(phi.keys(), seed=4),
             TopPopRecommender(phi),
@@ -720,8 +725,8 @@ class TestAdapters:
     def test_random_adapter_user_seed_independent_of_order(self):
         phi = {i: 1.0 for i in range(50)}
         rec = RandomRecommender(phi.keys(), seed=11)
-        req_a = RecRequest(user=7, profile=Ratings.of(()), exclude=frozenset())
-        req_b = RecRequest(user=8, profile=Ratings.of(()), exclude=frozenset())
+        req_a = RecRequest(user=7, profile=Ratings.of(()))
+        req_b = RecRequest(user=8, profile=Ratings.of(()))
         ab = rec.recommend_batch([req_a, req_b], 5)
         ba = rec.recommend_batch([req_b, req_a], 5)
         assert ab[0].slate.entries == ba[1].slate.entries
