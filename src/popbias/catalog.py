@@ -12,17 +12,19 @@ U+0085, U+2028, U+2029) stay inside their line, so line numbers count
 physical lines. Blank lines are skipped but counted.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
-once by (user, timestamp, item). ``read_ratings_file`` first tries a fast
-path. It accepts a file only when every line is blank or plain
-``digits::digits::decimal::digits`` with at most one ``.`` in the rating, a
-rating in [0.5, 5] and fields short enough to convert exactly; then every
-line is one the line parser accepts, with the same values, and there is
-nothing to report. It parses the file in pieces of about 1 MiB, each ending
-just after a ``\n``, with numpy arrays of one value per line or per byte of
-the piece, and converts a field one digit position at a time; only the
-four columns grow with the file. On anything else (another byte, a
-malformed line in any piece, an out-of-range rating, an exception) it falls
-back to :func:`parse_ratings` over the whole file's lines, so lenient
+by (user, timestamp, item) unless the file is in that order already.
+``read_ratings_file`` first tries a fast path. It accepts a file only when
+every line is blank or plain ``digits::digits::decimal::digits`` with at
+most one ``.`` in the rating, a rating in [0.5, 5] and fields short enough
+to convert exactly; then every line is one the line parser accepts, with
+the same values, and there is nothing to report. It reads the file twice,
+in pieces of about 256 KiB that each end just after a ``\n``: once to check
+the bytes and count the lines, which sizes the four columns, and once to
+parse each piece, with numpy arrays of one value per line or per byte of
+the piece and one digit position at a time, straight into the columns. On
+anything else (another byte, a malformed line in any piece, an
+out-of-range rating, an exception) it falls back to :func:`parse_ratings`
+over the lines of the whole file, read once more, so lenient
 ``ParseIssue`` records and strict-mode errors are always the line parser's.
 """
 
@@ -60,6 +62,8 @@ _LEADING_ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+(?P<body>.+)$")
 _PUNCT_RE = re.compile(r"[^a-z0-9\s]")
 _WS_RE = re.compile(r"\s+")
 
+# The dtypes of the user, item, rating and timestamp columns of a Ratings.
+_DTYPES = (np.int64, np.int64, float, np.int64)
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # Largest edit distance at which a title still fuzzily matches a catalog title.
@@ -102,8 +106,8 @@ class Interaction:
 class Ratings:
     """Ratings as four aligned numpy columns, one row per rating.
 
-    A table made by :meth:`from_columns` (every table ``read_ratings_file``
-    returns) is stable-sorted by (user, timestamp, item): each user's
+    A table made by :meth:`from_columns` or returned by ``read_ratings_file``
+    is stable-sorted by (user, timestamp, item): each user's
     ratings are one contiguous run in watch order, and rows tied on all
     three keys keep file order. Indexing with a slice or with ascending row
     positions keeps that order, and gives another table; iterating yields
@@ -117,13 +121,15 @@ class Ratings:
 
     @classmethod
     def from_columns(cls, user, item, rating, timestamp) -> "Ratings":
-        user = np.asarray(user, dtype=np.int64)
-        item = np.asarray(item, dtype=np.int64)
-        timestamp = np.asarray(timestamp, dtype=np.int64)
-        order = np.lexsort((item, timestamp, user))
-        return cls(
-            user[order], item[order], np.asarray(rating, dtype=float)[order], timestamp[order]
-        )
+        """The rows stable-sorted by (user, timestamp, item), as ``_sort_rows`` sorts them.
+
+        Rows already in that order come back in the arrays given. The
+        arrays passed in are never written to.
+        """
+        given = (user, item, rating, timestamp)
+        columns = [np.asarray(column, dtype) for column, dtype in zip(given, _DTYPES)]
+        _sort_rows(columns)
+        return cls(*columns)
 
     @classmethod
     def of(cls, interactions: Iterable[Interaction]) -> "Ratings":
@@ -150,6 +156,26 @@ class Ratings:
             self.rating.tolist(),
             self.timestamp.tolist(),
         )
+
+
+def _sort_rows(columns: list[np.ndarray]) -> None:
+    """Stable-sort the list's user, item, rating and timestamp columns by (user, timestamp, item).
+
+    Rows already in that order stay as they are, ties included, as a stable
+    sort would leave them. Otherwise each column is replaced by a sorted
+    copy in turn, so one that only the list holds is freed before the next.
+    """
+    user, item, _, timestamp = columns
+    ordered = item[:-1] <= item[1:]
+    for key in (timestamp, user):
+        before, after = key[:-1], key[1:]
+        ordered = (before < after) | ((before == after) & ordered)
+    if ordered.all():
+        return
+    order = np.lexsort((item, timestamp, user))
+    del user, item, timestamp, before, after
+    for i in range(len(columns)):
+        columns[i] = columns[i][order]
 
 
 def _iter_clean_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -273,8 +299,9 @@ _MAX_DIGITS = 18
 _MAX_RATING_DIGITS = 15
 _INT_POWERS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
 _FLOAT_POWERS = np.array([float(10**e) for e in range(_MAX_RATING_DIGITS + 1)])
-# The fast path parses the file in pieces of about this many bytes.
-_PIECE_BYTES = 1 << 20
+# The fast path reads the file in pieces of about this many bytes; a piece's
+# temporaries take about eight times its size.
+_PIECE_BYTES = 1 << 18
 
 
 def _field_values(text: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -360,33 +387,54 @@ def _piece_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
     return user, item, rating, timestamp
 
 
-def _parse_ratings_fast(data: bytes) -> Ratings | None:
-    r"""The table of a file of plain rating lines, or None to use the line parser.
+def _pieces(path: str | Path) -> Iterator[bytes]:
+    r"""The file's bytes in pieces of about ``_PIECE_BYTES``, each but the last ending in ``\n``.
 
-    The file is read in pieces of about ``_PIECE_BYTES``, each ending just
-    after a ``\n``, and the pieces' columns are sorted once at the end.
+    A piece is one read plus the unfinished line the reads before it left over.
     """
-    if data.translate(None, b"0123456789:.\r\n"):
-        return None
-    pieces = []
-    start = 0
-    while start < len(data):
-        cut = data.find(b"\n", start + _PIECE_BYTES - 1)
-        end = len(data) if cut < 0 else cut + 1
-        lines = _plain_lines(data[start:end])
-        start = end
-        if lines is None:
+    with open(path, "rb") as fh:
+        rest = b""
+        while block := fh.read(_PIECE_BYTES):
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                yield rest + block[:cut]
+                rest = block[cut:]
+            else:
+                rest += block
+        if rest:
+            yield rest
+
+
+def _parse_ratings_fast(path: str | Path) -> Ratings | None:
+    """The table of a file of plain rating lines, or None to use the line parser.
+
+    Its lines, counted in a first pass, bound the rows and size the columns.
+    """
+    lines = 0
+    for piece in _pieces(path):
+        if piece.translate(None, b"0123456789:.\r\n"):
             return None
-        if lines:  # a piece of blank lines holds no rating
-            columns = _piece_columns(lines)
-            if columns is None:
+        lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
+    columns = [np.empty(lines, dtype) for dtype in _DTYPES]
+    rows = 0
+    for piece in _pieces(path):
+        plain = _plain_lines(piece)
+        if plain is None:
+            return None
+        if plain:  # a piece of blank lines holds no rating
+            values = _piece_columns(plain)
+            if values is None:
                 return None
-            pieces.append(columns)
-    if not pieces:
+            for i, value in enumerate(values):
+                columns[i][rows : rows + value.size] = value
+            rows += values[0].size
+    if not rows:
         return None
-    columns = [np.concatenate(parts) for parts in zip(*pieces)]
-    del pieces  # freed before the sort copies the columns
-    return Ratings.from_columns(*columns)
+    # Blank lines hold no rating. Only the list holds the columns, so the
+    # sort frees each one as soon as its sorted copy exists.
+    columns = [column[:rows] for column in columns]
+    _sort_rows(columns)
+    return Ratings(*columns)
 
 
 def read_ratings_file(
@@ -394,19 +442,19 @@ def read_ratings_file(
 ) -> tuple[Ratings, list[ParseIssue]]:
     """The file's ratings as one sorted table, plus the lines left out.
 
-    The fast path and its line-parser fallback are described in the module
+    The fast path reads the file in pieces and does not sort a file already
+    in order; it and its line-parser fallback are described in the module
     docstring. A file the fast path accepts gives the table the line parser
     would give.
     """
-    data = Path(path).read_bytes()
     try:
-        ratings = _parse_ratings_fast(data)
+        ratings = _parse_ratings_fast(path)
     except Exception:
         # The line parser defines the result, so a failed fast path costs only time.
         ratings = None
     if ratings is not None:
         return ratings, []
-    interactions, issues = parse_ratings(_split_lines(data), strict=strict)
+    interactions, issues = parse_ratings(_split_lines(Path(path).read_bytes()), strict=strict)
     return Ratings.of(interactions), issues
 
 

@@ -248,6 +248,9 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for key in ("k", "knn_k"):
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise click.ClickException(f"{key} must be an integer >= 1")
+    variants = [variant.value for variant in PromptVariant]
+    if cfg["prompt_variant"] not in variants:
+        raise click.ClickException(f"prompt_variant must be one of: {', '.join(variants)}")
     for name in cfg["recommenders"]:
         if name not in KNOWN_RECOMMENDERS:
             raise click.ClickException(

@@ -13,7 +13,8 @@ readers that want one object per rating.
 
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
 training profiles and held-out items are gathered once into
-``FoldInputs``, which every recommender of the fold shares.
+``FoldInputs``, which every recommender of the fold shares, and so is each
+metric's column of training-profile statistics, computed on first use.
 ``evaluate_recommender`` takes all of the fold's slates at once, calls
 ``evaluate_metric`` once per metric over them and counts hits from the
 same flat slate arrays. A user is left out of a bias mean only where the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from popbias.catalog import Ratings
-from popbias.metrics import PhiArray, Profiles, evaluate_metric, kendall_tau
+from popbias.metrics import PhiArray, Profiles, evaluate_metric, kendall_tau, scored_metric
 from popbias.recommenders import BaseRecommender, RecRequest
 
 __all__ = [
@@ -178,6 +179,17 @@ class FoldInputs:
     ratings: Ratings
     train: Profiles
     test: Profiles
+    _statistics: dict[str, tuple[PhiArray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def train_statistics(self, metric_id: str, phi: PhiArray) -> np.ndarray:
+        """The metric's statistic of every training profile, computed once per metric and phi."""
+        seen, column = self._statistics.get(metric_id, (None, None))
+        if seen is not phi:
+            column = scored_metric(metric_id).statistics(self.train, phi)
+            self._statistics[metric_id] = (phi, column)
+        return column
 
     @classmethod
     def of(cls, fold: Sequence[UserSplit]) -> "FoldInputs":
@@ -228,7 +240,8 @@ def evaluate_recommender(
     """Run one recommender over one fold and average per-user results.
 
     The fold is scored in one batch: each metric is evaluated once, by
-    ``evaluate_metric``, over every user's slate and training profile.
+    ``evaluate_metric``, over every user's slate against the fold's column
+    of training-profile statistics (``FoldInputs.train_statistics``).
     Hit rates at 5 and 10 are recall: the share of a user's held-out items
     among the first 5 or 10 slate items. Every user counts in them, a user
     with an empty slate as zero.
@@ -254,7 +267,7 @@ def evaluate_recommender(
     bias: dict[str, float | None] = {}
     bias_excluded: dict[str, int] = {}
     for m in metric_ids:
-        values = evaluate_metric(m, slates, fold.train, phi)
+        values = evaluate_metric(m, slates, fold.train_statistics(m, phi), phi)
         defined = values[~np.isnan(values)]
         bias[m] = _sum_in_order(defined) / defined.size if defined.size else None
         bias_excluded[m] = n - defined.size

@@ -23,12 +23,14 @@ carries its own row evaluation. It is a desiderata-only metric: top-k
 slates exclude the user's training profile, so over a fold of slates its
 intersection is always empty and it is never scored there.
 
-A fold is scored in one batch. ``evaluate_metric`` takes the fold's slates
-and training profiles as ``Profiles`` (ragged rows of item ids) and a
-``PhiArray``, and returns one value per row, NaN where the metric is
-undefined for that row. The three stages are row-wise: g maps a
-(profiles × length) block of scores element by element, h reduces each
-row of a block to one value, and M combines two vectors of row values.
+A fold is scored in one batch. ``Metric.statistics`` takes ``Profiles``
+(ragged rows of item ids) and a ``PhiArray`` and returns h(g(phi(row))) of
+each row; ``evaluate_metric`` compares a batch of slates with the
+statistics of their users' training profiles, which a fold computes once
+for all its recommenders. Both return one value per row, NaN where it is
+undefined. The three stages are row-wise: g maps a (profiles × length)
+block of scores element by element, h reduces each row of a block to one
+value, and M combines two vectors of row values.
 Blocks are gathered once per distinct profile length. Each row is reduced
 by numpy's 1-D pairwise summation, exactly as ``np.sum`` reduces that row
 on its own, so a batch gives the same bits as one profile at a time.
@@ -71,6 +73,7 @@ __all__ = [
     "herfindahl_index",
     "spearman_rho",
     "kendall_tau",
+    "scored_metric",
     "evaluate_metric",
 ]
 
@@ -308,14 +311,8 @@ METRICS: dict[str, Metric] = {
 }
 
 
-def evaluate_metric(
-    metric_id: str, r: Profiles, u: Profiles, phi: PhiArray
-) -> np.ndarray:
-    """Score one registered metric over a batch of (slate, profile) row pairs.
-
-    Returns one value per row, NaN where the metric is undefined for it.
-    A desiderata-only metric is refused with ValueError.
-    """
+def scored_metric(metric_id: str) -> Metric:
+    """The registered metric of that id, refused with ValueError if unknown or desiderata-only."""
     try:
         metric = METRICS[metric_id]
     except KeyError:
@@ -323,4 +320,18 @@ def evaluate_metric(
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
     if metric.desiderata_only:
         raise ValueError(f"{metric_id} is a desiderata-only metric")
-    return metric.evaluate_rows(r, u, phi)
+    return metric
+
+
+def evaluate_metric(
+    metric_id: str, r: Profiles, u_statistics: np.ndarray, phi: PhiArray
+) -> np.ndarray:
+    """Score one registered metric over a batch of slates against their users.
+
+    ``u_statistics`` is ``scored_metric(metric_id).statistics(u, phi)`` of
+    the users' profiles ``u``, row for row with ``r``. Returns one value per
+    row, NaN where the metric is undefined for it. An unknown or
+    desiderata-only metric is refused with ValueError.
+    """
+    metric = scored_metric(metric_id)
+    return metric.compare(metric.statistics(r, phi), u_statistics)

@@ -57,7 +57,7 @@ are independent, and the sparse products and sorts that take their time run
 in native code that releases the GIL. _map_blocks runs them on a thread pool
 with one worker per usable CPU and returns their results in block order, so
 nothing depends on the worker count. The rows in flight stay fixed whatever
-the worker count: each task takes _BUILD_ROWS (512) similarity rows or
+the worker count: each task takes _BUILD_ROWS (256) similarity rows or
 SCORE_BLOCK (128) requests divided by the workers, which bounds the memory
 of the blocks being computed at once.
 
@@ -108,7 +108,9 @@ __all__ = [
 DEFAULT_K_NEIGHBORS = 30
 SCORE_SNAP_BITS = 40
 SIMILARITY_FLOOR = 1e-12
-_BUILD_ROWS = 512  # similarity rows in flight, over all workers, in a KNN build
+# Similarity rows in flight, over all workers, in a KNN build: each block's
+# product, its COO copy and _first_k's padded array scale with it.
+_BUILD_ROWS = 256
 SCORE_BLOCK = 128  # requests in flight, over all workers, in KNN scoring
 
 _T = TypeVar("_T")

@@ -201,6 +201,11 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
         ({"k": -1}, "k must be an integer >= 1"),
         ({"knn_k": 0}, "knn_k must be an integer >= 1"),
         ({"k": 2.5}, "k must be an integer >= 1"),
+        (
+            {"prompt_variant": "bogus", "recommenders": ["wok"]},
+            "prompt_variant must be one of: base, mitigate, minimize",
+        ),
+        ({"prompt_variant": "bogus"}, "prompt_variant must be one of: base, mitigate, minimize"),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):

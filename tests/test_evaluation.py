@@ -226,3 +226,32 @@ def test_fold_batch_equals_the_per_user_loop_exactly():
     assert stats.bias == bias
     assert stats.bias_excluded == excluded
     assert 0 < excluded["log_pop_diff"] < len(fold)
+
+
+def test_a_folds_training_statistics_are_computed_once_per_metric(monkeypatch):
+    phi = {1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 3.0}
+    fold = _fold_of((1, (1, 2), (3,)), (2, (1, 3), (4,)), (3, (2, 4), (5,)))
+    recs = [
+        FixedSlates({1: (3, 4), 2: (2, 5), 3: (1, 3)}),
+        FixedSlates({1: (5,), 2: (4,), 3: (5,)}),
+    ]
+    fresh = [evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi)) for rec in recs]
+
+    inputs = FoldInputs.of(fold)
+    calls = []
+    statistics = type(METRICS["log_pop_diff"]).statistics
+
+    def counted(self, p, phi_array):
+        calls.append((self.id, p is inputs.train))
+        return statistics(self, p, phi_array)
+
+    monkeypatch.setattr(type(METRICS["log_pop_diff"]), "statistics", counted)
+    phi_array = PhiArray.of(phi)
+    shared = [evaluate_recommender(rec, inputs, phi_array) for rec in recs]
+    assert [s.bias for s in shared] == [s.bias for s in fresh]
+    assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)
+    assert sum(not train for _, train in calls) == 2 * len(BIAS_METRICS)
+    # Another phi gives another column.
+    calls.clear()
+    evaluate_recommender(recs[0], inputs, PhiArray.of({**phi, 1: 40.0}))
+    assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)

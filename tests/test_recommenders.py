@@ -648,6 +648,31 @@ def test_item_build_over_a_wide_sparse_matrix_stays_small():
     assert peak < 64 * 2**20
 
 
+def test_item_build_over_a_dense_catalog_stays_small():
+    # 1000 users with 60 ratings each over 2000 items drawn with Zipf
+    # weights (exponent 0.8): popular items co-occur in most profiles, so a
+    # block's similarity product is close to dense and its size follows the
+    # rows in flight (about 21 MiB at 512 rows, 13 MiB at 256, on two workers).
+    rng = np.random.default_rng(29)
+    weights = np.arange(1, 2001) ** -0.8
+    users = np.repeat(np.arange(1000), 60)
+    items = np.concatenate(
+        [rng.choice(2000, size=60, replace=False, p=weights / weights.sum()) for _ in range(1000)]
+    )
+    ratings = rng.integers(1, 11, size=users.size) / 2.0
+    matrix = RatingMatrix.from_interactions(
+        Ratings.from_columns(users, items, ratings, np.zeros_like(users))
+    )
+    tracemalloc.start()
+    try:
+        model = build_item_knn(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.sims.nnz > 0
+    assert peak < 18 * 2**20
+
+
 def test_item_scoring_over_a_wide_catalog_stays_small():
     # A dense requests x items array of one 128-request block would be
     # 128 x 19.7k doubles, about 20 MB.
