@@ -587,10 +587,13 @@ class TitleIndex:
     ``max(len(c), len(q))`` minus the characters the two share as
     multisets, computed for the whole window in one numpy pass. Bag
     distance never exceeds edit distance, so a candidate whose bound is
-    past ``MAX_EDIT_DISTANCE`` would score ``MAX_EDIT_DISTANCE + 1`` and
-    cannot win or tie; :func:`levenshtein` (looked up as the module
-    global, capped at ``MAX_EDIT_DISTANCE``) runs only on the others, in
-    window order. Results are those of scoring every window title.
+    past ``MAX_EDIT_DISTANCE`` cannot win or tie and is dropped. The others
+    are scored by :func:`levenshtein` (looked up as the module global,
+    capped at ``MAX_EDIT_DISTANCE``) in ascending bound order, ties in
+    window order, and the scan stops at the first candidate whose bound
+    exceeds the best distance found so far: that candidate and every later
+    one score more than the best, so none can win or tie. Results equal
+    those of scoring every title in the window.
 
     The index is never modified after ``build`` (the dataclass is frozen
     and the arrays are read-only), so threads may share it.
@@ -662,9 +665,13 @@ class TitleIndex:
         lo = int(np.searchsorted(self._years, max(year - 1, 1), "left"))
         hi = int(np.searchsorted(self._years, year + 1, "right"))
         bound = self._bag_bounds(title, lo, hi)
+        candidates = np.flatnonzero(bound <= MAX_EDIT_DISTANCE)
+        candidates = candidates[np.argsort(bound[candidates], kind="stable")]
         best_distance = MAX_EDIT_DISTANCE + 1
         best_items: list[int] = []
-        for i in (lo + np.flatnonzero(bound <= MAX_EDIT_DISTANCE)).tolist():
+        for b, i in zip(bound[candidates].tolist(), (lo + candidates).tolist()):
+            if b > best_distance:
+                break
             d = levenshtein(title, self._titles[i], cap=MAX_EDIT_DISTANCE)
             if d < best_distance:
                 best_distance = d

@@ -15,7 +15,13 @@ from popbias import catalog as cat
 from popbias import evaluation as ev
 from popbias.desiderata import DESIDERATA, desiderata_grid
 from popbias.distfit import fit_pareto
-from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
+from popbias.llm_gateway import (
+    DIALECTS,
+    ProviderConfig,
+    PromptVariant,
+    ProviderError,
+    WokRecommender,
+)
 from popbias.metrics import METRICS, PhiArray
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
@@ -188,6 +194,18 @@ def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
     return recs
 
 
+def _check_provider(provider: dict) -> None:
+    """Reject a provider block that would fail every request, before data is read."""
+    if provider["dialect"] not in DIALECTS:
+        raise click.ClickException(f"provider.dialect must be one of: {', '.join(DIALECTS)}")
+    if type(provider["max_in_flight"]) is not int or provider["max_in_flight"] < 1:
+        raise click.ClickException("provider.max_in_flight must be an integer >= 1")
+    if provider["dialect"] == "stub" and not Path(provider["fixtures_dir"]).is_dir():
+        raise click.ClickException(
+            f"provider.fixtures_dir is not a directory: {provider['fixtures_dir']}"
+        )
+
+
 def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
     """Score every configured recommender on one fold, skipping those in errors.
 
@@ -256,6 +274,8 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
             raise click.ClickException(
                 f"unknown recommender {name!r} (known: {', '.join(KNOWN_RECOMMENDERS)})"
             )
+    if "wok" in cfg["recommenders"]:
+        _check_provider(cfg["provider"])
     if {"item_knn", "user_knn"}.intersection(cfg["recommenders"]):
         # Loaded here, in set-up, rather than by the first fold's rating matrix.
         import scipy.sparse  # noqa: F401

@@ -6,8 +6,10 @@ catalog. Two HTTPS dialects are supported plus a filesystem stub that
 replays canned completions keyed by a prompt hash, which keeps the whole
 pipeline deterministic in tests and offline runs. ``requests`` is imported
 on the first call of a real dialect only, so stub runs never load it. A batch
-overlaps network round trips on up to ``max_in_flight`` threads; the stub,
-whose requests hold the GIL throughout, replays it on one worker thread.
+overlaps network round trips on up to ``max_in_flight`` threads, one task per
+request; the stub, whose requests hold the GIL throughout, hands the whole
+batch to one worker thread as a single task, which replays the requests in
+order and stops at the first ``ProviderError``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
     import requests
 
 __all__ = [
+    "DIALECTS",
     "PromptVariant",
     "ProviderConfig",
     "ProviderError",
@@ -48,6 +51,7 @@ __all__ = [
     "WokRecommender",
 ]
 
+DIALECTS = ("stub", "openai", "anthropic")
 MAX_HISTORY_TITLES = 50
 MAX_RELEASE_YEAR = 2008
 
@@ -101,10 +105,11 @@ class ProviderConfig:
     ``api_key_env`` at call time and never stored or logged. ``top_k`` is
     only sent on dialects that accept it. ``max_in_flight`` bounds the
     provider calls one batch has open at once on a network dialect; the stub
-    replays a batch on one worker whatever its value.
+    replays a batch as one task on one worker whatever its value, and stops
+    at the first ``ProviderError``.
     """
 
-    dialect: str = "stub"  # "openai", "anthropic", or "stub"
+    dialect: str = "stub"  # one of DIALECTS
     endpoint: str = ""
     model_name: str = "stub-model"
     api_key_env: str = ""
@@ -374,9 +379,12 @@ def build_watch_history(
 class WokRecommender(BaseRecommender):
     """World-knowledge recommender: prompt, complete, parse, resolve.
 
-    A batch runs on a thread pool: up to ``cfg.max_in_flight`` workers on a
-    network dialect, one on the stub. Results are joined back to their
-    requests by position regardless of completion order.
+    A batch runs off the caller's thread. On a network dialect each request
+    is its own task on up to ``cfg.max_in_flight`` workers, and results are
+    joined back to their requests by position regardless of completion
+    order. On the stub the whole batch is one task on one worker, which
+    replays the requests in order and stops at the first ``ProviderError``;
+    the caller wakes once per batch.
     """
 
     def __init__(
@@ -409,6 +417,9 @@ class WokRecommender(BaseRecommender):
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         if not requests:
             return []
-        workers = 1 if self.cfg.dialect == "stub" else min(self.cfg.max_in_flight, len(requests))
+        if self.cfg.dialect == "stub":
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                return pool.submit(lambda: [self.recommend(r, k) for r in requests]).result()
+        workers = min(self.cfg.max_in_flight, len(requests))
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             return list(pool.map(lambda r: self.recommend(r, k), requests))

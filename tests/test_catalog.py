@@ -734,9 +734,8 @@ def test_bag_bound_never_exceeds_edit_distance(titles, query):
         assert bound <= _reference_levenshtein(query, key)
 
 
-def test_resolve_looks_up_levenshtein_as_the_module_global(monkeypatch):
-    # Call counters wrap catalog.levenshtein by name; a local alias would
-    # hide every call from them.
+def _count_levenshtein(monkeypatch) -> list[tuple[str, str]]:
+    """Record the (query, title) pairs resolve scores through catalog.levenshtein."""
     calls = []
 
     def counting(a, b, cap=None):
@@ -744,11 +743,71 @@ def test_resolve_looks_up_levenshtein_as_the_module_global(monkeypatch):
         return min(_reference_levenshtein(a, b), cap + 1)
 
     monkeypatch.setattr(catalog, "levenshtein", counting)
+    return calls
+
+
+def test_resolve_looks_up_levenshtein_as_the_module_global(monkeypatch):
+    # Call counters wrap catalog.levenshtein by name; a local alias would
+    # hide every call from them.
+    calls = _count_levenshtein(monkeypatch)
     index = TitleIndex.build([CatalogEntry(1, "Amélie", 2001), CatalogEntry(2, "Heat", 1995)])
     assert index.resolve("Amelie", 2001) == 1
     assert calls == []
     assert index.resolve("Amelei", 2001) == 1
     assert calls == [("amelei", "amelie")]
+
+
+def test_fuzzy_scan_stops_once_the_bound_passes_the_best_distance(monkeypatch):
+    # Both decoys share all but two characters with the query (bag bound 2)
+    # and are three edits away, so the match at distance 1 ends the scan.
+    calls = _count_levenshtein(monkeypatch)
+    index = TitleIndex.build(
+        CatalogEntry(item, f"Synthetic Feature No {number}", 1995)
+        for item, number in ((1, 1171), (2, 1717), (3, 7117))
+    )
+    query = "synyhetic feature no 1171"
+    assert index._bag_bounds(query, 0, 3).tolist() == [1, 2, 2]
+    assert [_reference_levenshtein(query, title) for title in index._titles] == [1, 3, 3]
+    assert index.resolve("Synyhetic Feature No 1171", 1995) == 1
+    assert calls == [(query, "synthetic feature no 1171")]
+
+
+def test_fuzzy_tie_is_scored_in_full_and_stays_unmatched(monkeypatch):
+    # "abxyz" (bag bound 2) cannot tie the two titles at distance 1.
+    calls = _count_levenshtein(monkeypatch)
+    index = TitleIndex.build(
+        CatalogEntry(item, title, 1990) for item, title in enumerate(("Abxyz", "Abcde", "Abcdf"), 1)
+    )
+    assert index.resolve("Abcdx", 1990) is None
+    assert calls == [("abcdx", "abcde"), ("abcdx", "abcdf")]
+
+
+@st.composite
+def _near_miss_catalog(draw):
+    # Typos and anagrams of one title: bag bounds at or below the edit
+    # distances that matter, so the scan order and its stop rule decide.
+    base = draw(st.text(alphabet="ab 17", min_size=3, max_size=9).filter(str.strip))
+    rng = draw(st.randoms(use_true_random=False))
+    titles = [base]
+    titles += [_typo(base, rng, rng.randint(1, 3)) for _ in range(draw(st.integers(1, 6)))]
+    titles += ["".join(draw(st.permutations(base))) for _ in range(draw(st.integers(0, 3)))]
+    years = st.sampled_from((1994, 1995, 1996))
+    entries = [
+        CatalogEntry(item, title, draw(years))
+        for item, title in enumerate(titles, 1)
+        if title.strip()
+    ]
+    queries = [(_typo(base, rng, rng.randint(1, 2)), draw(years)) for _ in range(6)]
+    return entries, [(title, year) for title, year in queries if title.strip()]
+
+
+@given(_near_miss_catalog())
+@settings(deadline=None)
+def test_bound_ordered_scan_matches_brute_force_on_near_misses(case):
+    entries, queries = case
+    index = TitleIndex.build(entries)
+    for title, year in queries:
+        assert index.resolve(title, year) == _brute_force_resolve(entries, title, year)
 
 
 def test_catalog_title_that_normalizes_to_nothing_is_never_resolved():

@@ -206,6 +206,24 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
             "prompt_variant must be one of: base, mitigate, minimize",
         ),
         ({"prompt_variant": "bogus"}, "prompt_variant must be one of: base, mitigate, minimize"),
+        (
+            {"recommenders": ["wok"], "provider": {"dialect": "telnet"}},
+            "provider.dialect must be one of: stub, openai, anthropic",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"dialect": "openai", "max_in_flight": "4"}},
+            "provider.max_in_flight must be an integer >= 1",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"max_in_flight": 0}},
+            "provider.max_in_flight must be an integer >= 1",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"fixtures_dir": "no/such/fixtures"}},
+            "provider.fixtures_dir is not a directory: no/such/fixtures",
+        ),
+        # Without a wok recommender the provider block is never used.
+        ({"provider": {"dialect": "telnet"}}, "movies file not found"),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):

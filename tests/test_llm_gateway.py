@@ -1,10 +1,12 @@
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import requests as requests_lib
 import numpy as np
 import pytest
 
+from popbias import llm_gateway
 from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
 from popbias.llm_gateway import (
     MAX_HISTORY_TITLES,
@@ -456,7 +458,7 @@ class TestWokRecommender:
 
 
 class TestBatchConcurrency:
-    """Stub batches replay on one pool thread; network batches overlap calls."""
+    """A stub batch is one task on one pool thread; network batches overlap calls."""
 
     @staticmethod
     def _setup(n):
@@ -467,13 +469,34 @@ class TestBatchConcurrency:
         ]
         return TitleIndex.build(list(entries.values())), entries, requests
 
+    @staticmethod
+    def _write_stub_fixtures(fixtures, requests, entries, n):
+        """One stub reply per request, naming Film user + n; returns the fingerprints."""
+        fingerprints = []
+        for request in requests:
+            prompt = render_prompt(build_watch_history(request.profile, entries), 3)
+            fingerprints.append(prompt_fingerprint(prompt))
+            reply = f"1. Film {request.user + n} (1990)\n"
+            (fixtures / f"{fingerprints[-1]}.txt").write_text(reply)
+        return fingerprints
+
+    @staticmethod
+    def _record_stub_reads(monkeypatch):
+        """(fingerprint, thread id) of every completion the recommender asks for."""
+        reads = []
+        complete = llm_gateway.complete_chat
+
+        def recording(prompt, cfg):
+            reads.append((prompt_fingerprint(prompt), threading.get_ident()))
+            return complete(prompt, cfg)
+
+        monkeypatch.setattr(llm_gateway, "complete_chat", recording)
+        return reads
+
     def test_stub_batch_runs_on_one_worker_thread(self, tmp_path):
         n = 8
         index, entries, requests = self._setup(n)
-        for request in requests:
-            prompt = render_prompt(build_watch_history(request.profile, entries), 3)
-            reply = f"1. Film {request.user + n} (1990)\n"
-            (tmp_path / f"{prompt_fingerprint(prompt)}.txt").write_text(reply)
+        self._write_stub_fixtures(tmp_path, requests, entries, n)
         threads = []
 
         class Recording(WokRecommender):
@@ -487,6 +510,38 @@ class TestBatchConcurrency:
         assert len(threads) == n
         assert len(set(threads)) == 1
         assert threads[0] != threading.get_ident()
+
+    def test_stub_batch_is_one_worker_task_in_request_order(self, tmp_path, monkeypatch):
+        n = 6
+        index, entries, requests = self._setup(n)
+        fingerprints = self._write_stub_fixtures(tmp_path, requests, entries, n)
+        reads = self._record_stub_reads(monkeypatch)
+        tasks = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(llm_gateway, "ThreadPoolExecutor", Recording)
+        cfg = ProviderConfig(dialect="stub", fixtures_dir=str(tmp_path), max_in_flight=4)
+        results = WokRecommender(cfg, index, entries).recommend_batch(requests, 3)
+        assert [r.slate.entries for r in results] == [(user + n,) for user in range(1, n + 1)]
+        assert len(tasks) == 1
+        assert [fingerprint for fingerprint, _ in reads] == fingerprints
+        assert len({thread for _, thread in reads}) == 1
+        assert reads[0][1] != threading.get_ident()
+
+    def test_stub_batch_stops_at_the_first_provider_error(self, tmp_path, monkeypatch):
+        n = 6
+        index, entries, requests = self._setup(n)
+        fingerprints = self._write_stub_fixtures(tmp_path, requests, entries, n)
+        (tmp_path / f"{fingerprints[2]}.txt").unlink()
+        reads = self._record_stub_reads(monkeypatch)
+        cfg = ProviderConfig(dialect="stub", fixtures_dir=str(tmp_path))
+        with pytest.raises(ProviderError, match=f"no stub fixture for prompt {fingerprints[2]}"):
+            WokRecommender(cfg, index, entries).recommend_batch(requests, 3)
+        assert [fingerprint for fingerprint, _ in reads] == fingerprints[:3]
 
     @pytest.mark.parametrize("max_in_flight, n", [(4, 4), (8, 3), (2, 6)])
     def test_network_batch_overlaps_up_to_max_in_flight_calls(self, monkeypatch, max_in_flight, n):
