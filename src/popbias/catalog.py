@@ -15,17 +15,21 @@ Ratings are read into a :class:`Ratings` table of numpy columns, sorted
 by (user, timestamp, item) unless the file is in that order already.
 ``read_ratings_file`` first tries a fast path. It accepts a file only when
 every line is blank or plain ``digits::digits::decimal::digits`` with at
-most one ``.`` in the rating, a rating in [0.5, 5] and fields short enough
-to convert exactly; then every line is one the line parser accepts, with
+most one ``.`` in the rating, a rating in [0.5, 5], ids and timestamps of
+at most 16 digits, and a rating of at most 8 digits on either side of its
+``.`` and 15 in all; then every line is one the line parser accepts, with
 the same values, and there is nothing to report. It reads the file twice,
 in pieces of about 256 KiB that each end just after a ``\n``: once to check
 the bytes and count the lines, which sizes the four columns, and once to
-parse each piece, with numpy arrays of one value per line or per byte of
-the piece and one digit position at a time, straight into the columns. On
-anything else (another byte, a malformed line in any piece, an
-out-of-range rating, an exception) it falls back to :func:`parse_ratings`
-over the lines of the whole file, read once more, so lenient
-``ParseIssue`` records and strict-mode errors are always the line parser's.
+parse each piece on its raw bytes, straight into the columns. That parse
+finds the piece's newlines, colons and dots in one numpy pass each, and
+reads each field from the overlapping little-endian 8-byte word that ends
+at its last byte, eight digits at a time, with a second word for a field
+of 9 to 16 digits. On anything else (another byte, a malformed line or a
+longer field in any piece, an out-of-range rating, an exception) it falls
+back to :func:`parse_ratings` over the lines of the whole file, read once
+more, so lenient ``ParseIssue`` records and strict-mode errors are always
+the line parser's.
 """
 
 from __future__ import annotations
@@ -293,95 +297,93 @@ def read_movies_file(
     return parse_movies(_split_lines(Path(path).read_bytes()), strict=strict)
 
 
-# Longest field the fast path converts: 18 digits fit int64, and a rating
-# of at most 15 digits divided by a power of ten is correctly rounded.
-_MAX_DIGITS = 18
+# Longest fields the fast path converts: an integer of two 8-byte words,
+# and a rating of one word on each side of its '.' whose at most 15 digits,
+# divided by a power of ten, give a correctly rounded float.
+_MAX_DIGITS = 16
 _MAX_RATING_DIGITS = 15
-_INT_POWERS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
-_FLOAT_POWERS = np.array([float(10**e) for e in range(_MAX_RATING_DIGITS + 1)])
+_UINT_POWERS = np.array([10**e for e in range(9)], dtype=np.uint64)
+_FLOAT_POWERS = np.array([float(10**e) for e in range(9)])
+# Entry n keeps the low four bits of a word's top n bytes: the values of n digits.
+_DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * b << 8 * b for b in range(8, -1, -1)], np.uint64)
 # The fast path reads the file in pieces of about this many bytes; a piece's
-# temporaries take about eight times its size.
+# temporaries take about ten times its size.
 _PIECE_BYTES = 1 << 18
 
 
-def _field_values(text: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Each field ``text[end - length:end]`` read as one integer; a '.' reads as 0.
+def _eight_digits(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The value of each field's ``length`` (0 to 8) digits, which end just before byte ``end``.
 
-    Digits are added one position at a time, from the widest field's first
-    position to the last, so every temporary is one value per field. A
-    field's positions before its first byte add nothing. ``text`` must have
-    at least ``length.max()`` bytes before every field.
+    ``words[p]`` holds bytes ``p`` to ``p + 7``, the first one lowest, so the
+    digits are the top bytes of ``words[end - 8]``. Masking keeps their
+    values and clears the bytes below, which read as leading zeros; three
+    multiply-shift-mask steps join digit pairs, then pairs and quads (the
+    SWAR conversion used by Langdale and Lemire, VLDB J. 2019).
     """
-    values = np.zeros(end.size, dtype=np.int64)
-    for offset in range(int(length.max()), 0, -1):
-        chars = text[end - offset]
-        values *= 10
-        values += np.where((offset <= length) & (chars >= ord("0")), chars - ord("0"), 0)
-    return values
+    value = words[end - 8] & _DIGIT_MASKS[length]
+    for width, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF)):
+        value = value * np.uint64(10**width) + (value >> np.uint64(8 * width))
+        value &= np.uint64(mask)
+    return value
 
 
-def _plain_lines(data: bytes) -> bytes | None:
-    r"""A piece's non-blank lines, each ending in ``\n`` with ',' between fields.
+def _integers(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each field of 1 to 16 digits ending just before ``end``, as int64."""
+    value = _eight_digits(words, end, np.minimum(length, 8))
+    if (length > 8).any():
+        value += _eight_digits(words, end - 8, np.maximum(length - 8, 0)) * _UINT_POWERS[8]
+    return value.view(np.int64)
 
-    None when a line holds a ':' outside a '::' or a '\r' outside a final '\r\n'.
+
+def _piece_columns(piece: bytes) -> tuple[np.ndarray, ...] | None:
+    """The user, item, rating and timestamp columns of a piece's lines.
+
+    None when a line is neither blank nor plain ``digits::digits::decimal::digits``,
+    a field is longer than the fast path converts, or a rating is outside [0.5, 5].
     """
-    if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n"):
+    if b"\r" in piece:
+        if piece.count(b"\r") != piece.count(b"\r\n"):
             return None
-        data = data.replace(b"\r\n", b"\n")
-    data = data.replace(b"::", b",")
-    if b":" in data:
+        piece = piece.replace(b"\r\n", b"\n")
+    # Padding in front keeps both words of every field inside the text.
+    text = b"\n" * 16 + piece + (b"" if piece.endswith(b"\n") else b"\n")
+    chars = np.frombuffer(text, dtype=np.uint8)
+    words = np.ndarray((chars.size - 7,), dtype="<u8", buffer=text, strides=(1,))
+    newlines = np.flatnonzero(chars == ord("\n"))
+    colons = np.flatnonzero(chars == ord(":"))
+    dots = np.flatnonzero(chars == ord("."))
+    # An empty span between two newlines is a blank line.
+    filled = np.flatnonzero(np.diff(newlines) > 1)
+    if colons.size != 6 * filled.size:
         return None
-    # Blank lines hold no rating: drop them, then end the last line.
-    while b"\n\n" in data:
-        data = data.replace(b"\n\n", b"\n")
-    data = data.lstrip(b"\n")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    return data
-
-
-def _piece_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
-    """The user, item, rating and timestamp columns of ``_plain_lines`` output.
-
-    None when a line is not plain ``digits,digits,decimal,digits`` or its
-    rating is outside [0.5, 5].
-    """
-    # Leading padding keeps every field's window inside the text.
-    text = np.frombuffer(b"0" * _MAX_DIGITS + data, dtype=np.uint8)
-    newlines = np.flatnonzero(text == ord("\n"))
-    commas = np.flatnonzero(text == ord(","))
-    n = newlines.size
-    if commas.size != 3 * n:
+    # k[j][i] is colon j of line i, if every line holds six.
+    k = colons.reshape(-1, 6).T
+    if any((k[j + 1] - k[j] != 1).any() for j in (0, 2, 4)):
         return None
-    # Row i: the end of line i - 1, the three commas of line i, its newline.
-    line_starts = np.concatenate(([_MAX_DIGITS - 1], newlines[:-1]))
-    bounds = np.column_stack((line_starts, commas.reshape(n, 3), newlines))
-    length = np.diff(bounds, axis=1) - 1  # all >= 1 iff every line has 3 commas
-    if (length < 1).any() or (length > _MAX_DIGITS).any():
+    # A field lies between the newline before its line or a '::', and a '::'
+    # or its line's newline. With every field at least one byte long, each
+    # line holds its own six colons, in three '::' pairs.
+    ends = newlines[filled + 1]
+    spans = ((newlines[filled], k[0]), (k[1], k[2]), (k[3], k[4]), (k[5], ends))
+    length = [end - before - 1 for before, end in spans]
+    if any(((n < 1) | (n > _MAX_DIGITS)).any() for n in length):
         return None
     # Only a rating may hold a '.', and at most one.
-    dots = np.flatnonzero(text == ord("."))
-    line = np.searchsorted(newlines, dots)
-    if not ((bounds[line, 2] < dots) & (dots < bounds[line, 3])).all():
+    line = np.searchsorted(ends, dots)
+    if not ((k[3][line] < dots) & (dots < k[4][line])).all() or (np.diff(line) == 0).any():
         return None
-    if (np.diff(line) == 0).any():
-        return None
-    has_dot = np.zeros(n, dtype=bool)
-    has_dot[line] = True
-    after_dot = np.zeros(n, dtype=np.int64)
-    after_dot[line] = bounds[line, 3] - dots - 1
-    rating_digits = length[:, 2] - has_dot
-    if (rating_digits < 1).any() or (rating_digits > _MAX_RATING_DIGITS).any():
+    point = k[4].copy()  # a rating without a '.' ends where one would be
+    point[line] = dots
+    before = point - k[3] - 1
+    after = np.maximum(k[4] - point - 1, 0)
+    digits = before + after
+    if ((np.maximum(before, after) > 8) | (digits < 1) | (digits > _MAX_RATING_DIGITS)).any():
         return None
 
-    user, item, raw, timestamp = (
-        _field_values(text, bounds[:, f + 1], length[:, f]) for f in range(4)
-    )
-    # The '.' read as a 0 digit: drop it from between the two parts.
-    low = raw % _INT_POWERS[after_dot]
-    mantissa = np.where(has_dot, (raw - low) // 10 + low, raw)
-    rating = mantissa / _FLOAT_POWERS[after_dot]
+    user, item, timestamp = (_integers(words, spans[f][1], length[f]) for f in (0, 1, 3))
+    mantissa = _eight_digits(words, point, before) * _UINT_POWERS[after]
+    mantissa += _eight_digits(words, k[4], after)
+    rating = mantissa / _FLOAT_POWERS[after]
     if not ((rating >= 0.5) & (rating <= 5.0)).all():
         return None
     return user, item, rating, timestamp
@@ -418,16 +420,12 @@ def _parse_ratings_fast(path: str | Path) -> Ratings | None:
     columns = [np.empty(lines, dtype) for dtype in _DTYPES]
     rows = 0
     for piece in _pieces(path):
-        plain = _plain_lines(piece)
-        if plain is None:
+        values = _piece_columns(piece)
+        if values is None:
             return None
-        if plain:  # a piece of blank lines holds no rating
-            values = _piece_columns(plain)
-            if values is None:
-                return None
-            for i, value in enumerate(values):
-                columns[i][rows : rows + value.size] = value
-            rows += values[0].size
+        for i, value in enumerate(values):
+            columns[i][rows : rows + value.size] = value
+        rows += values[0].size
     if not rows:
         return None
     # Blank lines hold no rating. Only the list holds the columns, so the
@@ -442,10 +440,10 @@ def read_ratings_file(
 ) -> tuple[Ratings, list[ParseIssue]]:
     """The file's ratings as one sorted table, plus the lines left out.
 
-    The fast path reads the file in pieces and does not sort a file already
-    in order; it and its line-parser fallback are described in the module
-    docstring. A file the fast path accepts gives the table the line parser
-    would give.
+    The fast path parses the file piece by piece on its raw bytes, eight
+    digits per word read, and does not sort a file already in order; it and
+    its line-parser fallback are described in the module docstring. A file
+    the fast path accepts gives the table the line parser would give.
     """
     try:
         ratings = _parse_ratings_fast(path)
@@ -497,6 +495,11 @@ def normalize_title(title: str) -> str:
             break
         text = m.group("body").strip()
     return text
+
+
+def _lookup_title(title: str) -> str:
+    """``normalize_title`` of the title, or "" for a blank title, which it rejects."""
+    return normalize_title(title) if title.strip() else ""
 
 
 def levenshtein(a: str, b: str, cap: int | None = None) -> int:
@@ -573,9 +576,9 @@ class TitleIndex:
     Resolution order: exact key, then year +/- 1, then unique fuzzy match
     with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
     candidates. Ambiguity at any stage resolves to ``None`` rather than
-    guessing an item, and so does a title that normalizes to nothing
-    (punctuation only). A catalog entry whose title normalizes to nothing
-    is left out of the index, so no query can resolve to it.
+    guessing an item, and so does a title that is blank or normalizes to
+    nothing (punctuation only). A catalog entry with such a title is left
+    out of the index, so no query can resolve to it.
 
     ``build`` lays the catalog out once in (year, insertion) order: the
     normalized titles and their items, an ``int64`` year array, the title
@@ -612,7 +615,7 @@ class TitleIndex:
         exact: dict[tuple[str, int], list[int]] = {}
         keys: list[tuple[str, int, int]] = []
         for entry in entries:
-            title = normalize_title(entry.title)
+            title = _lookup_title(entry.title)
             if not title:
                 continue
             exact.setdefault((title, entry.year), []).append(entry.item)
@@ -638,7 +641,7 @@ class TitleIndex:
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
-        title = normalize_title(title)
+        title = _lookup_title(title)
         if not title:
             return None
 

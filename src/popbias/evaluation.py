@@ -115,8 +115,24 @@ def split_user_ratings(
 
 
 def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
-    """Sample disjoint user folds and split each sampled user's ratings."""
-    users, starts, counts = np.unique(ratings.user, return_index=True, return_counts=True)
+    """Sample disjoint user folds and split each sampled user's ratings.
+
+    ``ratings`` must be sorted by user, as a table from ``Ratings.from_columns``
+    or ``read_ratings_file`` is: each user's ratings are then one run of rows.
+    """
+    owner = ratings.user
+    descents = np.flatnonzero(owner[1:] < owner[:-1])
+    if descents.size:
+        row = int(descents[0]) + 1
+        raise ValueError(
+            f"ratings are not sorted by user: row {row} (user {owner[row]}) "
+            f"follows user {owner[row - 1]}"
+        )
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    starts = np.flatnonzero(first)
+    users = owner[starts]
+    counts = np.diff(starts, append=owner.size)
     eligible = users[counts >= spec.min_ratings]
     ineligible = users.size - eligible.size
     needed = spec.fold_count * spec.users_per_fold
@@ -132,7 +148,6 @@ def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
     folds: list[list[UserSplit]] = []
     for f in range(spec.fold_count):
         fold_users = np.sort(sampled[f * spec.users_per_fold : (f + 1) * spec.users_per_fold])
-        # Each user's ratings are one run of the sorted table.
         runs = np.searchsorted(users, fold_users)
         fold: list[UserSplit] = []
         for user, start, count in zip(

@@ -146,14 +146,35 @@ def _lines_by_the_line_rule(data: bytes) -> list[str]:
 
 
 _RATING_TEXT = st.sampled_from(
-    ["1", "5", "0.5", "3.5", "4.", ".5", "05.50", "2.25", "4.999999999999999999", "5.000"]
+    [
+        "1",
+        "5",
+        "0.5",
+        "3.5",
+        "4.",
+        ".5",
+        "05.50",
+        "2.25",
+        "5.000",
+        # Up to and past 8 digits on either side of the '.' and 15 in all.
+        "00000004.5000000",
+        "0000004.50000000",
+        "00000004.50000000",
+        "000000004.5",
+        "4.500000000",
+        "4.999999999999999999",
+    ]
+)
+# Ids and timestamps of one 8-byte word, of two, and of more than two.
+_INTEGER_TEXT = st.integers(0, 10**6).map(str) | st.sampled_from([8, 9, 16, 17, 18]).flatmap(
+    lambda width: st.integers(0, 10**width - 1).map(lambda value: str(value).zfill(width))
 )
 _VALID_LINE = st.builds(
     "{}::{}::{}::{}".format,
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
+    _INTEGER_TEXT,
+    _INTEGER_TEXT,
     _RATING_TEXT,
-    st.integers(0, 2**40),
+    _INTEGER_TEXT | st.integers(0, 2**40).map(str),
 )
 _MALFORMED_LINE = st.sampled_from(
     [
@@ -391,7 +412,12 @@ def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatc
 
     monkeypatch.setattr(catalog, "parse_ratings", line_parser)
     path = tmp_path / "ratings.dat"
-    path.write_bytes(b"\n2::7::.5::30\r\n\n1::9::5.::20\n1::8::04.50::20\n1::3::2::10")
+    path.write_bytes(
+        b"\n2::7::.5::30\r\n\n1::9::5.::20\n1::8::04.50::20\n"
+        # Fields of two 8-byte words, and a rating of one word on each side.
+        b"9999999999999999::0000000000000001::0000004.50000000::1234567890123456\n"
+        b"12345678::123456789::00000005::99999999\n1::3::2::10"
+    )
     ratings, issues = read_ratings_file(path, strict=True)
     assert not issues
     assert tuple(ratings) == (
@@ -399,7 +425,51 @@ def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatc
         Interaction(1, 8, 4.5, 20),
         Interaction(1, 9, 5.0, 20),
         Interaction(2, 7, 0.5, 30),
+        Interaction(12345678, 123456789, 5.0, 99999999),
+        Interaction(9999999999999999, 1, 4.5, 1234567890123456),
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"12345678901234567::2::3::4",
+        b"1::2::3::123456789012345678",
+        b"1::2::000000003::4",
+        b"1::2::3.000000000::4",
+        b"1::2::00000003.00000000::4",
+    ],
+)
+def test_longer_fields_give_the_line_parsers_table(tmp_path, monkeypatch, line):
+    calls = []
+
+    def line_parser(*args, **kwargs):
+        calls.append(args)
+        return parse_ratings(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "parse_ratings", line_parser)
+    data = b"5::6::4.5::7\n" + line + b"\n"
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(data)
+    expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
+    ratings, issues = read_ratings_file(path)
+    assert calls and not expected_issues
+    assert issues == expected_issues
+    assert tuple(ratings) == tuple(sorted(expected, key=lambda it: (it.user, it.timestamp, it.item)))
+
+
+def test_the_synthetic_corpus_is_read_without_the_line_parser(small_corpus, monkeypatch):
+    _, path = small_corpus
+    expected, _ = parse_ratings(_lines_by_the_line_rule(path.read_bytes()))
+    monkeypatch.setattr(catalog, "parse_ratings", _refuse_the_line_parser)
+    ratings, issues = read_ratings_file(path)
+    assert not issues
+    reference = Ratings.of(expected)
+    for got, want in zip(
+        (ratings.user, ratings.item, ratings.rating, ratings.timestamp),
+        (reference.user, reference.item, reference.rating, reference.timestamp),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_duplicate_ratings_are_counted_and_the_later_one_is_kept(tmp_path):
@@ -816,6 +886,16 @@ def test_catalog_title_that_normalizes_to_nothing_is_never_resolved():
     index = TitleIndex.build([CatalogEntry(1, "?!", 1990), CatalogEntry(2, "Up", 1990)])
     assert index.resolve("Up", 1990) == 2
     assert index._titles == ("up",)
+
+
+def test_blank_title_is_never_resolved_and_a_blank_catalog_title_is_left_out():
+    index = TitleIndex.build([CatalogEntry(1, "Heat", 1995)])
+    for title in ("", "   ", "\t\n"):
+        assert index.resolve(title, 1995) is None
+    index = TitleIndex.build([CatalogEntry(1, "   ", 1995), CatalogEntry(2, "Up", 1995)])
+    assert index._titles == ("up",)
+    assert index.resolve("Up", 1995) == 2
+    assert index.resolve("   ", 1995) is None
 
 
 def test_index_is_read_only_and_shared_by_threads():

@@ -53,6 +53,15 @@ def test_make_folds_are_disjoint_and_partition_each_user():
         assert train | split.test_items == rated
 
 
+def test_make_folds_rejects_a_table_not_sorted_by_user():
+    n = 24
+    ratings = Ratings(
+        np.array([1, 2] * (n // 2)), np.arange(n), np.full(n, 4.0), np.arange(n)
+    )
+    with pytest.raises(ValueError, match=r"not sorted by user: row 2 \(user 1\) follows user 2"):
+        make_folds(ratings, FoldSpec(fold_count=1, users_per_fold=2, min_ratings=1))
+
+
 def test_split_depends_only_on_user_and_seed():
     interactions = _interactions()
     spec = FoldSpec(fold_count=3, users_per_fold=10, seed=7)
