@@ -17,13 +17,20 @@ but whose computed floats differ in the last bits therefore tie, and the id
 decides. The rule is deterministic, so runs are reproducible, but not
 airtight: a tie whose two computed values fall on opposite sides of a
 snapping boundary still ranks by the raw values. One kernel, _first_k,
-applies it to (row, col, score) entries of any number of rows at once.
+applies it to (row, col, score) entries of any number of rows at once. It
+finds each row's k-th largest raw score by a partition and snaps only the
+entries that can reach that score's snap, the tie candidates, before
+sorting them: snapping is monotone and moves a score by at most half a
+40-bit step.
 
 Batch scoring: every recommender answers a batch through one entry point,
 slates(requests, k), which BaseRecommender.recommend_batch wraps. A
-request's training profile is its exclusion set; random and top-pop search
-the whole batch's profile items at once (_excluded). The KNN recommenders
-score blocks of requests, each with one sparse product:
+request's training profile is its exclusion set. Random and top-pop look up
+the whole batch's profile items at once (_excluded) and map each pick, the
+j-th item of the pool or the ranking outside a profile, to its position with
+one search for the whole batch (_nth_outside), so no request copies the
+catalog. The KNN recommenders score blocks of requests, each with one
+sparse product:
 
 - item-KNN: (R + 1j * 1_R) @ S.T, where R is the requests x items matrix of
   profile ratings and row c of S holds item c's neighbor similarities;
@@ -47,10 +54,11 @@ model's similarity rows, stored best first, so every score is summed in the
 same order as a loop over the profile or the neighbor list. Nothing may
 therefore sort a row's indices (scipy's abs() and sum_duplicates do).
 
-Seen items are dropped by sorted position: each entry of a block is keyed
-row * n_items + col and looked up among the sorted keys of the block's
-profile items (item-KNN) or of its users' rating-matrix rows (user-KNN), so
-no dense requests x items array is built.
+Seen items are dropped through a boolean mask of the block, rows x n_items
+bytes (64 x 12k, about 0.8 MB, per task on a 12k-item catalog with two
+workers), cleared at the block's profile items (item-KNN) or its users'
+rating-matrix rows (user-KNN) and read at each product entry's (row, col).
+No requests x items array of scores is built.
 
 Blocks on worker threads: the row blocks of the builds and of both scorers
 are independent, and the sparse products and sorts that take their time run
@@ -149,28 +157,41 @@ def _snap(scores: np.ndarray) -> np.ndarray:
 def _first_k(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of each row's first k entries under the ranking rule.
 
-    rows must be grouped (non-decreasing). Entries are ordered by (row,
-    descending snapped score, col), so cols must be ids or positions in
-    ascending id order. The result lists the kept positions in that order.
+    rows must be grouped (non-decreasing) and scores finite. Entries are
+    ordered by (row, descending snapped score, col), so cols must be ids or
+    positions in ascending id order. The result lists the kept positions in
+    that order.
+
+    Only the entries that can be kept are snapped and sorted. _snap is
+    monotone, so a row's k-th largest snapped score is the snap of its k-th
+    largest raw score, found by partitioning the raw scores. Rounding moves
+    a score by at most half a 40-bit step, so an entry more than half a step
+    of the kth's binade below it snaps below it too and is passed over.
     """
-    snapped = _snap(scores)
     row_start = np.ones(rows.size, dtype=bool)
     row_start[1:] = rows[1:] != rows[:-1]
     starts = np.flatnonzero(row_start)
-    group = np.cumsum(row_start) - 1
-    slots = np.arange(rows.size) - starts[group]
-    width = int(slots.max(initial=-1)) + 1
-    candidates = np.arange(rows.size)
+    counts = np.diff(starts, append=rows.size)
+    width = int(counts.max(initial=0))
     if 0 < k < width:
-        # Only entries at or above their row's k-th largest snapped score
-        # can be kept; a row with fewer than k entries pads its k-th with -inf.
-        padded = np.full((starts.size, width), -np.inf)
-        padded[group, slots] = snapped
-        kth = np.partition(padded, width - k, axis=1)[:, width - k]
-        candidates = np.flatnonzero(snapped >= kth[group])
-    order = candidates[
-        np.lexsort((cols[candidates], -snapped[candidates], rows[candidates]))
-    ]
+        # Each row's entries fill one row of a padded array; a row with
+        # fewer than k entries pads its k-th with -inf, which keeps them all.
+        padded = np.full(starts.size * width, -np.inf)
+        offsets = np.repeat(np.arange(starts.size) * width - starts, counts)
+        padded[np.arange(rows.size) + offsets] = scores
+        padded = padded.reshape(starts.size, width)
+        padded.partition(width - k, axis=1)
+        kth = _snap(padded[:, width - k])
+        # |kth| * 2**-40 is at least half a step of kth's binade; below a
+        # power of two the steps are half as large.
+        reach = kth - np.abs(kth) * 2.0**-SCORE_SNAP_BITS
+        candidates = np.flatnonzero(scores >= np.repeat(reach, counts))
+        snapped = _snap(scores[candidates])
+        exact = snapped >= kth[np.searchsorted(starts, candidates, side="right") - 1]
+        candidates, snapped = candidates[exact], snapped[exact]
+    else:
+        candidates, snapped = np.arange(rows.size), _snap(scores)
+    order = candidates[np.lexsort((cols[candidates], -snapped, rows[candidates]))]
     ranked_rows = rows[order]
     rank = np.arange(order.size) - np.searchsorted(ranked_rows, ranked_rows)
     return order[rank < k]
@@ -255,12 +276,52 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return positions, found
 
 
-def _excluded(ids: np.ndarray, requests: Sequence[RecRequest]) -> list[np.ndarray]:
-    """Per request, the positions in the sorted ids of its profile items; others are ignored."""
+def _excluded(
+    ids: np.ndarray, requests: Sequence[RecRequest], rank: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The requests' profile items as sorted distinct keys request * len(ids) + p.
+
+    p is an item's position in the sorted ids, or rank[position] when rank
+    is given. Profile items not in ids are ignored. Also returns each
+    request's count of ids outside its profile.
+    """
+    n = ids.size
     items = np.concatenate([np.empty(0, np.int64), *(r.profile.item for r in requests)])
     positions, found = _positions(ids, items)
-    rows = np.repeat(np.arange(len(requests)), [len(r.profile) for r in requests])[found]
-    return np.split(positions[found], np.cumsum(np.bincount(rows, minlength=len(requests)))[:-1])
+    owner = np.repeat(np.arange(len(requests)), [len(r.profile) for r in requests])[found]
+    positions = positions[found] if rank is None else rank[positions[found]]
+    keys = np.sort(owner * n + positions)
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    return keys, n - np.diff(np.searchsorted(keys, np.arange(len(requests) + 1) * n))
+
+
+def _nth_outside(excluded: np.ndarray, n: int, counts: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """Positions of range(n) outside each request's excluded ones, picked by rank.
+
+    excluded holds the sorted distinct keys request * n + position, as
+    _excluded returns them. Request r picks counts[r] positions, the next
+    counts[r] entries of nth in turn, each below r's count of positions
+    outside; entry j of the result is the nth[j]-th position outside.
+
+    An excluded position e that is the i-th of its request has e - i
+    positions outside before it, so the nth outside is nth plus the count of
+    its request's keys with e - i <= nth. Each key less its index stays
+    sorted over all requests, so one search answers every pick once its
+    query is shifted by the count of earlier requests' keys.
+    """
+    request = np.repeat(np.arange(counts.size), counts)
+    before = np.searchsorted(excluded, request * n)
+    shifted = excluded - np.arange(excluded.size)
+    return nth + np.searchsorted(shifted, request * n + nth - before, side="right") - before
+
+
+def _split_slates(entries: np.ndarray, counts: np.ndarray) -> list[Slate]:
+    """One slate per count, taking that many of entries in turn."""
+    items = entries.tolist()
+    stops = np.cumsum(counts).tolist()
+    return [Slate(entries=tuple(items[a:b])) for a, b in zip([0, *stops], stops)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,8 +347,8 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     product, the blocks on worker threads (_map_blocks). A block's stored
     entries above SIMILARITY_FLOOR, minus each entity's own, go straight to
     one _first_k call, which cuts them to their rows' top-K neighbors;
-    _first_k sorts each row in full, so the product's storage order does not
-    matter.
+    _first_k ranks by score and id alone, so the product's storage order does
+    not matter.
     """
     from scipy import sparse
 
@@ -340,7 +401,7 @@ def build_user_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS)
 
 def _knn_block_slates(
     product: sparse.csr_matrix,
-    seen: np.ndarray,
+    seen: tuple[np.ndarray, np.ndarray],
     ids: np.ndarray,
     k: int,
     base: np.ndarray | None = None,
@@ -348,21 +409,20 @@ def _knn_block_slates(
     """Slates of one scored block: score = base + num / den, ranked per row.
 
     product is the block's num + 1j * den (see the module docstring); every
-    entry it stores has den > 0. seen holds the sorted keys
-    row * len(ids) + col of the entries no slate may hold.
+    entry it stores has den > 0. seen holds the (row, col) pairs no slate
+    may hold. They are cleared in a rows x len(ids) mask of the block, which
+    each stored entry reads at its own (row, col).
     """
+    unseen = np.ones(product.shape, dtype=bool)
+    unseen[seen] = False
     product = product.tocoo()
-    _, dropped = _positions(seen, product.row.astype(np.int64) * ids.size + product.col)
-    keep = ~dropped
-    rows, cols, fused = product.row[keep], product.col[keep], product.data[keep]
-    scores = fused.real / fused.imag
+    keep = np.flatnonzero(unseen[product.row, product.col])
+    rows, cols = product.row[keep], product.col[keep]
+    scores = (product.data.real / product.data.imag)[keep]
     if base is not None:
         scores = base[rows] + scores
     picked = _first_k(rows, cols, scores, k)
-    bounds = np.cumsum(np.bincount(rows[picked], minlength=product.shape[0]))[:-1]
-    return [
-        Slate(entries=tuple(chunk.tolist())) for chunk in np.split(ids[cols[picked]], bounds)
-    ]
+    return _split_slates(ids[cols[picked]], np.bincount(rows[picked], minlength=product.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,17 +471,25 @@ class RandomRecommender(BaseRecommender):
         """Per request, k distinct draws from the pool minus its profile items.
 
         A request with fewer than k items left draws them all, in random
-        order, and its slate comes back short. Each request draws from
-        np.random.default_rng((seed, user)), so a slate does not depend on
-        the other requests. Profile items outside the pool are ignored.
+        order, and its slate comes back short. Each request draws its picks
+        with one np.random.default_rng((seed, user)).choice(left, size,
+        replace=False), where left is the count of pool items outside its
+        profile, so a slate does not depend on the other requests. A pick j
+        is the j-th pool item outside the profile; one search over the
+        batch maps them all (_nth_outside). Profile items outside the pool
+        are ignored.
         """
-        slates = []
-        for request, excluded in zip(requests, _excluded(self.pool, requests)):
-            available = np.delete(self.pool, excluded)
-            rng = np.random.default_rng((self.seed, request.user))
-            picks = rng.choice(len(available), size=min(k, len(available)), replace=False)
-            slates.append(Slate(entries=tuple(available[picks].tolist())))
-        return slates
+        excluded, available = _excluded(self.pool, requests)
+        picks = [
+            np.random.default_rng((self.seed, request.user)).choice(
+                left, size=min(k, left), replace=False
+            )
+            for request, left in zip(requests, available.tolist())
+        ]
+        counts = np.minimum(k, available)
+        nth = np.concatenate([np.empty(0, np.int64), *picks])
+        picked = _nth_outside(excluded, self.pool.size, counts, nth)
+        return _split_slates(self.pool[picked], counts)
 
 
 class TopPopRecommender(BaseRecommender):
@@ -448,17 +516,15 @@ class TopPopRecommender(BaseRecommender):
         """Per request, the first k items of the ranking outside its profile.
 
         The slate comes back short when fewer than k are left. Profile items
-        outside phi are ignored.
+        outside phi are ignored. The whole batch's slates come from one
+        search over the profiles' ranks (_nth_outside), with no loop over
+        the requests.
         """
-        slates = []
-        for excluded in _excluded(self.ids, requests):
-            ranks = self.rank[excluded]
-            # At most len(ranks) of the first k + len(ranks) items are excluded.
-            head = np.ones(min(k + len(ranks), len(self.ranking)), dtype=bool)
-            head[ranks[ranks < len(head)]] = False
-            kept = self.ranking[: len(head)][head]
-            slates.append(Slate(entries=tuple(kept[:k].tolist())))
-        return slates
+        excluded, available = _excluded(self.ids, requests, self.rank)
+        counts = np.minimum(k, available)
+        nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        picked = _nth_outside(excluded, self.ids.size, counts, nth)
+        return _split_slates(self.ranking[picked], counts)
 
 
 def _checked(model: KnnModel, mode: str) -> KnnModel:
@@ -507,7 +573,7 @@ class ItemKnnRecommender(BaseRecommender):
             rows, cols = rows[known], cols[known]
             ratings = np.concatenate([profile.rating for profile in batch])[known]
             product = _csr_of_rows(rows, cols, ratings + 1j, (len(batch), n)) @ self.sims_t
-            return _knn_block_slates(product, np.sort(rows * n + cols), self.items, k)
+            return _knn_block_slates(product, (rows, cols), self.items, k)
 
         return [slate for part in _map_blocks(block, len(profiles), SCORE_BLOCK) for slate in part]
 
@@ -535,14 +601,12 @@ class UserKnnRecommender(BaseRecommender):
         positions, known = _positions(self.matrix.users, users)
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
-        n = self.items.size
 
         def block(start: int, stop: int) -> list[Slate]:
             rows = positions[start:stop]
             product = self.model.sims[rows] @ self.scored
-            seen = self.matrix.csr[rows]
-            # Matrix rows store their items in ascending order, so the keys come sorted.
-            keys = np.repeat(np.arange(rows.size), np.diff(seen.indptr)) * n + seen.indices
-            return _knn_block_slates(product, keys, self.items, k, self.matrix.user_means[rows])
+            rated = self.matrix.csr[rows]
+            seen = (np.repeat(np.arange(rows.size), np.diff(rated.indptr)), rated.indices)
+            return _knn_block_slates(product, seen, self.items, k, self.matrix.user_means[rows])
 
         return [slate for part in _map_blocks(block, len(users), SCORE_BLOCK) for slate in part]

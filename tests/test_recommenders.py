@@ -299,6 +299,85 @@ def test_top_pop_slates_match_the_isin_form(ids, k, data):
     assert top_pop_slate(phi, exclude, k).entries == _isin_top_pop_slate(ranking, exclude, k)
 
 
+def _batch_profiles(pool):
+    """1-40 profiles: empty, with repeats and ids outside the pool, or covering the whole pool."""
+    some = st.lists(st.integers(-5, 45), max_size=30)
+    whole = st.lists(st.integers(-5, 45), max_size=5).map(lambda extra: extra + pool + pool[:2])
+    return st.lists(st.one_of(st.just([]), some, whole), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_random_batches_match_the_isin_form_per_request(data, k, seed):
+    pool = sorted(data.draw(st.sets(st.integers(0, 40), max_size=30)))
+    profiles = data.draw(_batch_profiles(pool))
+    requests = [request_for(user, [(i, 3.0) for i in p]) for user, p in enumerate(profiles)]
+    got = [slate.entries for slate in RandomRecommender(pool, seed).slates(requests, k)]
+    expected = [
+        _isin_random_slate(np.array(pool, dtype=np.int64), p, (seed, user), k)
+        for user, p in enumerate(profiles)
+    ]
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(0, 12))
+def test_top_pop_batches_match_the_isin_form_per_request(data, k):
+    pool = sorted(data.draw(st.sets(st.integers(0, 40), max_size=30)))
+    phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in pool}
+    profiles = data.draw(_batch_profiles(pool))
+    requests = [request_for(user, [(i, 3.0) for i in p]) for user, p in enumerate(profiles)]
+    rec = TopPopRecommender(phi)
+    got = [slate.entries for slate in rec.slates(requests, k)]
+    assert got == [_isin_top_pop_slate(rec.ranking, p, k) for p in profiles]
+
+
+def _near_snap_boundaries():
+    """Scores on 40-bit grid points, quarter steps off them or one ulp beside those, and zeros.
+
+    Mantissas near 2**39 put the grid point at a power of two, below which
+    the steps are half as large, so both binades' midpoints are drawn.
+    """
+
+    def build(mantissa, exponent, quarter_steps, ulps, sign):
+        score = math.ldexp(4 * mantissa + quarter_steps, exponent - SCORE_SNAP_BITS - 2)
+        for _ in range(abs(ulps)):
+            score = math.nextafter(score, math.copysign(math.inf, ulps))
+        return sign * score
+
+    mantissas = st.sampled_from([2**39, 2**39 + 1, 2**39 + 2, 2**40 - 1]) | st.integers(
+        2**39, 2**40 - 1
+    )
+    grid = st.builds(
+        build,
+        mantissas,
+        st.integers(-2, 2),
+        st.integers(-4, 4),
+        st.integers(-1, 1),
+        st.sampled_from([1.0, -1.0]),
+    )
+    return st.one_of(grid, st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    table=st.lists(st.lists(_near_snap_boundaries(), max_size=8), max_size=5),
+    k=st.integers(0, 10),
+    data=st.data(),
+)
+def test_first_k_matches_the_oracle_near_snapping_boundaries(table, k, data):
+    rows, cols, scores, expected = [], [], [], []
+    for row, row_scores in enumerate(table):
+        ids = data.draw(st.permutations(range(len(row_scores))))
+        rows += [row] * len(row_scores)
+        cols += ids
+        scores += row_scores
+        expected += [(row, i) for i, _ in oracle_rank(zip(ids, row_scores), k)]
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    picked = recommenders._first_k(rows, cols, np.array(scores, dtype=float), k)
+    assert list(zip(rows[picked].tolist(), cols[picked].tolist())) == expected
+
+
 # ---------------------------------------------------------------------------
 # KNN builds
 # ---------------------------------------------------------------------------
@@ -673,17 +752,41 @@ def test_item_build_over_a_dense_catalog_stays_small():
     assert peak < 18 * 2**20
 
 
-def test_item_scoring_over_a_wide_catalog_stays_small():
-    # A dense requests x items array of one 128-request block would be
-    # 128 x 19.7k doubles, about 20 MB.
-    table = _wide_sparse_ratings()
-    rec = ItemKnnRecommender(build_item_knn(RatingMatrix.from_interactions(table)))
+def _wide_sparse_requests(table):
+    """One request per user of the table, with the user's rows as profile."""
     bounds = np.flatnonzero(np.diff(table.user)) + 1
     requests = [
         RecRequest(int(table.user[start]), table[start:stop])
         for start, stop in zip([0, *bounds], [*bounds, len(table)])
     ]
     assert len(requests) == 800
+    return requests
+
+
+def test_item_scoring_over_a_wide_catalog_stays_small():
+    # A dense requests x items array of one 128-request block would be
+    # 128 x 19.7k doubles, about 20 MB.
+    table = _wide_sparse_ratings()
+    rec = ItemKnnRecommender(build_item_knn(RatingMatrix.from_interactions(table)))
+    requests = _wide_sparse_requests(table)
+    tracemalloc.start()
+    try:
+        slates = rec.slates(requests, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(slate) == 10 for slate in slates)
+    assert peak < 16 * 2**20
+
+
+def test_user_scoring_over_a_wide_catalog_stays_small():
+    # The seen mask of a block is rows x 19.7k bytes, 2.5 MB at 128 rows; a
+    # dense block of scores would be eight times that. The peak measures
+    # about 10.3 MiB with one or two workers.
+    table = _wide_sparse_ratings()
+    matrix = RatingMatrix.from_interactions(table)
+    rec = UserKnnRecommender(build_user_knn(matrix), matrix)
+    requests = _wide_sparse_requests(table)
     tracemalloc.start()
     try:
         slates = rec.slates(requests, 10)
