@@ -260,9 +260,15 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
                 f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "
                 "shares with the user's profile, and slates exclude the training profile"
             )
+    try:
+        spec = ev.FoldSpec(**cfg["folds"])
+    except ValueError as exc:
+        raise click.ClickException(f"folds.{exc}")
     # A standard error over folds needs two of them.
-    if cfg["folds"]["fold_count"] < 2:
+    if spec.fold_count < 2:
         raise click.ClickException("folds.fold_count must be >= 2")
+    if type(cfg["strict_parse"]) is not bool:
+        raise click.ClickException("strict_parse must be true or false")
     for key in ("k", "knn_k"):
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise click.ClickException(f"{key} must be an integer >= 1")
@@ -288,7 +294,7 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     entries_by_id = {e.item: e for e in entries}
 
     try:
-        plan = ev.make_folds(table, ev.FoldSpec(**cfg["folds"]))
+        plan = ev.make_folds(table, spec)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

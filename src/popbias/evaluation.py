@@ -15,11 +15,13 @@ Each (fold, recommender) pair is scored in one batch. A fold's requests,
 training profiles and held-out items are gathered once into
 ``FoldInputs``, which every recommender of the fold shares, and so is each
 metric's column of training-profile statistics, computed on first use.
-``evaluate_recommender`` takes all of the fold's slates at once, calls
-``evaluate_metric`` once per metric over them and counts hits from the
-same flat slate arrays. A user is left out of a bias mean only where the
-metric is undefined for that user; ``evaluate_recommender`` lists the
-reasons. Fold means add per-user values left to right in fold order.
+``evaluate_recommender`` takes all of the fold's slates at once and builds
+one per-user array per report column, in report order: a hit rate per
+cutoff of ``HIT_CUTOFFS``, each metric from one ``evaluate_metric`` call,
+then the unfilled slots. A column's fold mean adds its defined (not NaN)
+values left to right in fold order; the users it leaves out are counted.
+``FoldStats``, ``EvalRow`` and the report all carry these columns in this
+order, so each column is defined once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_METRICS = ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff")
+HIT_CUTOFFS = (5, 10)  # report columns hr5 and hr10
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,16 @@ class FoldSpec:
     min_ratings: int = 10
 
     def __post_init__(self) -> None:
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.fold_count < 1 or self.users_per_fold < 1:
-            raise ValueError("fold_count and users_per_fold must be >= 1")
+        # Each message starts with the field it names.
+        bounds = (("fold_count", 1), ("users_per_fold", 1), ("seed", 0), ("min_ratings", 0))
+        for name, least in bounds:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        fraction = self.train_fraction
+        real = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+        if not (real and 0 < fraction < 1):
+            raise ValueError("train_fraction must be a number in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,15 +176,16 @@ def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
 
 @dataclass
 class FoldStats:
-    """Unweighted per-fold means plus exclusion counters."""
+    """One recommender's unweighted means on one fold, by report column in report order.
+
+    ``means`` holds each column's mean over the users it is defined for
+    (None if none) and ``excluded`` the count of users it leaves out.
+    """
 
     n_users: int
-    hr5: float
-    hr10: float
-    bias: dict[str, float | None]
-    unmatched: float
+    means: dict[str, float | None]
+    excluded: dict[str, int]
     empty_slates: int
-    bias_excluded: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -257,12 +267,13 @@ def evaluate_recommender(
     The fold is scored in one batch: each metric is evaluated once, by
     ``evaluate_metric``, over every user's slate against the fold's column
     of training-profile statistics (``FoldInputs.train_statistics``).
-    Hit rates at 5 and 10 are recall: the share of a user's held-out items
-    among the first 5 or 10 slate items. Every user counts in them, a user
-    with an empty slate as zero.
+    ``hr<cut>`` for each cut of ``HIT_CUTOFFS`` is recall: the share of a
+    user's held-out items among the first cut slate items. Every user counts
+    in the hit rates and in ``unmatched``, a user with an empty slate as
+    zero hits.
 
-    A user is left out of a bias mean, and counted in ``bias_excluded``,
-    where the metric is undefined for that user:
+    A user is left out of a bias mean, and counted in ``excluded``, where
+    the metric is undefined (NaN) for that user:
 
     * an empty slate excludes the user from every metric (and is counted
       in ``empty_slates`` too);
@@ -279,29 +290,22 @@ def evaluate_recommender(
     slates = Profiles.of(result.slate.entries for result in results)
     n = len(results)
 
-    bias: dict[str, float | None] = {}
-    bias_excluded: dict[str, int] = {}
-    for m in metric_ids:
-        values = evaluate_metric(m, slates, fold.train_statistics(m, phi), phi)
-        defined = values[~np.isnan(values)]
-        bias[m] = _sum_in_order(defined) / defined.size if defined.size else None
-        bias_excluded[m] = n - defined.size
-
     held_out = _held_out(slates, fold.test)
     rows, positions = slates.rows[held_out], slates.positions[held_out]
+    columns = {
+        f"hr{cut}": np.bincount(rows[positions < cut], minlength=n) / fold.test.lengths
+        for cut in HIT_CUTOFFS
+    }
+    for m in metric_ids:
+        columns[m] = evaluate_metric(m, slates, fold.train_statistics(m, phi), phi)
+    columns["unmatched"] = np.array([result.unmatched for result in results], dtype=float)
 
-    def hit_rate(cut: int) -> float:
-        hits = np.bincount(rows[positions < cut], minlength=n)
-        return _sum_in_order(hits / fold.test.lengths) / n
-
+    defined = {column: values[~np.isnan(values)] for column, values in columns.items()}
     return FoldStats(
         n_users=n,
-        hr5=hit_rate(5),
-        hr10=hit_rate(10),
-        bias=bias,
-        unmatched=sum(result.unmatched for result in results) / n,
+        means={c: _sum_in_order(v) / v.size if v.size else None for c, v in defined.items()},
+        excluded={c: n - v.size for c, v in defined.items()},
         empty_slates=int(np.count_nonzero(slates.lengths == 0)),
-        bias_excluded=bias_excluded,
     )
 
 
@@ -317,31 +321,25 @@ def aggregate_folds(values: Sequence[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EvalRow:
-    """One recommender's fold-aggregated results: (mean, sem) pairs.
+    """One recommender's fold-aggregated results: (mean, sem) per report column.
 
-    A bias metric defined in fewer than 2 folds has (None, None).
+    ``columns`` lists the columns in report order. A column defined in
+    fewer than 2 folds has (None, None).
     """
 
     name: str
-    hr5: tuple[float, float]
-    hr10: tuple[float, float]
-    bias: dict[str, tuple[float | None, float | None]]
-    unmatched: tuple[float, float]
+    columns: dict[str, tuple[float | None, float | None]]
 
 
 def summarize(name: str, fold_stats: Sequence[FoldStats]) -> EvalRow:
-    """Aggregate per-fold means into one report row."""
-    bias: dict[str, tuple[float | None, float | None]] = {}
-    for m in fold_stats[0].bias:
-        values = [fs.bias[m] for fs in fold_stats if fs.bias[m] is not None]
-        bias[m] = aggregate_folds(values) if len(values) >= 2 else (None, None)
-    return EvalRow(
-        name=name,
-        hr5=aggregate_folds([fs.hr5 for fs in fold_stats]),
-        hr10=aggregate_folds([fs.hr10 for fs in fold_stats]),
-        bias=bias,
-        unmatched=aggregate_folds([fs.unmatched for fs in fold_stats]),
-    )
+    """Aggregate per-fold means into one report row, column by column."""
+    if len(fold_stats) < 2:
+        raise ValueError("need at least 2 folds to aggregate")
+    columns: dict[str, tuple[float | None, float | None]] = {}
+    for column in fold_stats[0].means:
+        values = [fs.means[column] for fs in fold_stats if fs.means[column] is not None]
+        columns[column] = aggregate_folds(values) if len(values) >= 2 else (None, None)
+    return EvalRow(name=name, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -386,23 +384,6 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def report_columns(rows: Sequence[EvalRow]) -> list[str]:
-    metric_ids = list(rows[0].bias)
-    cols = ["recommender", "hr5", "hr5_sem", "hr10", "hr10_sem"]
-    for m in metric_ids:
-        cols.extend([m, f"{m}_sem"])
-    cols.extend(["unmatched", "unmatched_sem"])
-    return cols
-
-
-def _row_cells(row: EvalRow) -> list[str]:
-    cells = [row.name, _fmt(row.hr5[0]), _fmt(row.hr5[1]), _fmt(row.hr10[0]), _fmt(row.hr10[1])]
-    for mean_sem in row.bias.values():
-        cells.extend([_fmt(mean_sem[0]), _fmt(mean_sem[1])])
-    cells.extend([_fmt(row.unmatched[0]), _fmt(row.unmatched[1])])
-    return cells
-
-
 def _render(header: list[str], rows: Iterable[list[str]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header), *(",".join(cells) for cells in rows)]
@@ -418,10 +399,17 @@ def _render(header: list[str], rows: Iterable[list[str]], fmt: str) -> str:
 
 
 def emit_report(rows: Sequence[EvalRow], fmt: str = "csv") -> str:
-    """Render evaluation rows as CSV or markdown."""
+    """Render evaluation rows as CSV or markdown.
+
+    The first row's columns, in order, give the header: each column and its
+    ``_sem``. Every row's cells are read at the same keys.
+    """
     if not rows:
         raise ValueError("no rows to report")
-    return _render(report_columns(rows), (_row_cells(row) for row in rows), fmt)
+    keys = list(rows[0].columns)
+    header = ["recommender", *(f"{key}{suffix}" for key in keys for suffix in ("", "_sem"))]
+    cells = ([row.name, *(_fmt(v) for key in keys for v in row.columns[key])] for row in rows)
+    return _render(header, cells, fmt)
 
 
 def emit_correlations(matrix: CorrelationMatrix) -> str:

@@ -323,7 +323,6 @@ class SlotTag:
 class ValidationResult:
     slate: Slate
     tags: tuple[SlotTag, ...]
-    unmatched_count: int
 
 
 def validate_and_resolve(
@@ -336,9 +335,7 @@ def validate_and_resolve(
 
     Tag priority per slot: malformed, then too-new (year past the allowed
     range), unmatched, already watched, valid. Duplicate valid titles keep
-    the first occurrence; later copies are tagged malformed. The unmatched
-    count treats every requested slot not filled by a valid item as
-    invalid, so short completions are penalized too.
+    the first occurrence; later copies are tagged malformed.
     """
     tags: list[SlotTag] = []
     valid_items: list[int] = []
@@ -360,8 +357,7 @@ def validate_and_resolve(
             tags.append(SlotTag(ValidityTag.VALID, item=item))
     tags.extend(SlotTag(ValidityTag.MALFORMED) for _ in parsed.malformed)
     slate = Slate(entries=tuple(valid_items[:requested_k]))
-    unmatched = max(0, requested_k - len(valid_items))
-    return ValidationResult(slate=slate, tags=tuple(tags), unmatched_count=unmatched)
+    return ValidationResult(slate=slate, tags=tuple(tags))
 
 
 def build_watch_history(
@@ -402,17 +398,17 @@ class WokRecommender(BaseRecommender):
         self.name = f"wok-{cfg.model_name}{suffix}"
 
     def recommend(self, request: RecRequest, k: int) -> RecResult:
-        """One user's slate; a user with no catalogued training item gets an
-        empty slate with all ``k`` slots unmatched, since there is no prompt."""
+        """One user's slate; each of the ``k`` slots no valid item fills counts
+        as unmatched, so short completions are penalized too. A user with no
+        catalogued training item has no prompt and gets an empty slate."""
+        slate = Slate(entries=())
         history = build_watch_history(request.profile, self.entries)
-        if not history:
-            return RecResult(slate=Slate(entries=()), unmatched=k)
-        prompt = render_prompt(history, k, self.variant)
-        text = complete_chat(prompt, self.cfg)
-        parsed = parse_recommendations(text)
-        # Validation tags every watched (profile) item and keeps it off the slate.
-        validated = validate_and_resolve(parsed, request.exclude, self.index, k)
-        return RecResult(slate=validated.slate, unmatched=validated.unmatched_count)
+        if history:
+            text = complete_chat(render_prompt(history, k, self.variant), self.cfg)
+            parsed = parse_recommendations(text)
+            # Validation tags every watched (profile) item and keeps it off the slate.
+            slate = validate_and_resolve(parsed, request.exclude, self.index, k).slate
+        return RecResult(slate=slate, unmatched=k - len(slate))
 
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         if not requests:

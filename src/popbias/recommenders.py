@@ -56,8 +56,8 @@ therefore sort a row's indices (scipy's abs() and sum_duplicates do).
 
 Seen items are dropped through a boolean mask of the block, rows x n_items
 bytes (64 x 12k, about 0.8 MB, per task on a 12k-item catalog with two
-workers), cleared at the block's profile items (item-KNN) or its users'
-rating-matrix rows (user-KNN) and read at each product entry's (row, col).
+workers), cleared at the block's profile items (both KNN recommenders find
+them with _profile_cells) and read at each product entry's (row, col).
 No requests x items array of scores is built.
 
 Blocks on worker threads: the row blocks of the builds and of both scorers
@@ -276,6 +276,18 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return positions, found
 
 
+def _profile_cells(profiles: Sequence[Ratings], ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, col) of each profile rating whose item is in the sorted ids, and the kept mask.
+
+    row is the profile's index and col the item's position in ids. The mask
+    marks the kept ones among all the profiles' ratings, concatenated.
+    """
+    items = np.concatenate([np.empty(0, np.int64), *(profile.item for profile in profiles)])
+    cols, known = _positions(ids, items)
+    rows = np.repeat(np.arange(len(profiles)), [len(profile) for profile in profiles])
+    return rows[known], cols[known], known
+
+
 def _excluded(
     ids: np.ndarray, requests: Sequence[RecRequest], rank: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +298,8 @@ def _excluded(
     request's count of ids outside its profile.
     """
     n = ids.size
-    items = np.concatenate([np.empty(0, np.int64), *(r.profile.item for r in requests)])
-    positions, found = _positions(ids, items)
-    owner = np.repeat(np.arange(len(requests)), [len(r.profile) for r in requests])[found]
-    positions = positions[found] if rank is None else rank[positions[found]]
+    owner, positions, _ = _profile_cells([request.profile for request in requests], ids)
+    positions = positions if rank is None else rank[positions]
     keys = np.sort(owner * n + positions)
     distinct = np.ones(keys.size, dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
@@ -566,11 +576,8 @@ class ItemKnnRecommender(BaseRecommender):
 
         def block(start: int, stop: int) -> list[Slate]:
             batch = profiles[start:stop]
-            items = np.concatenate([profile.item for profile in batch])
-            rows = np.repeat(np.arange(len(batch)), [len(profile) for profile in batch])
             # An item without a neighbor list can be neither scored nor recommended.
-            cols, known = _positions(self.items, items)
-            rows, cols = rows[known], cols[known]
+            rows, cols, known = _profile_cells(batch, self.items)
             ratings = np.concatenate([profile.rating for profile in batch])[known]
             product = _csr_of_rows(rows, cols, ratings + 1j, (len(batch), n)) @ self.sims_t
             return _knn_block_slates(product, (rows, cols), self.items, k)
@@ -594,19 +601,20 @@ class UserKnnRecommender(BaseRecommender):
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         """One slate per requesting user, scored in blocks on worker threads.
 
-        Each user must be a row of the rating matrix, whose row holds the
-        items left out. A user without neighbors gets an empty slate.
+        Each user must be a row of the rating matrix. The slate leaves out
+        the request's profile items, as every recommender's does. A user
+        without neighbors gets an empty slate.
         """
         users = np.array([request.user for request in requests], dtype=np.int64)
         positions, known = _positions(self.matrix.users, users)
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
+        profiles = [request.profile for request in requests]
 
         def block(start: int, stop: int) -> list[Slate]:
             rows = positions[start:stop]
             product = self.model.sims[rows] @ self.scored
-            rated = self.matrix.csr[rows]
-            seen = (np.repeat(np.arange(rows.size), np.diff(rated.indptr)), rated.indices)
+            seen = _profile_cells(profiles[start:stop], self.items)[:2]
             return _knn_block_slates(product, seen, self.items, k, self.matrix.user_means[rows])
 
         return [slate for part in _map_blocks(block, len(users), SCORE_BLOCK) for slate in part]

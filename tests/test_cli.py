@@ -224,6 +224,14 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
         ),
         # Without a wok recommender the provider block is never used.
         ({"provider": {"dialect": "telnet"}}, "movies file not found"),
+        ({"folds": {"fold_count": "5"}}, "folds.fold_count must be an integer >= 1"),
+        ({"folds": {"users_per_fold": 2.5}}, "folds.users_per_fold must be an integer >= 1"),
+        ({"folds": {"seed": "x"}}, "folds.seed must be an integer >= 0"),
+        ({"folds": {"seed": -1}}, "folds.seed must be an integer >= 0"),
+        ({"folds": {"min_ratings": True}}, "folds.min_ratings must be an integer >= 0"),
+        ({"folds": {"train_fraction": "0.8"}}, "folds.train_fraction must be a number in (0, 1)"),
+        ({"folds": {"train_fraction": 1.5}}, "folds.train_fraction must be a number in (0, 1)"),
+        ({"strict_parse": "false"}, "strict_parse must be true or false"),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):

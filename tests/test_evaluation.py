@@ -15,6 +15,7 @@ from popbias.evaluation import (
     FoldSpec,
     FoldStats,
     UserSplit,
+    emit_report,
     evaluate_recommender,
     make_folds,
     split_user_ratings,
@@ -90,26 +91,23 @@ def test_split_depends_only_on_user_and_seed():
 
 
 def _fold(hr, log_pop_diff, pru):
-    return FoldStats(
-        n_users=10,
-        hr5=hr,
-        hr10=2 * hr,
-        bias={"log_pop_diff": log_pop_diff, "pru": pru},
-        unmatched=0.0,
-        empty_slates=0,
-    )
+    means = {"hr5": hr, "hr10": 2 * hr, "log_pop_diff": log_pop_diff, "pru": pru, "unmatched": 0.0}
+    excluded = {column: 0 if mean is not None else 10 for column, mean in means.items()}
+    return FoldStats(n_users=10, means=means, excluded=excluded, empty_slates=0)
 
 
 def test_summarize_mean_and_standard_error():
     row = summarize("rec", [_fold(1.0, 1.0, None), _fold(2.0, None, 0.5), _fold(4.0, 3.0, None)])
     # hr5 over [1, 2, 4]: mean 7/3, sample variance 7/3, so SEM sqrt(7/3)/sqrt(3).
-    assert row.hr5 == pytest.approx((7 / 3, math.sqrt(7) / 3), abs=1e-12)
-    assert row.hr10 == pytest.approx((14 / 3, 2 * math.sqrt(7) / 3), abs=1e-12)
+    assert row.columns["hr5"] == pytest.approx((7 / 3, math.sqrt(7) / 3), abs=1e-12)
+    assert row.columns["hr10"] == pytest.approx((14 / 3, 2 * math.sqrt(7) / 3), abs=1e-12)
     # log_pop_diff is defined in two folds: [1, 3] gives mean 2, SEM sqrt(2)/sqrt(2).
-    assert row.bias["log_pop_diff"] == pytest.approx((2.0, 1.0), abs=1e-12)
+    assert row.columns["log_pop_diff"] == pytest.approx((2.0, 1.0), abs=1e-12)
     # pru is defined in one fold only, which leaves its cells blank.
-    assert row.bias["pru"] == (None, None)
-    assert row.unmatched == (0.0, 0.0)
+    assert row.columns["pru"] == (None, None)
+    assert row.columns["unmatched"] == (0.0, 0.0)
+    with pytest.raises(ValueError, match="need at least 2 folds"):
+        summarize("rec", [_fold(1.0, 1.0, None)])
 
 
 def test_baseline_hit_rates_order_on_eval_corpus(eval_corpus, tmp_path):
@@ -171,26 +169,29 @@ def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
 
     assert stats.n_users == 4
     assert stats.empty_slates == 1
-    assert stats.bias_excluded == {
+    assert stats.excluded == {
+        "hr5": 0,
+        "hr10": 0,
         "log_pop_diff": 3,
         "avg_pop_lift": 2,
         "gini_diff": 2,
         "herfindahl_diff": 2,
+        "unmatched": 0,
     }
     # User 1 scores r = (8, 1) against u = (4, 2); user 4 r = (8, 2) against u = (0.5, 4).
-    assert stats.bias["log_pop_diff"] == pytest.approx(
+    assert stats.means["log_pop_diff"] == pytest.approx(
         (math.log(8) + math.log(1)) / 2 - (math.log(4) + math.log(2)) / 2, abs=1e-12
     )
-    assert stats.bias["avg_pop_lift"] == pytest.approx((0.5 + 11 / 9) / 2, abs=1e-12)
+    assert stats.means["avg_pop_lift"] == pytest.approx((0.5 + 11 / 9) / 2, abs=1e-12)
     # Gini of (1, 8) is 7/18, of (2, 4) 1/6, of (2, 8) 3/10 and of (0.5, 4) 7/18.
-    assert stats.bias["gini_diff"] == pytest.approx((2 / 9 - 4 / 45) / 2, abs=1e-12)
+    assert stats.means["gini_diff"] == pytest.approx((2 / 9 - 4 / 45) / 2, abs=1e-12)
     # Herfindahl of (1, 8) is 65/81, of (2, 4) 5/9, of (2, 8) 0.68 and of (0.5, 4) 65/81.
-    assert stats.bias["herfindahl_diff"] == pytest.approx(
+    assert stats.means["herfindahl_diff"] == pytest.approx(
         (20 / 81 + 0.68 - 65 / 81) / 2, abs=1e-12
     )
     # Hit rates count every user; the empty slate hits nothing.
-    assert stats.hr5 == stats.hr10 == (1 + 0 + 1 + 0.5) / 4
-    assert stats.unmatched == 0.0
+    assert stats.means["hr5"] == stats.means["hr10"] == (1 + 0 + 1 + 0.5) / 4
+    assert stats.means["unmatched"] == 0.0
 
 
 def _reference_stats(fold, slates, phi):
@@ -231,9 +232,9 @@ def test_fold_batch_equals_the_per_user_loop_exactly():
         FixedSlates(slates), FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS
     )
     hr5, hr10, bias, excluded = _reference_stats(fold, slates, phi)
-    assert (stats.hr5, stats.hr10) == (hr5, hr10)
-    assert stats.bias == bias
-    assert stats.bias_excluded == excluded
+    assert (stats.means["hr5"], stats.means["hr10"]) == (hr5, hr10)
+    assert {m: stats.means[m] for m in BIAS_METRICS} == bias
+    assert {m: stats.excluded[m] for m in BIAS_METRICS} == excluded
     assert 0 < excluded["log_pop_diff"] < len(fold)
 
 
@@ -257,10 +258,39 @@ def test_a_folds_training_statistics_are_computed_once_per_metric(monkeypatch):
     monkeypatch.setattr(type(METRICS["log_pop_diff"]), "statistics", counted)
     phi_array = PhiArray.of(phi)
     shared = [evaluate_recommender(rec, inputs, phi_array) for rec in recs]
-    assert [s.bias for s in shared] == [s.bias for s in fresh]
+    assert [s.means for s in shared] == [s.means for s in fresh]
     assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)
     assert sum(not train for _, train in calls) == 2 * len(BIAS_METRICS)
     # Another phi gives another column.
     calls.clear()
     evaluate_recommender(recs[0], inputs, PhiArray.of({**phi, 1: 40.0}))
     assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)
+
+
+def test_report_layout_of_a_two_fold_run():
+    phi = {1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 0.5, 6: 2.0, 7: 2.0, 8: 2.0, 9: 2.0}
+    folds = [
+        _fold_of((1, (1, 2), (3,)), (2, (1, 3), (4,))),
+        _fold_of((3, (2, 4), (1,)), (4, (3, 4), (2, 6))),
+    ]
+    # User 2 hits at the sixth slot, so only its hr10 counts it. Item 5
+    # (phi 0.5) leaves log_pop_diff undefined for both users of fold 2.
+    rec = FixedSlates({1: (3, 4), 2: (2, 6, 7, 8, 9, 4), 3: (5, 1), 4: (5, 2)})
+    metric_ids = ("log_pop_diff", "avg_pop_lift")
+    stats = [
+        evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi), metric_ids)
+        for fold in folds
+    ]
+    rows = [summarize("fixed", stats)]
+    # hr5 over folds (0.5, 0.75), hr10 (1, 0.75); avg_pop_lift (-7/72, -1/9).
+    assert emit_report(rows, fmt="csv") == (
+        "recommender,hr5,hr5_sem,hr10,hr10_sem,log_pop_diff,log_pop_diff_sem,"
+        "avg_pop_lift,avg_pop_lift_sem,unmatched,unmatched_sem\n"
+        "fixed,0.6250,0.1250,0.8750,0.1250,,,-0.1042,0.0069,0.0000,0.0000\n"
+    )
+    assert emit_report(rows, fmt="markdown") == (
+        "| recommender | hr5 | hr5_sem | hr10 | hr10_sem | log_pop_diff | log_pop_diff_sem"
+        " | avg_pop_lift | avg_pop_lift_sem | unmatched | unmatched_sem |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| fixed | 0.6250 | 0.1250 | 0.8750 | 0.1250 |  |  | -0.1042 | 0.0069 | 0.0000 | 0.0000 |\n"
+    )

@@ -151,7 +151,7 @@ class TestValidateAndResolve:
             ValidityTag.MALFORMED,
         ]
         assert result.slate.entries == (1,)
-        assert result.unmatched_count == 4
+        assert 5 - len(result.slate) == 4  # unfilled slots
 
     def test_too_new_beats_unmatched(self, catalog_index):
         index, _ = catalog_index
@@ -171,7 +171,7 @@ class TestValidateAndResolve:
         parsed = parse_recommendations(lines)
         result = validate_and_resolve(parsed, set(), index, requested_k=10)
         assert len(result.slate.entries) == 4
-        assert result.unmatched_count == 6
+        assert 10 - len(result.slate) == 6  # unfilled slots
 
     def test_duplicate_valid_title_tagged_malformed(self, catalog_index):
         index, _ = catalog_index
@@ -190,7 +190,7 @@ class TestValidateAndResolve:
             ValidityTag.MALFORMED,
         ]
         assert result.slate.entries == (2,)
-        assert result.unmatched_count == 2
+        assert 3 - len(result.slate) == 2  # unfilled slots
 
     @pytest.mark.parametrize(
         ("title", "line"),
@@ -209,7 +209,7 @@ class TestValidateAndResolve:
         index, _ = catalog_index
         parsed = parse_recommendations("")
         result = validate_and_resolve(parsed, set(), index, requested_k=10)
-        assert result.unmatched_count == 10
+        assert 10 - len(result.slate) == 10  # unfilled slots
 
     def test_slate_truncated_to_k(self, catalog_index):
         index, _ = catalog_index
@@ -218,7 +218,7 @@ class TestValidateAndResolve:
         )
         result = validate_and_resolve(parsed, set(), index, requested_k=2)
         assert len(result.slate.entries) == 2
-        assert result.unmatched_count == 0
+        assert 2 - len(result.slate) == 0  # unfilled slots
 
 
 class TestStubProvider:
@@ -444,8 +444,8 @@ class TestWokRecommender:
             rec, FoldInputs.of(fold), PhiArray.of(phi), ["log_pop_diff"], k=3
         )
         assert stats.empty_slates == 1
-        assert stats.bias_excluded == {"log_pop_diff": 1}
-        assert stats.unmatched == (1 + 3) / 2
+        assert stats.excluded == {"hr5": 0, "hr10": 0, "log_pop_diff": 1, "unmatched": 0}
+        assert stats.means["unmatched"] == (1 + 3) / 2
 
     def test_name_carries_variant(self, catalog_index):
         index, entries = catalog_index

@@ -492,6 +492,18 @@ class TestUserKnn:
         model = build_user_knn(matrix, 30)
         assert user_knn_slates(model, matrix, [1], 5)[0].entries == ()
 
+    def test_slate_leaves_out_the_request_profile_not_the_matrix_row(self):
+        ratings = {
+            (1, 10): 5.0, (1, 11): 1.0,
+            (2, 10): 5.0, (2, 11): 1.0, (2, 12): 5.0, (2, 13): 1.0,
+            (3, 10): 1.0, (3, 12): 4.0,
+        }
+        matrix = matrix_from(ratings)
+        rec = UserKnnRecommender(build_user_knn(matrix, 5), matrix)
+        # Item 12 is in the profile but not in user 1's matrix row.
+        request = watched(1, {10, 11, 12})
+        assert rec.slates([request], 3)[0].entries == (13,)
+
     def test_model_of_another_matrix_rejected(self):
         ratings = {(1, 10): 5.0, (1, 11): 1.0, (2, 10): 4.0, (2, 11): 2.0}
         model = build_user_knn(matrix_from(ratings), 30)
