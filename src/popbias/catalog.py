@@ -6,10 +6,14 @@ catalog and title index are immutable after construction and safe to share
 across threads; the popularity counts are a plain dict, shared read-only.
 
 Line rule: a file is decoded as UTF-8, or as latin-1 where that fails, and
-split into lines at ``\n`` only, with one trailing ``\r`` stripped from each
-line. Other Unicode line boundaries (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
-U+0085, U+2028, U+2029) stay inside their line, so line numbers count
-physical lines. Blank lines are skipped but counted.
+split into lines at ``\n`` only, and every trailing ``\r`` is stripped from
+each line, so ``"x\r\r\n"`` is the line ``"x"``. Other Unicode line
+boundaries (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, U+0085, U+2028, U+2029)
+stay inside their line, so line numbers count physical lines. Blank lines
+are skipped but counted. ``parse_movies`` and ``parse_ratings`` apply the
+rule to the lines they are given, and share one lenient/strict contract:
+lenient mode records each malformed line as a :class:`ParseIssue` and goes
+on, strict mode raises :class:`ParseError` at the first.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
 by (user, timestamp, item) unless the file is in that order already.
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,113 +186,102 @@ def _sort_rows(columns: list[np.ndarray]) -> None:
         columns[i] = columns[i][order]
 
 
-def _iter_clean_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+class _BadLine(Exception):
+    """A field rule's reason for leaving one line out."""
+
+
+def _parse_lines(
+    lines: Iterable[str], strict: bool, kind: str, fields: int, parse: Callable[..., object]
+) -> tuple[list, list[ParseIssue]]:
+    """``parse(*fields)`` of each non-blank line under the line rule, split at ``::``.
+
+    A line with another field count, or whose fields ``parse`` rejects with
+    :class:`_BadLine`, is malformed under the lenient/strict contract.
+    """
+    values: list = []
+    issues: list[ParseIssue] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if line.strip():
-            yield line_no, line
+        if not line.strip():
+            continue
+        parts = line.split("::")
+        try:
+            if len(parts) != fields:
+                raise _BadLine(f"expected {fields} '::'-separated fields")
+            values.append(parse(*parts))
+        except _BadLine as exc:
+            if strict:
+                raise ParseError(f"{kind} line {line_no}: {exc}") from None
+            issues.append(ParseIssue(line_no, line, str(exc)))
+    return values, issues
+
+
+def _movie(raw_id: str, raw_title: str, raw_genres: str) -> CatalogEntry:
+    try:
+        item = int(raw_id)
+    except ValueError:
+        raise _BadLine("movie id is not an integer") from None
+    if item < 0:
+        raise _BadLine("movie id is negative")
+    m = _YEAR_RE.match(raw_title.strip())
+    if m:
+        title = m.group("title").strip()
+        year = int(m.group("year"))
+    else:
+        title = raw_title.strip()
+        year = 0
+    if not title:
+        raise _BadLine("empty title")
+    genres = tuple(g for g in (t.strip() for t in raw_genres.split("|")) if g)
+    return CatalogEntry(item=item, title=title, year=year, genres=genres)
 
 
 def parse_movies(
     lines: Iterable[str], strict: bool = False
 ) -> tuple[list[CatalogEntry], list[ParseIssue]]:
-    """Parse ``MovieID::Title (Year)::Genre1|Genre2`` lines.
+    """Parse ``MovieID::Title (Year)::Genre1|Genre2`` lines, leniently or strictly.
 
-    Lenient mode (default) records malformed lines as :class:`ParseIssue`
-    and keeps going; strict mode raises :class:`ParseError` at the first.
     Titles without a trailing ``(YYYY)`` are kept with ``year=0``.
     """
-    entries: list[CatalogEntry] = []
-    issues: list[ParseIssue] = []
+    return _parse_lines(lines, strict, "movies", 3, _movie)
 
-    def bad(line_no: int, line: str, reason: str) -> None:
-        if strict:
-            raise ParseError(f"movies line {line_no}: {reason}")
-        issues.append(ParseIssue(line_no, line, reason))
 
-    for line_no, line in _iter_clean_lines(lines):
-        parts = line.split("::")
-        if len(parts) != 3:
-            bad(line_no, line, "expected 3 '::'-separated fields")
-            continue
-        raw_id, raw_title, raw_genres = parts
-        try:
-            item = int(raw_id)
-        except ValueError:
-            bad(line_no, line, "movie id is not an integer")
-            continue
-        if item < 0:
-            bad(line_no, line, "movie id is negative")
-            continue
-        m = _YEAR_RE.match(raw_title.strip())
-        if m:
-            title = m.group("title").strip()
-            year = int(m.group("year"))
-        else:
-            title = raw_title.strip()
-            year = 0
-        if not title:
-            bad(line_no, line, "empty title")
-            continue
-        genres = tuple(g for g in (t.strip() for t in raw_genres.split("|")) if g)
-        entries.append(CatalogEntry(item=item, title=title, year=year, genres=genres))
-    return entries, issues
+def _interaction(raw_user: str, raw_item: str, raw_rating: str, raw_ts: str) -> Interaction:
+    try:
+        user = int(raw_user)
+        item = int(raw_item)
+        rating = float(raw_rating)
+        timestamp = int(raw_ts)
+    except ValueError:
+        raise _BadLine("non-numeric field") from None
+    if not 0.5 <= rating <= 5.0:
+        raise _BadLine(f"rating {rating} outside [0.5, 5.0]")
+    if timestamp < 0:
+        raise _BadLine("negative timestamp")
+    if not all(_INT64_MIN <= v <= _INT64_MAX for v in (user, item, timestamp)):
+        raise _BadLine("integer field outside the 64-bit range")
+    return Interaction(user=user, item=item, rating=rating, timestamp=timestamp)
 
 
 def parse_ratings(
     lines: Iterable[str], strict: bool = False
 ) -> tuple[list[Interaction], list[ParseIssue]]:
-    """Parse ``UserID::MovieID::Rating::Timestamp`` lines.
+    """Parse ``UserID::MovieID::Rating::Timestamp`` lines, leniently or strictly.
 
-    Same lenient/strict contract as :func:`parse_movies`. Ratings must fall
-    in [0.5, 5.0], timestamps must be non-negative, and ids and timestamps
-    must fit the 64-bit columns of :class:`Ratings`.
+    Ratings must fall in [0.5, 5.0], timestamps must be non-negative, and ids
+    and timestamps must fit the 64-bit columns of :class:`Ratings`.
     """
-    interactions: list[Interaction] = []
-    issues: list[ParseIssue] = []
-
-    def bad(line_no: int, line: str, reason: str) -> None:
-        if strict:
-            raise ParseError(f"ratings line {line_no}: {reason}")
-        issues.append(ParseIssue(line_no, line, reason))
-
-    for line_no, line in _iter_clean_lines(lines):
-        parts = line.split("::")
-        if len(parts) != 4:
-            bad(line_no, line, "expected 4 '::'-separated fields")
-            continue
-        raw_user, raw_item, raw_rating, raw_ts = parts
-        try:
-            user = int(raw_user)
-            item = int(raw_item)
-            rating = float(raw_rating)
-            timestamp = int(raw_ts)
-        except ValueError:
-            bad(line_no, line, "non-numeric field")
-            continue
-        if not 0.5 <= rating <= 5.0:
-            bad(line_no, line, f"rating {rating} outside [0.5, 5.0]")
-            continue
-        if timestamp < 0:
-            bad(line_no, line, "negative timestamp")
-            continue
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (user, item, timestamp)):
-            bad(line_no, line, "integer field outside the 64-bit range")
-            continue
-        interactions.append(
-            Interaction(user=user, item=item, rating=rating, timestamp=timestamp)
-        )
-    return interactions, issues
+    return _parse_lines(lines, strict, "ratings", 4, _interaction)
 
 
 def _split_lines(data: bytes) -> list[str]:
-    """The file's lines under the module's line rule."""
+    r"""The file's lines, split at ``\n`` only; the line parsers strip their ``\r``."""
     # MovieLens dumps are nominally UTF-8 but old ones contain latin-1 bytes.
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         text = data.decode("latin-1")
-    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+    return text.split("\n")
 
 
 def read_movies_file(

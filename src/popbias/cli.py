@@ -15,14 +15,8 @@ from popbias import catalog as cat
 from popbias import evaluation as ev
 from popbias.desiderata import DESIDERATA, desiderata_grid
 from popbias.distfit import fit_pareto
-from popbias.llm_gateway import (
-    DIALECTS,
-    ProviderConfig,
-    PromptVariant,
-    ProviderError,
-    WokRecommender,
-)
-from popbias.metrics import METRICS, PhiArray
+from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
+from popbias.metrics import METRICS, PhiArray, scored_metric
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
     ItemKnnRecommender,
@@ -59,6 +53,8 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise click.ClickException(f"config key {where} must be a mapping")
             merged[key] = _merge_config(defaults[key], value, where)
+        elif isinstance(defaults[key], list) and not isinstance(value, list):
+            raise click.ClickException(f"config key {where} must be a list")
         else:
             merged[key] = value
     return merged
@@ -73,6 +69,8 @@ def load_config(path: str | None) -> dict:
         raise click.ClickException(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"invalid JSON in {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise click.ClickException(f"config file {path} must hold a JSON object")
     return _merge_config(DEFAULT_CONFIG, raw)
 
 
@@ -171,8 +169,8 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     click.echo(f"ks_stat: {result.ks_stat:.4f}")
 
 
-def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
-    """Construct the configured recommenders, trained on the fold's training ratings."""
+def _build_fold_recommenders(cfg, train, phi, wok):
+    """The configured recommenders: models trained on the fold's ratings, and the run's ``wok``."""
     recs = []
     matrix = None
     for name in cfg["recommenders"]:
@@ -188,25 +186,11 @@ def _build_fold_recommenders(cfg, train, phi, index, entries_by_id):
             else:
                 recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
         else:  # "wok": evaluate has checked every name
-            variant = PromptVariant(cfg["prompt_variant"])
-            provider = ProviderConfig(**cfg["provider"])
-            recs.append(WokRecommender(provider, index, entries_by_id, variant))
+            recs.append(wok)
     return recs
 
 
-def _check_provider(provider: dict) -> None:
-    """Reject a provider block that would fail every request, before data is read."""
-    if provider["dialect"] not in DIALECTS:
-        raise click.ClickException(f"provider.dialect must be one of: {', '.join(DIALECTS)}")
-    if type(provider["max_in_flight"]) is not int or provider["max_in_flight"] < 1:
-        raise click.ClickException("provider.max_in_flight must be an integer >= 1")
-    if provider["dialect"] == "stub" and not Path(provider["fixtures_dir"]).is_dir():
-        raise click.ClickException(
-            f"provider.fixtures_dir is not a directory: {provider['fixtures_dir']}"
-        )
-
-
-def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
+def _score_fold(cfg, fold, phi, phi_array, wok, errors):
     """Score every configured recommender on one fold, skipping those in errors.
 
     A recommender whose provider fails is recorded in ``errors``. The fold's
@@ -214,7 +198,7 @@ def _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors):
     while the next fold's models are built.
     """
     inputs = ev.FoldInputs.of(fold)
-    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, index, entries_by_id)
+    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, wok)
     fold_stats: dict[str, ev.FoldStats] = {}
     for rec in recs:
         if rec.name in errors:
@@ -252,14 +236,11 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
         cfg["strict_parse"] = True
     if not cfg["data"]["movies"] or not cfg["data"]["ratings"]:
         raise click.ClickException("data.movies and data.ratings are required")
-    for metric_id in cfg["metrics"]:
-        if metric_id not in METRICS:
-            raise click.ClickException(f"unknown metric {metric_id!r}")
-        if METRICS[metric_id].desiderata_only:
-            raise click.ClickException(
-                f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "
-                "shares with the user's profile, and slates exclude the training profile"
-            )
+    try:
+        for metric_id in cfg["metrics"]:
+            scored_metric(metric_id)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     try:
         spec = ev.FoldSpec(**cfg["folds"])
     except ValueError as exc:
@@ -272,17 +253,33 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for key in ("k", "knn_k"):
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise click.ClickException(f"{key} must be an integer >= 1")
-    variants = [variant.value for variant in PromptVariant]
-    if cfg["prompt_variant"] not in variants:
-        raise click.ClickException(f"prompt_variant must be one of: {', '.join(variants)}")
-    for name in cfg["recommenders"]:
+    try:
+        variant = PromptVariant(cfg["prompt_variant"])
+    except ValueError:
+        variants = ", ".join(v.value for v in PromptVariant)
+        raise click.ClickException(f"prompt_variant must be one of: {variants}") from None
+    names = cfg["recommenders"]
+    for name in names:
         if name not in KNOWN_RECOMMENDERS:
             raise click.ClickException(
                 f"unknown recommender {name!r} (known: {', '.join(KNOWN_RECOMMENDERS)})"
             )
-    if "wok" in cfg["recommenders"]:
-        _check_provider(cfg["provider"])
-    if {"item_knn", "user_knn"}.intersection(cfg["recommenders"]):
+        if names.count(name) > 1:
+            raise click.ClickException(f"recommenders lists {name!r} more than once")
+    if not names:
+        raise click.ClickException("recommenders must name at least one recommender")
+    provider = None
+    if "wok" in names:
+        try:
+            provider = ProviderConfig(**cfg["provider"])
+        except ValueError as exc:
+            raise click.ClickException(f"provider.{exc}")
+        # A stub without fixtures would fail every request.
+        if provider.dialect == "stub" and not Path(provider.fixtures_dir).is_dir():
+            raise click.ClickException(
+                f"provider.fixtures_dir is not a directory: {provider.fixtures_dir}"
+            )
+    if {"item_knn", "user_knn"}.intersection(names):
         # Loaded here, in set-up, rather than by the first fold's rating matrix.
         import scipy.sparse  # noqa: F401
 
@@ -290,8 +287,11 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
     )
     phi = cat.compute_popularity(table)
+    # Only wok reads the index, but the benchmark times its build on every run.
     index = cat.TitleIndex.build(entries)
-    entries_by_id = {e.item: e for e in entries}
+    wok = None
+    if provider is not None:
+        wok = WokRecommender(provider, index, {e.item: e for e in entries}, variant)
 
     try:
         plan = ev.make_folds(table, spec)
@@ -304,7 +304,7 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        fold_stats = _score_fold(cfg, fold, phi, phi_array, index, entries_by_id, errors)
+        fold_stats = _score_fold(cfg, fold, phi, phi_array, wok, errors)
         for name, stats in fold_stats.items():
             per_rec_stats.setdefault(name, []).append(stats)
 
@@ -338,10 +338,10 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
 def desiderata(metric_filter: tuple[str, ...], witnesses: bool) -> None:
     """Check every metric against every metric desideratum."""
     metric_ids = list(metric_filter) if metric_filter else list(METRICS)
-    for metric_id in metric_ids:
-        if metric_id not in METRICS:
-            raise click.ClickException(f"unknown metric {metric_id!r}")
-    verdicts = desiderata_grid(metric_ids)
+    try:
+        verdicts = desiderata_grid(metric_ids)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     by_cell = {(v.desideratum, v.metric): v for v in verdicts}
     width = max(len(m) for m in metric_ids) + 2
     header = " " * 22 + "".join(m.ljust(width) for m in metric_ids)

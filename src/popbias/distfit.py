@@ -27,12 +27,11 @@ class ParetoFit:
 
 
 def sample_pareto(
-    n: int, alpha: float, x_min: float = 1.0, rng: np.random.Generator | None = None
+    n: int, alpha: float, x_min: float = 1.0, *, rng: np.random.Generator
 ) -> np.ndarray:
-    """Inverse-CDF sampling: x = x_min * U^(-1/alpha)."""
+    """Inverse-CDF sampling: x = x_min * U^(-1/alpha), with U drawn from ``rng``."""
     if alpha <= 0 or x_min <= 0:
         raise ValueError("alpha and x_min must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
     return x_min * rng.random(n) ** (-1.0 / alpha)
 
 

@@ -123,6 +123,12 @@ class ProviderConfig:
     backoff: float = 0.5
     fixtures_dir: str = ""
 
+    def __post_init__(self) -> None:
+        if self.dialect not in DIALECTS:
+            raise ValueError(f"dialect must be one of: {', '.join(DIALECTS)}")
+        if type(self.max_in_flight) is not int or self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be an integer >= 1")
+
 
 def render_prompt(
     history: Sequence[tuple[str, int]], k: int, variant: PromptVariant = PromptVariant.BASE
@@ -171,19 +177,17 @@ def _request_payload(prompt: str, cfg: ProviderConfig) -> tuple[dict, dict]:
             "top_p": cfg.top_p,
         }
         return headers, payload
-    if cfg.dialect == "anthropic":
-        headers = {"x-api-key": _api_key(cfg), "anthropic-version": "2023-06-01"}
-        payload = {
-            "model": cfg.model_name,
-            "max_tokens": cfg.max_tokens,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-        }
-        if cfg.top_k is not None:
-            payload["top_k"] = cfg.top_k
-        return headers, payload
-    raise ProviderError(f"unknown provider dialect {cfg.dialect!r}")
+    headers = {"x-api-key": _api_key(cfg), "anthropic-version": "2023-06-01"}
+    payload = {
+        "model": cfg.model_name,
+        "max_tokens": cfg.max_tokens,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": cfg.temperature,
+        "top_p": cfg.top_p,
+    }
+    if cfg.top_k is not None:
+        payload["top_k"] = cfg.top_k
+    return headers, payload
 
 
 def _extract_text(cfg: ProviderConfig, response: requests.Response) -> str:
@@ -417,5 +421,5 @@ class WokRecommender(BaseRecommender):
             with ThreadPoolExecutor(max_workers=1) as pool:
                 return pool.submit(lambda: [self.recommend(r, k) for r in requests]).result()
         workers = min(self.cfg.max_in_flight, len(requests))
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda r: self.recommend(r, k), requests))

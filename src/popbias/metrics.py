@@ -315,11 +315,14 @@ def scored_metric(metric_id: str) -> Metric:
     """The registered metric of that id, refused with ValueError if unknown or desiderata-only."""
     try:
         metric = METRICS[metric_id]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(METRICS))
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
     if metric.desiderata_only:
-        raise ValueError(f"{metric_id} is a desiderata-only metric")
+        raise ValueError(
+            f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "
+            "shares with the user's profile, and slates exclude the training profile"
+        )
     return metric
 
 

@@ -136,6 +136,19 @@ def test_form_feed_inside_a_ratings_line_stays_in_its_line(tmp_path):
         read_ratings_file(path, strict=True)
 
 
+def test_a_line_loses_every_trailing_carriage_return(tmp_path):
+    movies = tmp_path / "movies.dat"
+    movies.write_bytes(b"1::Heat (1995)::Action\r\r\nbad line\r\r\n")
+    entries, issues = read_movies_file(movies)
+    assert [(e.item, e.title) for e in entries] == [(1, "Heat")]
+    assert issues == [ParseIssue(2, "bad line", "expected 3 '::'-separated fields")]
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_bytes(b"1::2::3::4\r\r\nx::y\r\r\n")
+    table, issues = read_ratings_file(ratings)
+    assert tuple(table) == (Interaction(1, 2, 3.0, 4),)
+    assert issues == [ParseIssue(2, "x::y", "expected 4 '::'-separated fields")]
+
+
 def _lines_by_the_line_rule(data: bytes) -> list[str]:
     """Decode as UTF-8, else latin-1; split at LF only; strip one trailing CR."""
     try:

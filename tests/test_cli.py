@@ -232,6 +232,24 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
         ({"folds": {"train_fraction": "0.8"}}, "folds.train_fraction must be a number in (0, 1)"),
         ({"folds": {"train_fraction": 1.5}}, "folds.train_fraction must be a number in (0, 1)"),
         ({"strict_parse": "false"}, "strict_parse must be true or false"),
+        (
+            {"metrics": ["log_pop_diff", "nope"]},
+            "unknown metric 'nope' (known: avg_pop_lift, gini_diff, herfindahl_diff, "
+            "log_pop_diff, pru)",
+        ),
+        (
+            {"metrics": [["log_pop_diff"]]},
+            "unknown metric ['log_pop_diff'] (known: avg_pop_lift, gini_diff, herfindahl_diff, "
+            "log_pop_diff, pru)",
+        ),
+        # A string is not read as a list of one-character names.
+        ({"metrics": "log_pop_diff"}, "config key metrics must be a list"),
+        ({"recommenders": "random"}, "config key recommenders must be a list"),
+        ({"recommenders": []}, "recommenders must name at least one recommender"),
+        (
+            {"recommenders": ["item_knn", "top_pop", "item_knn"]},
+            "recommenders lists 'item_knn' more than once",
+        ),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):
@@ -246,6 +264,22 @@ def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, m
     assert f"Error: {message}" in result.output
     assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_evaluate_rejects_a_config_file_that_is_not_a_json_object(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config)])
+    assert result.exit_code == 1
+    assert f"Error: config file {config} must hold a JSON object" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
+
+def test_desiderata_rejects_an_unknown_metric():
+    result = CliRunner().invoke(main, ["desiderata", "--metric", "log_pop_diff", "--metric", "nope"])
+    assert result.exit_code == 1
+    assert "Error: unknown metric 'nope'" in result.output
 
 
 _RUN_AND_LIST_MODULES = """

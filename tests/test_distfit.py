@@ -95,4 +95,4 @@ def test_sampler_respects_bounds():
     samples = sample_pareto(1_000, 0.68, x_min=3.0, rng=rng)
     assert np.all(samples >= 3.0)
     with pytest.raises(ValueError):
-        sample_pareto(10, -1.0)
+        sample_pareto(10, -1.0, rng=rng)

@@ -375,8 +375,14 @@ class TestHttpProviders:
             complete_chat("p", cfg)
 
     def test_unknown_dialect(self):
-        with pytest.raises(ProviderError, match="dialect"):
-            complete_chat("p", ProviderConfig(dialect="telnet"))
+        # Refused when the config is built, before any request can be sent.
+        with pytest.raises(ValueError, match="dialect must be one of: stub, openai, anthropic"):
+            ProviderConfig(dialect="telnet")
+
+    @pytest.mark.parametrize("max_in_flight", [0, -1, "4", 2.0, True])
+    def test_max_in_flight_must_be_a_positive_integer(self, max_in_flight):
+        with pytest.raises(ValueError, match="max_in_flight must be an integer >= 1"):
+            ProviderConfig(dialect="openai", max_in_flight=max_in_flight)
 
 
 def test_build_watch_history_orders_by_timestamp():

@@ -14,6 +14,7 @@ from popbias.metrics import (
     evaluate_metric,
     gini_coefficient,
     herfindahl_index,
+    scored_metric,
 )
 
 scores_lists = st.lists(
@@ -345,3 +346,12 @@ def test_batched_pru_is_rejected_as_desiderata_only():
     batch = Profiles.of([(1, 2)])
     with pytest.raises(ValueError, match="desiderata-only"):
         evaluate_metric("pru", batch, np.ones(1), PhiArray.of({1: 1.0, 2: 2.0}))
+
+
+def test_refusing_pru_says_why_no_report_can_score_it():
+    why = (
+        "'pru' is a desiderata-only metric: it ranks the items a slate shares with "
+        "the user's profile, and slates exclude the training profile"
+    )
+    with pytest.raises(ValueError, match=re.escape(why)):
+        scored_metric("pru")
