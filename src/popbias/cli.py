@@ -55,6 +55,8 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
             merged[key] = _merge_config(defaults[key], value, where)
         elif isinstance(defaults[key], list) and not isinstance(value, list):
             raise click.ClickException(f"config key {where} must be a list")
+        elif isinstance(defaults[key], str) and not isinstance(value, str):
+            raise click.ClickException(f"config key {where} must be a string")
         else:
             merged[key] = value
     return merged
@@ -264,10 +266,12 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
             raise click.ClickException(
                 f"unknown recommender {name!r} (known: {', '.join(KNOWN_RECOMMENDERS)})"
             )
-        if names.count(name) > 1:
-            raise click.ClickException(f"recommenders lists {name!r} more than once")
     if not names:
         raise click.ClickException("recommenders must name at least one recommender")
+    for key in ("metrics", "recommenders"):
+        repeated = [name for name in cfg[key] if cfg[key].count(name) > 1]
+        if repeated:
+            raise click.ClickException(f"{key} lists {repeated[0]!r} more than once")
     provider = None
     if "wok" in names:
         try:

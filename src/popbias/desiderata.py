@@ -7,11 +7,18 @@ small pinned fixture (or a seeded resampling experiment) and returns a
 verdict with a concrete witness, so the full metric-by-desideratum grid is
 deterministic and auditable.
 
-The checks run on the report's batch path: a fixture is a one-row
-``Profiles`` pair that the metric's ``evaluate_rows`` scores over a
-``PhiArray``, and the resampling experiment reduces each drawn profile with
-the metric's own transform and aggregate. A check that meets a value the
-metric leaves undefined (NaN) raises ValueError.
+The checks run on the report's batch path and take the metric's record.
+A fixture check lists its rows of (recommender scores, user scores), a
+perturbed row being the same scores with epsilon added to one item or to
+all of them, and scores them all in one ``evaluate_rows`` call over a
+``PhiArray`` in which every row's items have ids of their own. The
+resampling experiment reduces each drawn profile with the metric's own
+transform and aggregate. A check that meets a value the metric leaves
+undefined (NaN) raises ValueError.
+
+A desiderata-only metric (PRU) ranks the items its two profiles share, so
+its record sets two rules: each fixture row reads one shared profile, and
+each drawn profile is compared against a drawn slate order.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from popbias.distfit import sample_pareto
-from popbias.metrics import METRICS, PhiArray, Profiles
+from popbias.metrics import METRICS, Metric, PhiArray, Profiles
 
 __all__ = [
     "DESIDERATA",
@@ -99,14 +106,14 @@ class CheckVerdict:
     witness: str
 
 
-def _default_fixture(metric_id: str, desideratum: str) -> PerturbationFixture:
+def _default_fixture(metric: Metric, desideratum: str) -> PerturbationFixture:
     """Canonical fixture for each cell of the metric/desideratum grid.
 
-    PRU compares popularity against rank over the profile intersection, so
-    its fixtures use one shared profile listed most-popular-first; the
-    other metrics use disjoint profiles.
+    A desiderata-only metric (PRU) compares popularity against rank over
+    the profile intersection, so its fixtures use one shared profile listed
+    most-popular-first; the other metrics use disjoint profiles.
     """
-    if metric_id == "pru":
+    if metric.desiderata_only:
         eps = {"long_tail_sensitive": 0.5}.get(desideratum, 1.0)
         return PerturbationFixture(
             recommender_scores=(8.0, 4.0, 2.0, 1.0),
@@ -124,132 +131,112 @@ def _default_fixture(metric_id: str, desideratum: str) -> PerturbationFixture:
     return PerturbationFixture((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0))
 
 
-def _build_profiles(
-    metric_id: str, fixture: PerturbationFixture, identical: bool = False
-) -> tuple[Profiles, Profiles, dict[int, float]]:
-    """Materialize fixture scores as one-row item profiles plus a popularity map.
+def _score_rows(
+    metric: Metric, rows: Sequence[tuple[Sequence[float], Sequence[float] | None]]
+) -> list[float]:
+    """M of every (recommender scores, user scores) row, in one ``evaluate_rows`` call.
 
-    PRU's profiles are one shared profile, so a PRU fixture whose user scores
-    differ from its recommender scores raises ValueError.
+    Every row's items get ids of their own in one popularity map. A row
+    whose user scores are None, and every row of a desiderata-only metric,
+    reads its recommender items as the user profile. ValueError if any
+    value is NaN.
     """
-    if metric_id == "pru" and fixture.user_scores != fixture.recommender_scores:
-        raise ValueError("a pru fixture is one shared profile: its two score lists must be equal")
-    r_items = range(1000, 1000 + len(fixture.recommender_scores))
-    phi = dict(zip(r_items, fixture.recommender_scores))
-    if identical or metric_id == "pru":
-        return Profiles.of([r_items]), Profiles.of([r_items]), phi
-    u_items = range(2000, 2000 + len(fixture.user_scores))
-    phi.update(zip(u_items, fixture.user_scores))
-    return Profiles.of([r_items]), Profiles.of([u_items]), phi
+    phi: dict[int, float] = {}
+
+    def items(scores: Sequence[float]) -> range:
+        ids = range(len(phi), len(phi) + len(scores))
+        phi.update(zip(ids, scores))
+        return ids
+
+    r_rows, u_rows = [], []
+    for r_scores, u_scores in rows:
+        r_rows.append(items(r_scores))
+        shared = u_scores is None or metric.desiderata_only
+        u_rows.append(r_rows[-1] if shared else items(u_scores))
+    values = metric.evaluate_rows(Profiles.of(r_rows), Profiles.of(u_rows), PhiArray.of(phi))
+    if np.isnan(values).any():
+        raise ValueError(f"{metric.id} is undefined on this fixture")
+    return values.tolist()
 
 
-def _evaluate(metric_id: str, r: Profiles, u: Profiles, phi: dict[int, float]) -> float:
-    """M of a one-row fixture, scored on the batch path; ValueError where it is NaN."""
-    value = float(METRICS[metric_id].evaluate_rows(r, u, PhiArray.of(phi))[0])
-    if np.isnan(value):
-        raise ValueError(f"{metric_id} is undefined on this fixture")
-    return value
+def _lifted(scores: Sequence[float], epsilon: float, target: int | None) -> list[float]:
+    """The scores with epsilon added to the item at target, or to every item."""
+    return [s + epsilon if target in (None, i) else s for i, s in enumerate(scores)]
 
 
-def _perturbed_phi(
-    phi: dict[int, float], r: Profiles, epsilon: float, target: int | None
-) -> dict[int, float]:
-    """Copy of phi with epsilon added to one (or every) recommender item."""
-    out = dict(phi)
-    items = r.items.tolist()
-    for a in items if target is None else [items[target]]:
-        out[a] = phi[a] + epsilon
-    return out
-
-
-def _check_zero_centered(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    r, u, phi = _build_profiles(metric_id, fixture, identical=True)
-    value = _evaluate(metric_id, r, u, phi)
-    passed = abs(value) < EXACT_ZERO_TOL
-    return CheckVerdict(
-        "zero_centered", metric_id, passed, f"M(p, p) = {value:.6g} on scores {list(fixture.recommender_scores)}"
+def _zero_centered(metric: Metric, fixture: PerturbationFixture) -> tuple[bool, str]:
+    (value,) = _score_rows(metric, [(fixture.recommender_scores, None)])
+    return abs(value) < EXACT_ZERO_TOL, (
+        f"M(p, p) = {value:.6g} on scores {list(fixture.recommender_scores)}"
     )
 
 
-def _check_anti_symmetric(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    r, u, phi = _build_profiles(metric_id, fixture)
-    forward = _evaluate(metric_id, r, u, phi)
-    backward = _evaluate(metric_id, u, r, phi)
-    passed = abs(forward + backward) < EXACT_ZERO_TOL
-    return CheckVerdict(
-        "anti_symmetric",
-        metric_id,
-        passed,
-        f"M(r, u) = {forward:.6g}, M(u, r) = {backward:.6g}",
+def _anti_symmetric(metric: Metric, fixture: PerturbationFixture) -> tuple[bool, str]:
+    r, u = fixture.recommender_scores, fixture.user_scores
+    forward, backward = _score_rows(metric, [(r, u), (u, r)])
+    return abs(forward + backward) < EXACT_ZERO_TOL, (
+        f"M(r, u) = {forward:.6g}, M(u, r) = {backward:.6g}"
     )
 
 
-def _check_long_tail(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    r, u, phi = _build_profiles(metric_id, fixture)
-    base = _evaluate(metric_id, r, u, phi)
-    low_target = int(np.argmin(fixture.recommender_scores))
-    high_target = int(np.argmax(fixture.recommender_scores))
-    low = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, low_target))
-    high = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, high_target))
+def _long_tail_sensitive(metric: Metric, fixture: PerturbationFixture) -> tuple[bool, str]:
+    r, u, eps = fixture.recommender_scores, fixture.user_scores, fixture.epsilon
+    least, most = int(np.argmin(r)), int(np.argmax(r))
+    base, low, high = _score_rows(
+        metric, [(r, u), (_lifted(r, eps, least), u), (_lifted(r, eps, most), u)]
+    )
     low_resp = abs(low - base)
     high_resp = abs(high - base)
-    passed = low_resp > high_resp
-    return CheckVerdict(
-        "long_tail_sensitive",
-        metric_id,
-        passed,
-        f"+{fixture.epsilon:g} on least-popular item moves metric by {low_resp:.6g}, "
-        f"on most-popular by {high_resp:.6g}",
+    return low_resp > high_resp, (
+        f"+{eps:g} on least-popular item moves metric by {low_resp:.6g}, "
+        f"on most-popular by {high_resp:.6g}"
     )
 
 
-def _check_monotonic(metric_id: str, fixture: PerturbationFixture) -> CheckVerdict:
-    r, u, phi = _build_profiles(metric_id, fixture)
-    base = _evaluate(metric_id, r, u, phi)
-    lifted = _evaluate(metric_id, r, u, _perturbed_phi(phi, r, fixture.epsilon, fixture.target))
+def _monotonic(metric: Metric, fixture: PerturbationFixture) -> tuple[bool, str]:
+    r, u, eps = fixture.recommender_scores, fixture.user_scores, fixture.epsilon
+    base, lifted = _score_rows(metric, [(r, u), (_lifted(r, eps, fixture.target), u)])
     delta = lifted - base
     what = (
         f"item {fixture.target}" if fixture.target is not None else "all recommender scores"
     )
     if delta == 0.0:
-        witness = f"metric unchanged by +{fixture.epsilon:g} on {what}"
-    else:
-        witness = f"+{fixture.epsilon:g} on {what} changes metric by {delta:.6g}"
-    return CheckVerdict("monotonic", metric_id, delta > 0.0, witness)
+        return False, f"metric unchanged by +{eps:g} on {what}"
+    return delta > 0.0, f"+{eps:g} on {what} changes metric by {delta:.6g}"
 
 
-def _sampled_statistic(
-    metric_id: str, size: int, cfg: SamplingConfig, rng: np.random.Generator
-) -> float:
-    """h(g(scores)) of one drawn profile; ValueError where it is NaN.
+_FIXTURE_CHECKS = {
+    "zero_centered": _zero_centered,
+    "anti_symmetric": _anti_symmetric,
+    "long_tail_sensitive": _long_tail_sensitive,
+    "monotonic": _monotonic,
+}
 
-    PRU's aggregate keeps the scores, which it correlates with a slate order
-    drawn from rng.
+
+def _well_behaved(metric: Metric, cfg: SamplingConfig) -> tuple[bool, str]:
+    """Compare the spread of h(g(scores)) over drawn profiles of sizes n and 4n.
+
+    A desiderata-only metric (PRU) keeps the scores in its aggregate and
+    correlates them with a slate order drawn after each profile. ValueError
+    if a drawn profile's value is NaN.
     """
-    metric = METRICS[metric_id]
-    block = sample_pareto(size, cfg.shape, cfg.x_min, rng=rng)[None, :]
-    value = metric.aggregate(metric.transform(block))[0]
-    if metric_id == "pru":
-        value = metric.compare(value, rng.permutation(size) + 1.0)
-    if np.isnan(value):
-        raise ValueError(f"{metric_id} is undefined on a drawn profile")
-    return float(value)
-
-
-def _check_well_behaved(metric_id: str, cfg: SamplingConfig) -> CheckVerdict:
     rng = np.random.default_rng(cfg.seed)
     sds = []
     for size in (cfg.n, 4 * cfg.n):
-        values = [_sampled_statistic(metric_id, size, cfg, rng) for _ in range(cfg.resamples)]
+        values = []
+        for _ in range(cfg.resamples):
+            block = sample_pareto(size, cfg.shape, cfg.x_min, rng=rng)[None, :]
+            value = metric.aggregate(metric.transform(block))[0]
+            if metric.desiderata_only:
+                value = metric.compare(value, rng.permutation(size) + 1.0)
+            values.append(value)
+        if np.isnan(values).any():
+            raise ValueError(f"{metric.id} is undefined on a drawn profile")
         sds.append(float(np.std(values, ddof=1)))
     ratio = sds[1] / sds[0] if sds[0] > 0 else float("inf")
-    passed = ratio <= cfg.stability_ratio
-    return CheckVerdict(
-        "well_behaved",
-        metric_id,
-        passed,
+    return ratio <= cfg.stability_ratio, (
         f"aggregate sd ratio at 4n vs n = {ratio:.3g} "
-        f"(stability limit {cfg.stability_ratio:g}, n={cfg.n}, B={cfg.resamples})",
+        f"(stability limit {cfg.stability_ratio:g}, n={cfg.n}, B={cfg.resamples})"
     )
 
 
@@ -262,35 +249,32 @@ def check_desideratum(
     """Check one metric against one desideratum.
 
     Uses the canonical pinned fixture (or sampling config) when none is
-    supplied, which is what the reference grid is built from.
+    supplied, which is what the reference grid is built from. A
+    desiderata-only metric reads one shared profile, so its fixture's two
+    score lists must be equal.
     """
-    if metric_id not in METRICS:
-        raise ValueError(f"unknown metric {metric_id!r}")
+    try:
+        metric = METRICS[metric_id]
+    except KeyError:
+        raise ValueError(f"unknown metric {metric_id!r}") from None
     if desideratum not in DESIDERATA:
         raise ValueError(f"unknown desideratum {desideratum!r}")
     if desideratum == "well_behaved":
-        return _check_well_behaved(metric_id, sampling or SamplingConfig())
-    fixture = fixture or _default_fixture(metric_id, desideratum)
-    if desideratum == "zero_centered":
-        return _check_zero_centered(metric_id, fixture)
-    if desideratum == "anti_symmetric":
-        return _check_anti_symmetric(metric_id, fixture)
-    if desideratum == "long_tail_sensitive":
-        return _check_long_tail(metric_id, fixture)
-    return _check_monotonic(metric_id, fixture)
+        passed, witness = _well_behaved(metric, sampling or SamplingConfig())
+    else:
+        fixture = fixture or _default_fixture(metric, desideratum)
+        if metric.desiderata_only and fixture.user_scores != fixture.recommender_scores:
+            raise ValueError(
+                f"a {metric.id} fixture is one shared profile: its two score lists must be equal"
+            )
+        passed, witness = _FIXTURE_CHECKS[desideratum](metric, fixture)
+    return CheckVerdict(desideratum, metric.id, passed, witness)
 
 
-def desiderata_grid(
-    metric_ids: Sequence[str] | None = None,
-    sampling: SamplingConfig | None = None,
-) -> list[CheckVerdict]:
+def desiderata_grid(metric_ids: Sequence[str] | None = None) -> list[CheckVerdict]:
     """Run every desideratum check for the requested metrics (default: all).
 
     The first row checks every metric, so an unknown id fails there.
     """
     ids = list(metric_ids) if metric_ids is not None else list(METRICS)
-    return [
-        check_desideratum(metric_id, d, sampling=sampling)
-        for d in DESIDERATA
-        for metric_id in ids
-    ]
+    return [check_desideratum(metric_id, d) for d in DESIDERATA for metric_id in ids]

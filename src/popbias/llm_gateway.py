@@ -15,6 +15,7 @@ order and stops at the first ``ProviderError``.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import time
@@ -128,6 +129,12 @@ class ProviderConfig:
             raise ValueError(f"dialect must be one of: {', '.join(DIALECTS)}")
         if type(self.max_in_flight) is not int or self.max_in_flight < 1:
             raise ValueError("max_in_flight must be an integer >= 1")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError("retries must be an integer >= 0")
+        if type(self.backoff) not in (int, float) or not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be a number >= 0")
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a number > 0")
 
 
 def render_prompt(

@@ -242,6 +242,9 @@ class Metric:
     aggregate: Callable[[np.ndarray], np.ndarray]
     compare: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    # Set by a metric that ranks the items r and u share (PRU): no report
+    # scores it, and the desiderata give each of its fixture rows one shared
+    # profile and compare each drawn profile against a drawn slate order.
     desiderata_only: ClassVar[bool] = False
 
     def statistics(self, p: Profiles, phi: PhiArray) -> np.ndarray:

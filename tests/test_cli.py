@@ -250,6 +250,33 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
             {"recommenders": ["item_knn", "top_pop", "item_knn"]},
             "recommenders lists 'item_knn' more than once",
         ),
+        (
+            {"metrics": ["gini_diff", "log_pop_diff", "log_pop_diff"]},
+            "metrics lists 'log_pop_diff' more than once",
+        ),
+        ({"data": {"movies": 5, "ratings": 6}}, "config key data.movies must be a string"),
+        ({"data": {"movies": "m.dat", "ratings": 6}}, "config key data.ratings must be a string"),
+        ({"data": {"movies": "", "ratings": ""}}, "data.movies and data.ratings are required"),
+        (
+            {"recommenders": ["wok"], "provider": {"retries": -1}},
+            "provider.retries must be an integer >= 0",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"retries": "2"}},
+            "provider.retries must be an integer >= 0",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"backoff": -1}},
+            "provider.backoff must be a number >= 0",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"timeout": 0}},
+            "provider.timeout must be a number > 0",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"timeout": True}},
+            "provider.timeout must be a number > 0",
+        ),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):

@@ -11,7 +11,7 @@ from popbias.desiderata import (
     check_desideratum,
     desiderata_grid,
 )
-from popbias.metrics import METRICS
+from popbias.metrics import METRICS, Metric, RankCorrelationMetric
 
 # Reference verdict pattern: which metric satisfies which desideratum.
 EXPECTED = {
@@ -160,3 +160,22 @@ def test_grid_covers_all_metrics_and_desiderata():
     assert {(v.desideratum, v.metric) for v in verdicts} == {
         (d, m) for d in DESIDERATA for m in METRICS
     }
+
+
+@pytest.mark.parametrize(
+    ("desideratum", "rows"),
+    [("zero_centered", 1), ("anti_symmetric", 2), ("long_tail_sensitive", 3), ("monotonic", 2)],
+)
+def test_each_fixture_check_scores_all_its_rows_in_one_call(monkeypatch, desideratum, rows):
+    calls = []
+    for cls in (Metric, RankCorrelationMetric):
+
+        def counted(self, r, u, phi, original=cls.evaluate_rows):
+            calls.append((self.id, len(r), len(u)))
+            return original(self, r, u, phi)
+
+        monkeypatch.setattr(cls, "evaluate_rows", counted)
+    for metric_id in METRICS:
+        calls.clear()
+        check_desideratum(metric_id, desideratum)
+        assert calls == [(metric_id, rows, rows)]

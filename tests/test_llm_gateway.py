@@ -384,6 +384,34 @@ class TestHttpProviders:
         with pytest.raises(ValueError, match="max_in_flight must be an integer >= 1"):
             ProviderConfig(dialect="openai", max_in_flight=max_in_flight)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("retries", -1, "retries must be an integer >= 0"),
+            ("retries", "2", "retries must be an integer >= 0"),
+            ("retries", 2.0, "retries must be an integer >= 0"),
+            ("retries", True, "retries must be an integer >= 0"),
+            ("backoff", -1, "backoff must be a number >= 0"),
+            ("backoff", "0.5", "backoff must be a number >= 0"),
+            ("backoff", False, "backoff must be a number >= 0"),
+            ("backoff", float("nan"), "backoff must be a number >= 0"),
+            ("backoff", float("inf"), "backoff must be a number >= 0"),
+            ("timeout", 0, "timeout must be a number > 0"),
+            ("timeout", -5.0, "timeout must be a number > 0"),
+            ("timeout", "60", "timeout must be a number > 0"),
+            ("timeout", True, "timeout must be a number > 0"),
+            ("timeout", float("nan"), "timeout must be a number > 0"),
+        ],
+    )
+    def test_retry_settings_are_checked_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProviderConfig(dialect="openai", **{field: value})
+
+    def test_retry_settings_accept_their_bounds(self):
+        cfg = ProviderConfig(dialect="openai", retries=0, backoff=0, timeout=0.5)
+        assert (cfg.retries, cfg.backoff, cfg.timeout) == (0, 0, 0.5)
+        assert ProviderConfig(dialect="openai", backoff=1.5, timeout=30).timeout == 30
+
 
 def test_build_watch_history_orders_by_timestamp():
     # Profile tables built from the same rows in any order give one history.
