@@ -193,26 +193,24 @@ def _build_fold_recommenders(cfg, train, phi, wok):
 
 
 def _score_fold(cfg, fold, phi, phi_array, wok, errors):
-    """Score every configured recommender on one fold, skipping those in errors.
+    """Each configured recommender's per-user table on one fold, skipping those in errors.
 
     A recommender whose provider fails is recorded in ``errors``. The fold's
     models and shared inputs are dropped on return, so none of them is alive
     while the next fold's models are built.
     """
-    inputs = ev.FoldInputs.of(fold)
+    inputs = ev.FoldInputs.of(fold, phi_array, cfg["metrics"])
     recs = _build_fold_recommenders(cfg, inputs.ratings, phi, wok)
-    fold_stats: dict[str, ev.FoldStats] = {}
+    tables: dict[str, dict[str, np.ndarray]] = {}
     for rec in recs:
         if rec.name in errors:
             continue
         try:
-            fold_stats[rec.name] = ev.evaluate_recommender(
-                rec, inputs, phi_array, cfg["metrics"], cfg["k"]
-            )
+            tables[rec.name] = ev.evaluate_recommender(rec, inputs, cfg["k"])
         except ProviderError as exc:
             errors[rec.name] = str(exc)
             click.echo(f"note: {rec.name} aborted: {exc}", err=True)
-    return fold_stats
+    return tables
 
 
 @main.command()
@@ -303,19 +301,18 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
         raise click.ClickException(str(exc))
 
     phi_array = PhiArray.of(phi)
-    per_rec_stats: dict[str, list[ev.FoldStats]] = {}
+    per_rec_tables: dict[str, list[dict[str, np.ndarray]]] = {}
     errors: dict[str, str] = {}
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        fold_stats = _score_fold(cfg, fold, phi, phi_array, wok, errors)
-        for name, stats in fold_stats.items():
-            per_rec_stats.setdefault(name, []).append(stats)
+        for name, table in _score_fold(cfg, fold, phi, phi_array, wok, errors).items():
+            per_rec_tables.setdefault(name, []).append(table)
 
     rows = [
-        ev.summarize(name, stats)
-        for name, stats in per_rec_stats.items()
-        if len(stats) == len(plan.folds)
+        ev.summarize(name, tables)
+        for name, tables in per_rec_tables.items()
+        if len(tables) == len(plan.folds)
     ]
     if not rows:
         raise click.ClickException("no recommender completed all folds")

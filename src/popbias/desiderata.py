@@ -274,7 +274,11 @@ def check_desideratum(
 def desiderata_grid(metric_ids: Sequence[str] | None = None) -> list[CheckVerdict]:
     """Run every desideratum check for the requested metrics (default: all).
 
-    The first row checks every metric, so an unknown id fails there.
+    A repeated id is refused. The first row checks every metric, so an
+    unknown id fails there.
     """
     ids = list(metric_ids) if metric_ids is not None else list(METRICS)
+    repeated = [metric_id for metric_id in ids if ids.count(metric_id) > 1]
+    if repeated:
+        raise ValueError(f"metrics lists {repeated[0]!r} more than once")
     return [check_desideratum(metric_id, d) for d in DESIDERATA for metric_id in ids]

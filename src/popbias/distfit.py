@@ -38,18 +38,21 @@ def sample_pareto(
 def fit_pareto(samples: Sequence[float], x_min: float | None = None) -> ParetoFit:
     """Maximum-likelihood shape estimate alpha = n / sum(ln(x / x_min)).
 
-    ``x_min`` defaults to the sample minimum. All samples must lie at or
-    above it; a degenerate sample (all equal to x_min) yields alpha = inf.
+    ``x_min`` defaults to the sample minimum. All samples must be finite
+    and lie at or above it; a degenerate sample (all equal to x_min) yields
+    alpha = inf.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     if np.any(x <= 0):
         raise ValueError("samples must be positive")
     if x_min is None:
         x_min = float(np.min(x))
-    elif x_min <= 0:
-        raise ValueError("x_min must be positive")
+    elif not 0 < x_min < np.inf:
+        raise ValueError("x_min must be positive and finite")
     elif np.any(x < x_min):
         raise ValueError(f"sample below x_min={x_min}")
     log_sum = float(np.sum(np.log(x / x_min)))

@@ -12,16 +12,17 @@ is that slice of the table; iterating it yields ``Interaction`` rows for
 readers that want one object per rating.
 
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
-training profiles and held-out items are gathered once into
-``FoldInputs``, which every recommender of the fold shares, and so is each
-metric's column of training-profile statistics, computed on first use.
-``evaluate_recommender`` takes all of the fold's slates at once and builds
-one per-user array per report column, in report order: a hit rate per
-cutoff of ``HIT_CUTOFFS``, each metric from one ``evaluate_metric`` call,
-then the unfilled slots. A column's fold mean adds its defined (not NaN)
-values left to right in fold order; the users it leaves out are counted.
-``FoldStats``, ``EvalRow`` and the report all carry these columns in this
-order, so each column is defined once.
+held-out items and each metric's column of training-profile statistics
+are computed once into ``FoldInputs``, which every recommender of the
+fold shares. ``evaluate_recommender`` takes all of the fold's slates at
+once and returns the fold's per-user table: one array per report column,
+in report order, row i for the user of request i, NaN where a value is
+undefined. The columns are a hit rate per cutoff of ``HIT_CUTOFFS``, each
+metric from one ``evaluate_metric`` call, then the unfilled slots.
+``summarize`` is the only reduction: a column's fold mean adds its defined
+values left to right in fold order, and a row is the mean and standard
+error of those fold means. ``EvalRow`` and the report keep the table's
+columns in its order, so each column is defined once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "FoldSpec",
     "UserSplit",
     "FoldPlan",
-    "FoldStats",
     "EvalRow",
     "CorrelationMatrix",
     "split_user_ratings",
@@ -174,20 +174,6 @@ def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
     return FoldPlan(folds=folds, skipped=skipped, ineligible_users=ineligible)
 
 
-@dataclass
-class FoldStats:
-    """One recommender's unweighted means on one fold, by report column in report order.
-
-    ``means`` holds each column's mean over the users it is defined for
-    (None if none) and ``excluded`` the count of users it leaves out.
-    """
-
-    n_users: int
-    means: dict[str, float | None]
-    excluded: dict[str, int]
-    empty_slates: int
-
-
 @dataclass(frozen=True)
 class FoldInputs:
     """What every recommender of one fold shares, one row per user in fold order.
@@ -195,29 +181,22 @@ class FoldInputs:
     ``requests`` ask for each user's slate and carry the user's training
     ratings, whose items the slate leaves out. ``ratings`` is the fold's
     training table, user by user in fold order, which the rating matrix is
-    built from. ``train`` holds the training profiles the bias metrics
-    compare slates against and ``test`` the held-out items the hit rates
-    count.
+    built from. ``test`` holds the held-out items the hit rates count.
+    ``statistics`` maps each metric id, in report order, to the metric's
+    statistic of every training profile under ``phi``: the side the bias
+    metrics compare slates against.
     """
 
     requests: list[RecRequest]
     ratings: Ratings
-    train: Profiles
     test: Profiles
-    _statistics: dict[str, tuple[PhiArray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def train_statistics(self, metric_id: str, phi: PhiArray) -> np.ndarray:
-        """The metric's statistic of every training profile, computed once per metric and phi."""
-        seen, column = self._statistics.get(metric_id, (None, None))
-        if seen is not phi:
-            column = scored_metric(metric_id).statistics(self.train, phi)
-            self._statistics[metric_id] = (phi, column)
-        return column
+    phi: PhiArray
+    statistics: dict[str, np.ndarray]
 
     @classmethod
-    def of(cls, fold: Sequence[UserSplit]) -> "FoldInputs":
+    def of(
+        cls, fold: Sequence[UserSplit], phi: PhiArray, metric_ids: Sequence[str]
+    ) -> "FoldInputs":
         if not fold:
             raise ValueError("fold has no users")
         for s in fold:
@@ -229,13 +208,15 @@ class FoldInputs:
         offsets = np.zeros(len(fold) + 1, dtype=np.int64)
         np.cumsum([s.train_rows.size for s in fold], out=offsets[1:])
         bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        train = Profiles(items=ratings.item, offsets=offsets)
         return cls(
             requests=[
                 RecRequest(s.user, ratings[a:b]) for s, (a, b) in zip(fold, bounds)
             ],
             ratings=ratings,
-            train=Profiles(items=ratings.item, offsets=offsets),
             test=Profiles.of(s.test_items for s in fold),
+            phi=phi,
+            statistics={m: scored_metric(m).statistics(train, phi) for m in metric_ids},
         )
 
 
@@ -256,35 +237,30 @@ def _held_out(slates: Profiles, test: Profiles) -> np.ndarray:
 
 
 def evaluate_recommender(
-    rec: BaseRecommender,
-    fold: FoldInputs,
-    phi: PhiArray,
-    metric_ids: Sequence[str] = DEFAULT_METRICS,
-    k: int = 10,
-) -> FoldStats:
-    """Run one recommender over one fold and average per-user results.
+    rec: BaseRecommender, fold: FoldInputs, k: int
+) -> dict[str, np.ndarray]:
+    """Run one recommender over one fold and return its per-user table.
 
-    The fold is scored in one batch: each metric is evaluated once, by
-    ``evaluate_metric``, over every user's slate against the fold's column
-    of training-profile statistics (``FoldInputs.train_statistics``).
-    ``hr<cut>`` for each cut of ``HIT_CUTOFFS`` is recall: the share of a
-    user's held-out items among the first cut slate items. Every user counts
-    in the hit rates and in ``unmatched``, a user with an empty slate as
-    zero hits.
+    The table maps each report column, in report order, to one value per
+    user, row i for the user of ``fold.requests[i]``. The fold is scored in
+    one batch: each metric of ``fold.statistics`` is evaluated once, by
+    ``evaluate_metric``, over every user's slate against that column of
+    training-profile statistics. ``hr<cut>`` for each cut of
+    ``HIT_CUTOFFS`` is recall: the share of a user's held-out items among
+    the first cut slate items. ``unmatched`` is the user's unfilled slots.
+    Every user has a hit rate and an ``unmatched`` value; a user with an
+    empty slate has zero hits.
 
-    A user is left out of a bias mean, and counted in ``excluded``, where
-    the metric is undefined (NaN) for that user:
+    A metric's value is NaN, which leaves the user out of that metric's
+    fold mean in ``summarize``, where the metric is undefined for the user:
 
-    * an empty slate excludes the user from every metric (and is counted
-      in ``empty_slates`` too);
-    * a slate or profile item missing from ``phi`` excludes the user from
-      every metric;
-    * a score below 1 (log domain) excludes the user from ``log_pop_diff``;
-    * a user aggregate of zero excludes the user from ``avg_pop_lift``;
-    * a score that is not positive excludes the user from ``gini_diff``
-      and ``herfindahl_diff``.
-
-    Each mean sums its per-user values left to right in fold order.
+    * an empty slate makes every metric undefined;
+    * a slate or profile item missing from ``phi`` makes every metric
+      undefined;
+    * a score below 1 (log domain) makes ``log_pop_diff`` undefined;
+    * a user aggregate of zero makes ``avg_pop_lift`` undefined;
+    * a score that is not positive makes ``gini_diff`` and
+      ``herfindahl_diff`` undefined.
     """
     results = rec.recommend_batch(fold.requests, k)
     slates = Profiles.of(result.slate.entries for result in results)
@@ -296,17 +272,10 @@ def evaluate_recommender(
         f"hr{cut}": np.bincount(rows[positions < cut], minlength=n) / fold.test.lengths
         for cut in HIT_CUTOFFS
     }
-    for m in metric_ids:
-        columns[m] = evaluate_metric(m, slates, fold.train_statistics(m, phi), phi)
+    for m, u_statistics in fold.statistics.items():
+        columns[m] = evaluate_metric(m, slates, u_statistics, fold.phi)
     columns["unmatched"] = np.array([result.unmatched for result in results], dtype=float)
-
-    defined = {column: values[~np.isnan(values)] for column, values in columns.items()}
-    return FoldStats(
-        n_users=n,
-        means={c: _sum_in_order(v) / v.size if v.size else None for c, v in defined.items()},
-        excluded={c: n - v.size for c, v in defined.items()},
-        empty_slates=int(np.count_nonzero(slates.lengths == 0)),
-    )
+    return columns
 
 
 def aggregate_folds(values: Sequence[float]) -> tuple[float, float]:
@@ -331,14 +300,21 @@ class EvalRow:
     columns: dict[str, tuple[float | None, float | None]]
 
 
-def summarize(name: str, fold_stats: Sequence[FoldStats]) -> EvalRow:
-    """Aggregate per-fold means into one report row, column by column."""
-    if len(fold_stats) < 2:
+def summarize(name: str, tables: Sequence[Mapping[str, np.ndarray]]) -> EvalRow:
+    """Reduce one recommender's per-user fold tables to one report row.
+
+    A column's fold mean adds its defined (not NaN) values left to right in
+    fold order and divides by their count; a fold where none is defined has
+    no mean. The row holds each column's mean and standard error over its
+    fold means, in the first table's column order.
+    """
+    if len(tables) < 2:
         raise ValueError("need at least 2 folds to aggregate")
     columns: dict[str, tuple[float | None, float | None]] = {}
-    for column in fold_stats[0].means:
-        values = [fs.means[column] for fs in fold_stats if fs.means[column] is not None]
-        columns[column] = aggregate_folds(values) if len(values) >= 2 else (None, None)
+    for column in tables[0]:
+        defined = [table[column][~np.isnan(table[column])] for table in tables]
+        means = [_sum_in_order(v) / v.size for v in defined if v.size]
+        columns[column] = aggregate_folds(means) if len(means) >= 2 else (None, None)
     return EvalRow(name=name, columns=columns)
 
 

@@ -135,6 +135,14 @@ class ProviderConfig:
             raise ValueError("backoff must be a number >= 0")
         if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be a number > 0")
+        if type(self.temperature) not in (int, float) or not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be a number >= 0")
+        if type(self.top_p) not in (int, float) or not 0 < self.top_p <= 1:
+            raise ValueError("top_p must be a number in (0, 1]")
+        if self.top_k is not None and (type(self.top_k) is not int or self.top_k < 1):
+            raise ValueError("top_k must be null or an integer >= 1")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ValueError("max_tokens must be an integer >= 1")
 
 
 def render_prompt(
@@ -224,7 +232,9 @@ def complete_chat(prompt: str, cfg: ProviderConfig) -> str:
     """Send one single-turn completion request and return the reply text.
 
     Transient failures (connection errors, timeouts, retryable statuses)
-    are retried with exponential backoff up to ``cfg.retries`` times.
+    are retried with exponential backoff up to ``cfg.retries`` times. Any
+    other failure to send the request, such as a malformed endpoint, is a
+    ``ProviderError`` at once.
     """
     if cfg.dialect == "stub":
         fingerprint = prompt_fingerprint(prompt)
@@ -249,6 +259,8 @@ def complete_chat(prompt: str, cfg: ProviderConfig) -> str:
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = exc
             continue
+        except requests.RequestException as exc:  # a bad URL or request: retrying cannot help
+            raise ProviderError(f"request to endpoint {cfg.endpoint!r} failed: {exc}") from None
         if response.status_code == 200:
             return _extract_text(cfg, response)
         excerpt = response.text[:200]

@@ -13,6 +13,7 @@ from pathlib import Path
 from popbias.catalog import Interaction, Ratings, read_movies_file, read_ratings_file
 from popbias.evaluation import FoldInputs, FoldSpec, make_folds
 from popbias.llm_gateway import build_watch_history
+from popbias.metrics import PhiArray
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -95,7 +96,8 @@ def test_each_split_reads_like_the_request_the_run_builds_for_it(small_corpus):
     by_id = {entry.item: entry for entry in entries}
     plan = make_folds(read_ratings_file(ratings)[0], FoldSpec(fold_count=2, users_per_fold=30))
     for fold in plan.folds:
-        requests = FoldInputs.of(fold).requests
+        # The requests read neither phi nor any metric.
+        requests = FoldInputs.of(fold, PhiArray.of({}), ()).requests
         assert [request.user for request in requests] == [split.user for split in fold]
         for split, request in zip(fold, requests):
             assert request.exclude == frozenset(it.item for it in split.train)

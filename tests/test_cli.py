@@ -277,6 +277,26 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
             {"recommenders": ["wok"], "provider": {"timeout": True}},
             "provider.timeout must be a number > 0",
         ),
+        (
+            {"recommenders": ["wok"], "provider": {"temperature": "hot"}},
+            "provider.temperature must be a number >= 0",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"top_p": None}},
+            "provider.top_p must be a number in (0, 1]",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"top_k": "x"}},
+            "provider.top_k must be null or an integer >= 1",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"max_tokens": -5}},
+            "provider.max_tokens must be an integer >= 1",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"max_tokens": False}},
+            "provider.max_tokens must be an integer >= 1",
+        ),
     ],
 )
 def test_evaluate_rejects_a_bad_config_before_reading_data(tmp_path, override, message):
@@ -307,6 +327,14 @@ def test_desiderata_rejects_an_unknown_metric():
     result = CliRunner().invoke(main, ["desiderata", "--metric", "log_pop_diff", "--metric", "nope"])
     assert result.exit_code == 1
     assert "Error: unknown metric 'nope'" in result.output
+
+
+def test_desiderata_rejects_a_repeated_metric():
+    args = ["desiderata", "--metric", "log_pop_diff", "--metric", "log_pop_diff"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: metrics lists 'log_pop_diff' more than once" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
 
 
 _RUN_AND_LIST_MODULES = """

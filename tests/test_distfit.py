@@ -48,6 +48,18 @@ def test_nonpositive_samples_rejected():
         fit_pareto([-1.0] + [2.0] * 10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_rejected(bad):
+    with pytest.raises(ValueError, match="samples must be finite"):
+        fit_pareto([bad] + [2.0] * 10)
+
+
+@pytest.mark.parametrize("x_min", [math.nan, math.inf])
+def test_non_finite_x_min_rejected(x_min):
+    with pytest.raises(ValueError, match="x_min must be positive and finite"):
+        fit_pareto([2.0] * 11, x_min=x_min)
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(7)
     samples = sample_pareto(5_000, 1.3, x_min=2.0, rng=rng)

@@ -13,8 +13,8 @@ from popbias.cli import main
 from popbias.evaluation import (
     FoldInputs,
     FoldSpec,
-    FoldStats,
     UserSplit,
+    aggregate_folds,
     emit_report,
     evaluate_recommender,
     make_folds,
@@ -90,14 +90,30 @@ def test_split_depends_only_on_user_and_seed():
     assert any(own_split(user, seed=8)[0] != tuple(a[user].train) for user in shared)
 
 
-def _fold(hr, log_pop_diff, pru):
-    means = {"hr5": hr, "hr10": 2 * hr, "log_pop_diff": log_pop_diff, "pru": pru, "unmatched": 0.0}
-    excluded = {column: 0 if mean is not None else 10 for column, mean in means.items()}
-    return FoldStats(n_users=10, means=means, excluded=excluded, empty_slates=0)
+def _table(hr, log_pop_diff, pru):
+    """A three-user fold table with the given fold means; None leaves a column all NaN.
+
+    Hit rates are spread around ``hr``; each bias column is defined for the
+    first and last user only.
+    """
+
+    def bias(mean):
+        return np.full(3, np.nan) if mean is None else np.array([mean - 0.5, np.nan, mean + 0.5])
+
+    return {
+        "hr5": np.array([hr - 1, hr, hr + 1]),
+        "hr10": 2 * np.array([hr - 1, hr, hr + 1]),
+        "log_pop_diff": bias(log_pop_diff),
+        "pru": bias(pru),
+        "unmatched": np.zeros(3),
+    }
 
 
 def test_summarize_mean_and_standard_error():
-    row = summarize("rec", [_fold(1.0, 1.0, None), _fold(2.0, None, 0.5), _fold(4.0, 3.0, None)])
+    row = summarize(
+        "rec", [_table(1.0, 1.0, None), _table(2.0, None, 0.5), _table(4.0, 3.0, None)]
+    )
+    assert list(row.columns) == ["hr5", "hr10", "log_pop_diff", "pru", "unmatched"]
     # hr5 over [1, 2, 4]: mean 7/3, sample variance 7/3, so SEM sqrt(7/3)/sqrt(3).
     assert row.columns["hr5"] == pytest.approx((7 / 3, math.sqrt(7) / 3), abs=1e-12)
     assert row.columns["hr10"] == pytest.approx((14 / 3, 2 * math.sqrt(7) / 3), abs=1e-12)
@@ -107,7 +123,7 @@ def test_summarize_mean_and_standard_error():
     assert row.columns["pru"] == (None, None)
     assert row.columns["unmatched"] == (0.0, 0.0)
     with pytest.raises(ValueError, match="need at least 2 folds"):
-        summarize("rec", [_fold(1.0, 1.0, None)])
+        summarize("rec", [_table(1.0, 1.0, None)])
 
 
 def test_baseline_hit_rates_order_on_eval_corpus(eval_corpus, tmp_path):
@@ -165,11 +181,9 @@ def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
         (4, (5, 1), (2, 6)),  # phi 0.5 < 1: out of log_pop_diff only
     )
     rec = FixedSlates({1: (3, 4), 2: (), 3: (1, 99), 4: (3, 2)})
-    stats = evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS)
+    table = evaluate_recommender(rec, FoldInputs.of(fold, PhiArray.of(phi), BIAS_METRICS), 10)
 
-    assert stats.n_users == 4
-    assert stats.empty_slates == 1
-    assert stats.excluded == {
+    assert {column: int(np.isnan(values).sum()) for column, values in table.items()} == {
         "hr5": 0,
         "hr10": 0,
         "log_pop_diff": 3,
@@ -178,93 +192,142 @@ def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
         "herfindahl_diff": 2,
         "unmatched": 0,
     }
+    nan = math.nan
     # User 1 scores r = (8, 1) against u = (4, 2); user 4 r = (8, 2) against u = (0.5, 4).
-    assert stats.means["log_pop_diff"] == pytest.approx(
-        (math.log(8) + math.log(1)) / 2 - (math.log(4) + math.log(2)) / 2, abs=1e-12
+    np.testing.assert_allclose(
+        table["log_pop_diff"],
+        [(math.log(8) + math.log(1)) / 2 - (math.log(4) + math.log(2)) / 2, nan, nan, nan],
+        rtol=0,
+        atol=1e-12,
     )
-    assert stats.means["avg_pop_lift"] == pytest.approx((0.5 + 11 / 9) / 2, abs=1e-12)
+    np.testing.assert_allclose(table["avg_pop_lift"], [0.5, nan, nan, 11 / 9], rtol=0, atol=1e-12)
     # Gini of (1, 8) is 7/18, of (2, 4) 1/6, of (2, 8) 3/10 and of (0.5, 4) 7/18.
-    assert stats.means["gini_diff"] == pytest.approx((2 / 9 - 4 / 45) / 2, abs=1e-12)
+    np.testing.assert_allclose(
+        table["gini_diff"], [2 / 9, nan, nan, -4 / 45], rtol=0, atol=1e-12
+    )
     # Herfindahl of (1, 8) is 65/81, of (2, 4) 5/9, of (2, 8) 0.68 and of (0.5, 4) 65/81.
-    assert stats.means["herfindahl_diff"] == pytest.approx(
-        (20 / 81 + 0.68 - 65 / 81) / 2, abs=1e-12
+    np.testing.assert_allclose(
+        table["herfindahl_diff"], [20 / 81, nan, nan, 0.68 - 65 / 81], rtol=0, atol=1e-12
     )
     # Hit rates count every user; the empty slate hits nothing.
-    assert stats.means["hr5"] == stats.means["hr10"] == (1 + 0 + 1 + 0.5) / 4
-    assert stats.means["unmatched"] == 0.0
+    np.testing.assert_array_equal(table["hr5"], [1, 0, 1, 0.5])
+    np.testing.assert_array_equal(table["hr10"], table["hr5"])
+    np.testing.assert_array_equal(table["unmatched"], np.zeros(4))
+    row = summarize("fixed", [table, table])
+    assert row.columns["hr5"] == ((1 + 0 + 1 + 0.5) / 4, 0.0)
+    assert row.columns["avg_pop_lift"] == pytest.approx(((0.5 + 11 / 9) / 2, 0.0), abs=1e-12)
 
 
-def _reference_stats(fold, slates, phi):
-    """The per-user loop: hit rates over sets, one-row metric calls, in-order sums."""
-    hr = {5: 0.0, 10: 0.0}
-    totals = {m: 0.0 for m in BIAS_METRICS}
-    counts = {m: 0 for m in BIAS_METRICS}
+def test_the_table_has_one_row_per_request_in_request_order():
+    phi = {item: float(item) for item in range(1, 10)}
+    # Users 3, 1, 2: the fold is not in user id order.
+    fold = _fold_of((3, (1, 2), (3,)), (1, (4, 5), (6, 9)), (2, (7, 8), (9,)))
+    inputs = FoldInputs.of(fold, PhiArray.of(phi), ["log_pop_diff"])
+    table = evaluate_recommender(FixedSlates({3: (3,), 1: (6,), 2: ()}), inputs, 10)
+
+    assert [request.user for request in inputs.requests] == [3, 1, 2]
+    assert list(table) == ["hr5", "hr10", "log_pop_diff", "unmatched"]
+    assert all(values.shape == (3,) for values in table.values())
+    np.testing.assert_array_equal(table["hr5"], [1.0, 0.5, 0.0])
+    np.testing.assert_allclose(
+        table["log_pop_diff"],
+        [math.log(3) - math.log(2) / 2, math.log(6) - math.log(20) / 2, math.nan],
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def _reference_table(fold, slates, phi):
+    """The per-user loop: hit rates over sets, one-row metric calls."""
     phi_array = PhiArray.of(phi)
+    table = {"hr5": [], "hr10": [], **{m: [] for m in BIAS_METRICS}, "unmatched": []}
     for split in fold:
         slate = slates[split.user]
-        for cut in hr:
-            hr[cut] += len(set(slate[:cut]) & split.test_items) / len(split.test_items)
+        for cut in (5, 10):
+            hits = len(set(slate[:cut]) & split.test_items)
+            table[f"hr{cut}"].append(hits / len(split.test_items))
         train = Profiles.of([(it.item for it in split.train)])
         for m in BIAS_METRICS:
-            value = METRICS[m].evaluate_rows(Profiles.of([slate]), train, phi_array)[0]
-            if np.isnan(value):
-                continue
-            totals[m] += value
-            counts[m] += 1
-    n = len(fold)
-    bias = {m: totals[m] / counts[m] if counts[m] else None for m in BIAS_METRICS}
-    return hr[5] / n, hr[10] / n, bias, {m: n - counts[m] for m in BIAS_METRICS}
+            table[m].append(METRICS[m].evaluate_rows(Profiles.of([slate]), train, phi_array)[0])
+        table["unmatched"].append(0.0)
+    return {column: np.array(values) for column, values in table.items()}
+
+
+def _reference_mean(values):
+    """The mean of the defined values, summed left to right from 0.0."""
+    total, count = 0.0, 0
+    for value in values:
+        if not np.isnan(value):
+            total += value
+            count += 1
+    return total / count
 
 
 def test_fold_batch_equals_the_per_user_loop_exactly():
     rng = random.Random(5)
     items = range(1, 400)
     phi = {item: float(rng.randint(1, 500)) for item in items if item % 37}
-    splits, slates = [], {}
-    for user in range(300):
-        rated = rng.sample(items, rng.choice([3, 9, 40, 130, 200]))
-        cut = max(1, len(rated) // 5)
-        splits.append((user, rated[cut:], rated[:cut]))
-        unseen = [item for item in items if item not in rated[cut:]]
-        slates[user] = tuple(rng.sample(unseen, rng.choice([0, 3, 10, 10, 10])))
-    fold = _fold_of(*splits)
-    stats = evaluate_recommender(
-        FixedSlates(slates), FoldInputs.of(fold), PhiArray.of(phi), BIAS_METRICS
-    )
-    hr5, hr10, bias, excluded = _reference_stats(fold, slates, phi)
-    assert (stats.means["hr5"], stats.means["hr10"]) == (hr5, hr10)
-    assert {m: stats.means[m] for m in BIAS_METRICS} == bias
-    assert {m: stats.excluded[m] for m in BIAS_METRICS} == excluded
-    assert 0 < excluded["log_pop_diff"] < len(fold)
+    folds, slates = [], {}
+    for users in (range(300), range(300, 500)):
+        splits = []
+        for user in users:
+            rated = rng.sample(items, rng.choice([3, 9, 40, 130, 200]))
+            cut = max(1, len(rated) // 5)
+            splits.append((user, rated[cut:], rated[:cut]))
+            unseen = [item for item in items if item not in rated[cut:]]
+            slates[user] = tuple(rng.sample(unseen, rng.choice([0, 3, 10, 10, 10])))
+        folds.append(_fold_of(*splits))
+    phi_array = PhiArray.of(phi)
+    tables = [
+        evaluate_recommender(FixedSlates(slates), FoldInputs.of(fold, phi_array, BIAS_METRICS), 10)
+        for fold in folds
+    ]
+    references = [_reference_table(fold, slates, phi) for fold in folds]
+    for table, reference in zip(tables, references):
+        assert list(table) == list(reference)
+        for column, values in reference.items():
+            # NaN positions must match too.
+            np.testing.assert_array_equal(table[column], values)
+    row = summarize("fixed", tables)
+    for column in references[0]:
+        means = [_reference_mean(reference[column]) for reference in references]
+        assert row.columns[column] == aggregate_folds(means)
+    assert 0 < np.isnan(references[0]["log_pop_diff"]).sum() < len(folds[0])
+
+
+def _rows_of(p):
+    return [p.items[a:b].tolist() for a, b in zip(p.offsets[:-1], p.offsets[1:])]
 
 
 def test_a_folds_training_statistics_are_computed_once_per_metric(monkeypatch):
-    phi = {1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 3.0}
+    phi_array = PhiArray.of({1: 4.0, 2: 2.0, 3: 8.0, 4: 1.0, 5: 3.0})
     fold = _fold_of((1, (1, 2), (3,)), (2, (1, 3), (4,)), (3, (2, 4), (5,)))
-    recs = [
-        FixedSlates({1: (3, 4), 2: (2, 5), 3: (1, 3)}),
-        FixedSlates({1: (5,), 2: (4,), 3: (5,)}),
+    by_user = [{1: (3, 4), 2: (2, 5), 3: (1, 3)}, {1: (5,), 2: (4,), 3: (5,)}]
+    fresh = [
+        evaluate_recommender(FixedSlates(slates), FoldInputs.of(fold, phi_array, BIAS_METRICS), 10)
+        for slates in by_user
     ]
-    fresh = [evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi)) for rec in recs]
 
-    inputs = FoldInputs.of(fold)
     calls = []
     statistics = type(METRICS["log_pop_diff"]).statistics
 
-    def counted(self, p, phi_array):
-        calls.append((self.id, p is inputs.train))
-        return statistics(self, p, phi_array)
+    def counted(self, p, phi):
+        calls.append((self.id, _rows_of(p)))
+        return statistics(self, p, phi)
 
     monkeypatch.setattr(type(METRICS["log_pop_diff"]), "statistics", counted)
-    phi_array = PhiArray.of(phi)
-    shared = [evaluate_recommender(rec, inputs, phi_array) for rec in recs]
-    assert [s.means for s in shared] == [s.means for s in fresh]
-    assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)
-    assert sum(not train for _, train in calls) == 2 * len(BIAS_METRICS)
-    # Another phi gives another column.
+    inputs = FoldInputs.of(fold, phi_array, BIAS_METRICS)
+    assert calls == [(m, [[1, 2], [1, 3], [2, 4]]) for m in BIAS_METRICS]
     calls.clear()
-    evaluate_recommender(recs[0], inputs, PhiArray.of({**phi, 1: 40.0}))
-    assert sorted(m for m, train in calls if train) == sorted(BIAS_METRICS)
+    shared = [evaluate_recommender(FixedSlates(slates), inputs, 10) for slates in by_user]
+    # Every later call scores a recommender's slates, none the training profiles.
+    assert calls == [
+        (m, [list(slates[user]) for user in (1, 2, 3)]) for slates in by_user for m in BIAS_METRICS
+    ]
+    for table, reference in zip(shared, fresh):
+        assert list(table) == list(reference)
+        for column, values in reference.items():
+            np.testing.assert_array_equal(table[column], values)
 
 
 def test_report_layout_of_a_two_fold_run():
@@ -277,11 +340,11 @@ def test_report_layout_of_a_two_fold_run():
     # (phi 0.5) leaves log_pop_diff undefined for both users of fold 2.
     rec = FixedSlates({1: (3, 4), 2: (2, 6, 7, 8, 9, 4), 3: (5, 1), 4: (5, 2)})
     metric_ids = ("log_pop_diff", "avg_pop_lift")
-    stats = [
-        evaluate_recommender(rec, FoldInputs.of(fold), PhiArray.of(phi), metric_ids)
+    tables = [
+        evaluate_recommender(rec, FoldInputs.of(fold, PhiArray.of(phi), metric_ids), 10)
         for fold in folds
     ]
-    rows = [summarize("fixed", stats)]
+    rows = [summarize("fixed", tables)]
     # hr5 over folds (0.5, 0.75), hr10 (1, 0.75); avg_pop_lift (-7/72, -1/9).
     assert emit_report(rows, fmt="csv") == (
         "recommender,hr5,hr5_sem,hr10,hr10_sem,log_pop_diff,log_pop_diff_sem,"

@@ -412,6 +412,59 @@ class TestHttpProviders:
         assert (cfg.retries, cfg.backoff, cfg.timeout) == (0, 0, 0.5)
         assert ProviderConfig(dialect="openai", backoff=1.5, timeout=30).timeout == 30
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("temperature", "hot", "temperature must be a number >= 0"),
+            ("temperature", -0.1, "temperature must be a number >= 0"),
+            ("temperature", True, "temperature must be a number >= 0"),
+            ("temperature", float("nan"), "temperature must be a number >= 0"),
+            ("temperature", float("inf"), "temperature must be a number >= 0"),
+            ("top_p", None, r"top_p must be a number in \(0, 1\]"),
+            ("top_p", 0, r"top_p must be a number in \(0, 1\]"),
+            ("top_p", 1.5, r"top_p must be a number in \(0, 1\]"),
+            ("top_p", True, r"top_p must be a number in \(0, 1\]"),
+            ("top_p", float("nan"), r"top_p must be a number in \(0, 1\]"),
+            ("top_k", "x", "top_k must be null or an integer >= 1"),
+            ("top_k", 0, "top_k must be null or an integer >= 1"),
+            ("top_k", 5.0, "top_k must be null or an integer >= 1"),
+            ("top_k", True, "top_k must be null or an integer >= 1"),
+            ("max_tokens", -5, "max_tokens must be an integer >= 1"),
+            ("max_tokens", 0, "max_tokens must be an integer >= 1"),
+            ("max_tokens", "1024", "max_tokens must be an integer >= 1"),
+            ("max_tokens", 1024.0, "max_tokens must be an integer >= 1"),
+            ("max_tokens", None, "max_tokens must be an integer >= 1"),
+            ("max_tokens", True, "max_tokens must be an integer >= 1"),
+        ],
+    )
+    def test_decoding_settings_are_checked_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProviderConfig(dialect="openai", **{field: value})
+
+    def test_decoding_settings_accept_their_bounds(self):
+        cfg = ProviderConfig(dialect="anthropic", temperature=0, top_p=1, top_k=None, max_tokens=1)
+        assert (cfg.temperature, cfg.top_p, cfg.top_k, cfg.max_tokens) == (0, 1, None, 1)
+        cfg = ProviderConfig(dialect="anthropic", temperature=1.5, top_p=0.01, top_k=1)
+        assert (cfg.temperature, cfg.top_p, cfg.top_k) == (1.5, 0.01, 1)
+
+    def test_a_bad_endpoint_is_a_provider_error_without_retries(self, monkeypatch):
+        calls = []
+
+        def invalid(url, **kwargs):
+            calls.append(url)
+            raise requests_lib.exceptions.InvalidURL(f"Invalid URL {url!r}: no host")
+
+        monkeypatch.setenv("FAKE_KEY", "k")
+        monkeypatch.setattr("requests.post", invalid)
+        cfg = ProviderConfig(
+            dialect="openai", endpoint="http://", api_key_env="FAKE_KEY", retries=3
+        )
+        with pytest.raises(ProviderError, match="request to endpoint 'http://' failed") as info:
+            complete_chat("p", cfg)
+        assert not isinstance(info.value, TransportError)
+        assert "no host" in str(info.value)
+        assert calls == ["http://"]
+
 
 def test_build_watch_history_orders_by_timestamp():
     # Profile tables built from the same rows in any order give one history.
@@ -474,12 +527,18 @@ class TestWokRecommender:
             UserSplit(6, table, train_rows=np.array([3]), test_rows=np.array([4])),
         ]
         phi = {1: 5.0, 2: 3.0, 3: 2.0, 4: 1.0, 99: 1.0}
-        stats = evaluate_recommender(
-            rec, FoldInputs.of(fold), PhiArray.of(phi), ["log_pop_diff"], k=3
+        table = evaluate_recommender(
+            rec, FoldInputs.of(fold, PhiArray.of(phi), ["log_pop_diff"]), 3
         )
-        assert stats.empty_slates == 1
-        assert stats.excluded == {"hr5": 0, "hr10": 0, "log_pop_diff": 1, "unmatched": 0}
-        assert stats.means["unmatched"] == (1 + 3) / 2
+        # User 6's empty slate leaves only log_pop_diff undefined, and hits nothing.
+        assert {column: np.isnan(values).tolist() for column, values in table.items()} == {
+            "hr5": [False, False],
+            "hr10": [False, False],
+            "log_pop_diff": [False, True],
+            "unmatched": [False, False],
+        }
+        assert table["hr5"][1] == table["hr10"][1] == 0.0
+        np.testing.assert_array_equal(table["unmatched"], [1, 3])
 
     def test_name_carries_variant(self, catalog_index):
         index, entries = catalog_index
