@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -35,12 +36,13 @@ DEFAULT_CONFIG: dict = {
     "knn_k": DEFAULT_K_NEIGHBORS,
     "k": 10,
     "metrics": list(ev.DEFAULT_METRICS),
-    "prompt_variant": "base",
     "strict_parse": False,
     "provider": asdict(ProviderConfig()),
 }
 
-KNOWN_RECOMMENDERS = ("random", "top_pop", "item_knn", "user_knn", "wok")
+# One recommender key per prompt; plain "wok" renders the base prompt.
+WOK_VARIANTS = {"wok" if v is PromptVariant.BASE else f"wok:{v.value}": v for v in PromptVariant}
+KNOWN_RECOMMENDERS = ("random", "top_pop", "item_knn", "user_knn", *WOK_VARIANTS)
 
 
 def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -86,6 +88,23 @@ def _require_file(path: str, kind: str) -> None:
         raise click.ClickException(f"{kind} file not found: {path}")
 
 
+def _make_out_dir(out: str | None) -> Path:
+    """The output directory, made in set-up so that an unusable path fails before any work."""
+    out_dir = Path(out) if out else Path.cwd()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot make output directory {out_dir}: {exc.strerror or exc}")
+    return out_dir
+
+
+def _write_output(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _load_data(movies: str, ratings: str, strict: bool):
     _require_file(movies, "movies")
     _require_file(ratings, "ratings")
@@ -106,6 +125,7 @@ def _load_data(movies: str, ratings: str, strict: bool):
 @click.option("--strict-parse", is_flag=True, help="abort on the first malformed line")
 def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> None:
     """Parse the catalog, build the popularity table, print a summary."""
+    out_dir = _make_out_dir(out) if out else None
     entries, movie_issues, table, rating_issues = _load_data(movies, ratings, strict_parse)
     phi = cat.compute_popularity(table)
     scores = np.array(sorted(phi.values()), dtype=float)
@@ -119,14 +139,12 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
         + "/".join(f"{q:.0f}" for q in quants)
     )
     click.echo(f"most popular item: {top_item[0]} ({top_item[1]:.0f} ratings)")
-    if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "popularity.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item", "count"])
-            for item in sorted(phi):
-                writer.writerow([item, int(phi[item])])
+    if out_dir is not None:
+        popularity = io.StringIO()
+        writer = csv.writer(popularity)
+        writer.writerow(["item", "count"])
+        writer.writerows([item, int(phi[item])] for item in sorted(phi))
+        _write_output(out_dir / "popularity.csv", popularity.getvalue())
         summary = {
             "movies": len(entries),
             "ratings": len(table),
@@ -135,8 +153,8 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
             "rating_parse_issues": len(rating_issues),
             "max_popularity_item": top_item[0],
         }
-        (out_dir / "ingest_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        _write_output(
+            out_dir / "ingest_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
         )
         click.echo(f"wrote {out_dir / 'popularity.csv'}")
 
@@ -171,8 +189,8 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     click.echo(f"ks_stat: {result.ks_stat:.4f}")
 
 
-def _build_fold_recommenders(cfg, train, phi, wok):
-    """The configured recommenders: models trained on the fold's ratings, and the run's ``wok``."""
+def _build_fold_recommenders(cfg, train, phi, woks):
+    """The configured recommenders: models trained on the fold's ratings, and the run's ``woks``."""
     recs = []
     matrix = None
     for name in cfg["recommenders"]:
@@ -187,12 +205,12 @@ def _build_fold_recommenders(cfg, train, phi, wok):
                 recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
             else:
                 recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
-        else:  # "wok": evaluate has checked every name
-            recs.append(wok)
+        else:  # a wok key: evaluate has checked every name
+            recs.append(woks[name])
     return recs
 
 
-def _score_fold(cfg, fold, phi, phi_array, wok, errors):
+def _score_fold(cfg, fold, phi, phi_array, woks, errors):
     """Each configured recommender's per-user table on one fold, skipping those in errors.
 
     A recommender whose provider fails is recorded in ``errors``. The fold's
@@ -200,7 +218,7 @@ def _score_fold(cfg, fold, phi, phi_array, wok, errors):
     while the next fold's models are built.
     """
     inputs = ev.FoldInputs.of(fold, phi_array, cfg["metrics"])
-    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, wok)
+    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, woks)
     tables: dict[str, dict[str, np.ndarray]] = {}
     for rec in recs:
         if rec.name in errors:
@@ -222,7 +240,11 @@ def _score_fold(cfg, fold, phi, phi_array, wok, errors):
 @click.option("--provider", type=str, default=None, help="override provider.dialect")
 @click.option("--strict-parse", is_flag=True, default=None, help="abort on malformed lines")
 def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) -> None:
-    """Run the fold protocol and write report.csv plus manifest.json."""
+    """Run the fold protocol and write report.csv plus manifest.json.
+
+    The LLM recommender's keys are ``wok`` (the base prompt), ``wok:mitigate``
+    and ``wok:minimize``; each listed key is its own row over the same folds.
+    """
     cfg = load_config(config_path)
     if movies:
         cfg["data"]["movies"] = movies
@@ -253,11 +275,6 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for key in ("k", "knn_k"):
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise click.ClickException(f"{key} must be an integer >= 1")
-    try:
-        variant = PromptVariant(cfg["prompt_variant"])
-    except ValueError:
-        variants = ", ".join(v.value for v in PromptVariant)
-        raise click.ClickException(f"prompt_variant must be one of: {variants}") from None
     names = cfg["recommenders"]
     for name in names:
         if name not in KNOWN_RECOMMENDERS:
@@ -271,7 +288,8 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
         if repeated:
             raise click.ClickException(f"{key} lists {repeated[0]!r} more than once")
     provider = None
-    if "wok" in names:
+    wok_keys = [name for name in names if name in WOK_VARIANTS]
+    if wok_keys:
         try:
             provider = ProviderConfig(**cfg["provider"])
         except ValueError as exc:
@@ -281,9 +299,16 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
             raise click.ClickException(
                 f"provider.fixtures_dir is not a directory: {provider.fixtures_dir}"
             )
+        # A network dialect fails every request without these (the key is read per call).
+        for key in ("endpoint", "api_key_env"):
+            if provider.dialect != "stub" and not getattr(provider, key):
+                raise click.ClickException(
+                    f"provider.{key} must be set for dialect {provider.dialect!r}"
+                )
     if {"item_knn", "user_knn"}.intersection(names):
         # Loaded here, in set-up, rather than by the first fold's rating matrix.
         import scipy.sparse  # noqa: F401
+    out_dir = _make_out_dir(out)
 
     entries, _, table, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
@@ -291,9 +316,8 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     phi = cat.compute_popularity(table)
     # Only wok reads the index, but the benchmark times its build on every run.
     index = cat.TitleIndex.build(entries)
-    wok = None
-    if provider is not None:
-        wok = WokRecommender(provider, index, {e.item: e for e in entries}, variant)
+    by_item = {e.item: e for e in entries} if wok_keys else {}
+    woks = {key: WokRecommender(provider, index, by_item, WOK_VARIANTS[key]) for key in wok_keys}
 
     try:
         plan = ev.make_folds(table, spec)
@@ -306,7 +330,7 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        for name, table in _score_fold(cfg, fold, phi, phi_array, wok, errors).items():
+        for name, table in _score_fold(cfg, fold, phi, phi_array, woks, errors).items():
             per_rec_tables.setdefault(name, []).append(table)
 
     rows = [
@@ -317,13 +341,10 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     if not rows:
         raise click.ClickException("no recommender completed all folds")
 
-    out_dir = Path(out) if out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_csv = ev.emit_report(rows, fmt="csv")
-    (out_dir / "report.csv").write_text(report_csv, encoding="utf-8")
-    (out_dir / "report.md").write_text(ev.emit_report(rows, fmt="markdown"), encoding="utf-8")
-    manifest = ev.build_manifest(cfg, plan, rows, errors)
-    (out_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+    _write_output(out_dir / "report.csv", report_csv)
+    _write_output(out_dir / "report.md", ev.emit_report(rows, fmt="markdown"))
+    _write_output(out_dir / "manifest.json", ev.build_manifest(cfg, plan, rows, errors))
     click.echo(report_csv, nl=False)
     click.echo(f"wrote {out_dir / 'report.csv'}")
 
@@ -411,7 +432,7 @@ def correlate(reports: tuple[str, ...], out: str | None) -> None:
         raise click.ClickException(str(exc))
     text = ev.emit_correlations(matrix)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_output(Path(out), text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)

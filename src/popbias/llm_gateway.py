@@ -66,7 +66,7 @@ You are a helpful movie-expert AI tasked with recommending a collection of movie
 - For each movie, start a new line, indicate the position in the movie list (that is, 1., 2., ...).
 - Name the title of the movie (without quotation marks!) and then in parentheses the release year.
 - Do not recommend movies that the user has already watched. Those are the ones listed above.
-- Do not recommend movies that are newer than 2008.
+- Do not recommend movies that are newer than {max_release_year}.
 
 Now create the movie list!"""
 
@@ -160,7 +160,9 @@ def render_prompt(
         raise ValueError("k must be >= 1")
     recent = list(history)[-MAX_HISTORY_TITLES:]
     watch_history = "\n".join(f"{title} ({year})" for title, year in recent)
-    prompt = BASE_TEMPLATE.format(watch_history=watch_history, nr_items=k)
+    prompt = BASE_TEMPLATE.format(
+        watch_history=watch_history, nr_items=k, max_release_year=MAX_RELEASE_YEAR
+    )
     if variant is PromptVariant.MITIGATE:
         prompt = f"{prompt}\n\n{MITIGATE_INSTRUCTION}"
     elif variant is PromptVariant.MINIMIZE:

@@ -11,11 +11,12 @@ import pytest
 import requests
 from click.testing import CliRunner
 
-from popbias.catalog import read_movies_file, read_ratings_file
+from popbias.catalog import compute_popularity, read_movies_file, read_ratings_file
 from popbias.cli import load_config, main
 from popbias.distfit import fit_pareto
 from popbias.evaluation import FoldSpec, make_folds
 from popbias.llm_gateway import (
+    PromptVariant,
     ProviderConfig,
     build_watch_history,
     prompt_fingerprint,
@@ -126,6 +127,80 @@ def test_an_unreadable_stub_fixture_fails_only_the_llm_recommender(small_corpus,
     assert f"unreadable stub fixture {paths[0].stem}" in errors["wok-stub-model"]
 
 
+def _write_variant_fixtures(movies, ratings, fixtures, spec):
+    """Stub replies for every fold user and prompt variant, keyed as the stub keys them.
+
+    Base replies name the user's ten most popular unseen items, mitigate ten
+    from the middle third of the popularity ranking, minimize the ten least
+    popular unseen items. Returns each (user, variant)'s fixture path.
+    """
+    by_id = {e.item: e for e in read_movies_file(movies)[0]}
+    table = read_ratings_file(ratings)[0]
+    phi = compute_popularity(table)
+    ranked = sorted(phi, key=lambda item: (-phi[item], item))
+    third = len(ranked) // 3
+    pools = {
+        PromptVariant.BASE: ranked,
+        PromptVariant.MITIGATE: ranked[third : 2 * third],
+        PromptVariant.MINIMIZE: ranked[::-1],
+    }
+    paths = {}
+    for split in (split for fold in make_folds(table, spec).folds for split in fold):
+        history = build_watch_history(split.train, by_id)
+        seen = set(split.train.item.tolist())
+        for variant, pool in pools.items():
+            picks = [by_id[item] for item in pool if item not in seen][:10]
+            reply = "".join(f"{n}. {e.title} ({e.year})\n" for n, e in enumerate(picks, 1))
+            path = fixtures / f"{prompt_fingerprint(render_prompt(history, 10, variant))}.txt"
+            path.write_text(reply, encoding="utf-8")
+            paths[split.user, variant] = path
+    return paths
+
+
+def test_one_run_scores_every_prompt_over_the_same_folds(small_corpus, tmp_path):
+    movies, ratings = small_corpus
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    paths = _write_variant_fixtures(
+        movies, ratings, fixtures, FoldSpec(fold_count=2, users_per_fold=30)
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 2, "users_per_fold": 30},
+                "recommenders": ["random", "wok", "wok:mitigate", "wok:minimize"],
+                "provider": {"fixtures_dir": str(fixtures)},
+            }
+        ),
+        encoding="utf-8",
+    )
+
+    def run(name):
+        out = tmp_path / name
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = (out / "report.csv").read_text("utf-8")
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        return list(csv.DictReader(io.StringIO(report))), manifest
+
+    rows, manifest = run("all")
+    names = ["random", "wok-stub-model", "wok-stub-model-mitigate", "wok-stub-model-minimize"]
+    assert [row["recommender"] for row in rows] == names
+    assert manifest["errors"] == {}
+    bias = [float(row["log_pop_diff"]) for row in rows[1:]]
+    assert bias[0] > bias[1] > bias[2]
+
+    # One missing reply fails its own variant's row and leaves the others as they were.
+    user = manifest["folds"][1][0]
+    paths[user, PromptVariant.MITIGATE].unlink()
+    rest, manifest = run("one_missing")
+    assert list(manifest["errors"]) == ["wok-stub-model-mitigate"]
+    assert "no stub fixture" in manifest["errors"]["wok-stub-model-mitigate"]
+    assert rest == [rows[0], rows[1], rows[3]]
+
+
 def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):
     # 30 movies: user 1 rated 28, so a training side of 22 leaves 8 candidates
     # for k=10; every other user rated 10.
@@ -201,11 +276,18 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
         ({"k": -1}, "k must be an integer >= 1"),
         ({"knn_k": 0}, "knn_k must be an integer >= 1"),
         ({"k": 2.5}, "k must be an integer >= 1"),
+        # The prompt is chosen by the recommender key, not by a config key of its own.
+        ({"prompt_variant": "base"}, "unknown config key: prompt_variant"),
         (
-            {"prompt_variant": "bogus", "recommenders": ["wok"]},
-            "prompt_variant must be one of: base, mitigate, minimize",
+            {"recommenders": ["wok:base"]},
+            "unknown recommender 'wok:base' (known: random, top_pop, item_knn, user_knn, "
+            "wok, wok:mitigate, wok:minimize)",
         ),
-        ({"prompt_variant": "bogus"}, "prompt_variant must be one of: base, mitigate, minimize"),
+        (
+            {"recommenders": ["wok", "wok:bogus"]},
+            "unknown recommender 'wok:bogus' (known: random, top_pop, item_knn, user_knn, "
+            "wok, wok:mitigate, wok:minimize)",
+        ),
         (
             {"recommenders": ["wok"], "provider": {"dialect": "telnet"}},
             "provider.dialect must be one of: stub, openai, anthropic",
@@ -221,6 +303,17 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
         (
             {"recommenders": ["wok"], "provider": {"fixtures_dir": "no/such/fixtures"}},
             "provider.fixtures_dir is not a directory: no/such/fixtures",
+        ),
+        (
+            {"recommenders": ["wok"], "provider": {"dialect": "openai", "api_key_env": "KEY"}},
+            "provider.endpoint must be set for dialect 'openai'",
+        ),
+        (
+            {
+                "recommenders": ["top_pop", "wok:minimize"],
+                "provider": {"dialect": "anthropic", "endpoint": "http://provider"},
+            },
+            "provider.api_key_env must be set for dialect 'anthropic'",
         ),
         # Without a wok recommender the provider block is never used.
         ({"provider": {"dialect": "telnet"}}, "movies file not found"),
@@ -320,6 +413,38 @@ def test_evaluate_rejects_a_config_file_that_is_not_a_json_object(tmp_path, text
     result = CliRunner().invoke(main, ["evaluate", "--config", str(config)])
     assert result.exit_code == 1
     assert f"Error: config file {config} must hold a JSON object" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ingest"])
+def test_an_output_path_that_is_a_file_is_refused_before_reading_data(
+    command, tmp_path, monkeypatch
+):
+    # The data paths do not exist, so the output check must run first to be seen.
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    args = [command, "--movies", "no/movies.dat", "--ratings", "no/ratings.dat"]
+    result = CliRunner().invoke(main, [*args, "--out", str(taken)])
+    assert result.exit_code == 1
+    assert f"Error: cannot make output directory {taken}: File exists" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]  # no report.csv in cwd
+
+
+def test_correlate_refuses_an_output_path_that_is_a_directory(tmp_path):
+    report = tmp_path / "report.csv"
+    report.write_text(
+        "recommender,log_pop_diff,gini_diff\n"
+        "random,-1.0,0.1\ntop_pop,2.0,-0.2\nitem_knn,0.5,0.3\nuser_knn,0.25,0.0\n",
+        encoding="utf-8",
+    )
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    result = CliRunner().invoke(main, ["correlate", str(report), "--out", str(taken)])
+    assert result.exit_code == 1
+    assert f"Error: cannot write {taken}: Is a directory" in result.output
     assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
 
 
@@ -502,7 +627,8 @@ def test_strict_parse_names_the_malformed_line_and_lenient_run_skips_it(small_co
     result = run(broken, tmp_path / "strict", "--strict-parse")
     assert result.exit_code == 1
     assert "ratings line 101: non-numeric field" in result.output
-    assert not (tmp_path / "strict").exists()
+    # The output directory is made in set-up, before the data is read; nothing is written to it.
+    assert list((tmp_path / "strict").iterdir()) == []
 
     outputs = []
     for name, path in (("lenient", broken), ("clean", ratings)):

@@ -10,6 +10,7 @@ from popbias import llm_gateway
 from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
 from popbias.llm_gateway import (
     MAX_HISTORY_TITLES,
+    MAX_RELEASE_YEAR,
     MITIGATE_INSTRUCTION,
     MINIMIZE_INSTRUCTION,
     ParsedCompletion,
@@ -38,6 +39,14 @@ class TestRenderPrompt:
         prompt = render_prompt([("Heat", 1995)], 10)
         assert "Provide a list of 10 movies" in prompt
         assert "Heat (1995)" in prompt
+
+    def test_base_prompt_names_the_release_year_cutoff(self, monkeypatch):
+        cutoff = f"- Do not recommend movies that are newer than {MAX_RELEASE_YEAR}.\n"
+        assert cutoff in render_prompt([("Heat", 1995)], 10)
+        monkeypatch.setattr(llm_gateway, "MAX_RELEASE_YEAR", 1999)
+        assert "- Do not recommend movies that are newer than 1999.\n" in render_prompt(
+            [("Heat", 1995)], 10
+        )
 
     def test_minimize_ends_with_instruction(self):
         prompt = render_prompt([("Heat", 1995)], 10, PromptVariant.MINIMIZE)

@@ -8,7 +8,8 @@
 # .perfbench_work/config/*.json it runs `popbias evaluate` from a temporary
 # git worktree of BASE_REF and from this tree, both from the root of this
 # checkout, and compares report.csv, report.md and manifest.json byte for
-# byte. It prints one line per file that differs and exits 1 if any does.
+# byte. For each file that differs it prints one line, then the first 40 lines
+# of `diff -u` of the two copies, and it exits 1 if any file differs.
 set -euo pipefail
 
 base=${1:?usage: tools/same_reports.sh BASE_REF}
@@ -40,6 +41,8 @@ for cfg in "${configs[@]}"; do
   for file in report.csv report.md manifest.json; do
     if ! cmp -s "$work/out/base/$name/$file" "$work/out/head/$name/$file"; then
       echo "$name: $file differs from $base" >&2
+      { diff -u "$work/out/base/$name/$file" "$work/out/head/$name/$file" || true; } \
+        | head -n 40 >&2
       status=1
     fi
   done
