@@ -181,7 +181,8 @@ class FoldInputs:
     ``requests`` ask for each user's slate and carry the user's training
     ratings, whose items the slate leaves out. ``ratings`` is the fold's
     training table, user by user in fold order, which the rating matrix is
-    built from. ``test`` holds the held-out items the hit rates count.
+    built from. ``test`` holds the held-out items the hit rates count, and
+    ``test_keys`` the same (row, item) pairs as sorted ``_item_keys``.
     ``statistics`` maps each metric id, in report order, to the metric's
     statistic of every training profile under ``phi``: the side the bias
     metrics compare slates against.
@@ -190,6 +191,7 @@ class FoldInputs:
     requests: list[RecRequest]
     ratings: Ratings
     test: Profiles
+    test_keys: np.ndarray
     phi: PhiArray
     statistics: dict[str, np.ndarray]
 
@@ -209,12 +211,14 @@ class FoldInputs:
         np.cumsum([s.train_rows.size for s in fold], out=offsets[1:])
         bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
         train = Profiles(items=ratings.item, offsets=offsets)
+        test = Profiles.of(s.test_items for s in fold)
         return cls(
             requests=[
                 RecRequest(s.user, ratings[a:b]) for s, (a, b) in zip(fold, bounds)
             ],
             ratings=ratings,
-            test=Profiles.of(s.test_items for s in fold),
+            test=test,
+            test_keys=np.sort(_item_keys(test)),
             phi=phi,
             statistics={m: scored_metric(m).statistics(train, phi) for m in metric_ids},
         )
@@ -228,12 +232,15 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _held_out(slates: Profiles, test: Profiles) -> np.ndarray:
-    """Which slate items are held-out items of their own user."""
-    ids, codes = np.unique(np.concatenate((slates.items, test.items)), return_inverse=True)
-    slate_keys = slates.rows * ids.size + codes[: slates.items.size]
-    test_keys = test.rows * ids.size + codes[slates.items.size :]
-    return np.isin(slate_keys, test_keys)
+def _item_keys(profiles: Profiles) -> np.ndarray:
+    """item * rows + row of every item: one key per (row, item) pair."""
+    return profiles.items * len(profiles) + profiles.rows
+
+
+def _held_out(slates: Profiles, test_keys: np.ndarray) -> np.ndarray:
+    """Which slate items are held-out items of their own user (test_keys: sorted, not empty)."""
+    keys = _item_keys(slates)
+    return test_keys[np.minimum(np.searchsorted(test_keys, keys), test_keys.size - 1)] == keys
 
 
 def evaluate_recommender(
@@ -266,7 +273,7 @@ def evaluate_recommender(
     slates = Profiles.of(result.slate.entries for result in results)
     n = len(results)
 
-    held_out = _held_out(slates, fold.test)
+    held_out = _held_out(slates, fold.test_keys)
     rows, positions = slates.rows[held_out], slates.positions[held_out]
     columns = {
         f"hr{cut}": np.bincount(rows[positions < cut], minlength=n) / fold.test.lengths

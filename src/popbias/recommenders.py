@@ -29,8 +29,10 @@ request's training profile is its exclusion set. Random and top-pop look up
 the whole batch's profile items at once (_excluded) and map each pick, the
 j-th item of the pool or the ranking outside a profile, to its position with
 one search for the whole batch (_nth_outside), so no request copies the
-catalog. The KNN recommenders score blocks of requests, each with one
-sparse product:
+catalog. Random draws the batch's picks at once, by Floyd's algorithm over
+keys of (seed, purpose, user, index) from one counter-based stream
+(_stream_keys), which is not the one that split the users' ratings. The KNN
+recommenders score blocks of requests, each with one sparse product:
 
 - item-KNN: (R + 1j * 1_R) @ S.T, where R is the requests x items matrix of
   profile ratings and row c of S holds item c's neighbor similarities;
@@ -269,11 +271,18 @@ def _csr_of_rows(
 
 
 def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's position in the sorted ids, and whether it is there at all."""
-    positions = np.searchsorted(ids, values)
-    found = positions < ids.size
-    found[found] = ids[positions[found]] == values[found]
-    return positions, found
+    """Each value's position in the sorted distinct ids (-1 if absent), and whether it is there.
+
+    A lookup is one read of a table over [ids[0], ids[-1]], which assumes
+    dense catalog ids, as PhiArray does (MovieLens ids stay below 300k).
+    """
+    positions = np.full(values.shape, -1, dtype=np.int64)
+    if ids.size:
+        table = np.full(int(ids[-1] - ids[0]) + 1, -1, dtype=np.int64)
+        table[ids - ids[0]] = np.arange(ids.size)
+        inside = (values >= ids[0]) & (values <= ids[-1])
+        positions[inside] = table[values[inside] - ids[0]]
+    return positions, positions >= 0
 
 
 def _profile_cells(profiles: Sequence[Ratings], ids: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -325,6 +334,27 @@ def _nth_outside(excluded: np.ndarray, n: int, counts: np.ndarray, nth: np.ndarr
     before = np.searchsorted(excluded, request * n)
     shifted = excluded - np.arange(excluded.size)
     return nth + np.searchsorted(shifted, request * n + nth - before, side="right") - before
+
+
+_RANDOM_STREAM = 1  # purpose tag of _stream_keys; each purpose takes its own
+
+
+def _stream_keys(seed: int, purpose: int, user: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Uniform 64-bit keys of (seed, purpose, user, index), the arrays broadcast together.
+
+    Starting from 0, each part x in turn sets the key to splitmix64's (x +
+    1)-th output from the key as its state: the finalizer of key + (x + 1) *
+    gamma, in wrapping uint64 arithmetic. The finalizer is a bijection, so
+    one (seed, purpose, user) gives distinct keys at distinct indices.
+    """
+    key = np.zeros(1, dtype=np.uint64)
+    for part in (seed, purpose, user, index):
+        step = np.array(part, np.int64, ndmin=1).astype(np.uint64) + 1
+        key = key + step * np.uint64(0x9E3779B97F4A7C15)
+        key = (key ^ (key >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        key = (key ^ (key >> 27)) * np.uint64(0x94D049BB133111EB)
+        key ^= key >> 31
+    return key
 
 
 def _split_slates(entries: np.ndarray, counts: np.ndarray) -> list[Slate]:
@@ -481,23 +511,31 @@ class RandomRecommender(BaseRecommender):
         """Per request, k distinct draws from the pool minus its profile items.
 
         A request with fewer than k items left draws them all, in random
-        order, and its slate comes back short. Each request draws its picks
-        with one np.random.default_rng((seed, user)).choice(left, size,
-        replace=False), where left is the count of pool items outside its
-        profile, so a slate does not depend on the other requests. A pick j
-        is the j-th pool item outside the profile; one search over the
-        batch maps them all (_nth_outside). Profile items outside the pool
-        are ignored.
+        order, and its slate comes back short. A request draws count =
+        min(k, left) of its left pool positions outside its profile by
+        Floyd's algorithm, the whole batch at once, from its own keys
+        _stream_keys(seed, _RANDOM_STREAM, user, index), so a slate does not
+        depend on the other requests. Round i < count draws key i mod (j +
+        1), j = left - count + i, and takes j instead when that pick is
+        taken: every set of picks is equally likely, up to a modulo bias
+        below left / 2**64. Sorting the picks by keys k + i makes every
+        order equally likely. A pick j is the j-th pool item outside the
+        profile; one search over the batch maps them all (_nth_outside).
+        Profile items outside the pool are ignored.
         """
         excluded, available = _excluded(self.pool, requests)
-        picks = [
-            np.random.default_rng((self.seed, request.user)).choice(
-                left, size=min(k, left), replace=False
-            )
-            for request, left in zip(requests, available.tolist())
-        ]
         counts = np.minimum(k, available)
-        nth = np.concatenate([np.empty(0, np.int64), *picks])
+        users = np.fromiter((request.user for request in requests), np.int64, len(requests))
+        keys = _stream_keys(self.seed, _RANDOM_STREAM, users[:, None], np.arange(2 * k))
+        picks = np.empty((users.size, k), dtype=np.int64)
+        for i in range(k):
+            j = available - counts + i
+            pick = (keys[:, i] % (j + 1).astype(np.uint64)).astype(np.int64)
+            picks[:, i] = np.where((picks[:, :i] == pick[:, None]).any(axis=1), j, pick)
+        # Rounds past a request's count take the largest order key, so they sort last.
+        live = np.arange(k) < counts[:, None]
+        order = np.argsort(np.where(live, keys[:, k:], np.uint64(2**64 - 1)), axis=1, kind="stable")
+        nth = np.take_along_axis(picks, order, axis=1)[live]
         picked = _nth_outside(excluded, self.pool.size, counts, nth)
         return _split_slates(self.pool[picked], counts)
 

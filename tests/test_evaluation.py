@@ -7,7 +7,10 @@ import random
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from popbias import evaluation
 from popbias.catalog import Interaction, Ratings
 from popbias.cli import main
 from popbias.evaluation import (
@@ -293,6 +296,33 @@ def test_fold_batch_equals_the_per_user_loop_exactly():
         means = [_reference_mean(reference[column]) for reference in references]
         assert row.columns[column] == aggregate_folds(means)
     assert 0 < np.isnan(references[0]["log_pop_diff"]).sum() < len(folds[0])
+
+
+def _unique_isin_held_out(slates, test):
+    """The former held-out search: np.unique codes of both sides, then np.isin."""
+    ids, codes = np.unique(np.concatenate((slates.items, test.items)), return_inverse=True)
+    slate_keys = slates.rows * ids.size + codes[: slates.items.size]
+    test_keys = test.rows * ids.size + codes[slates.items.size :]
+    return np.isin(slate_keys, test_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), users=st.integers(1, 12))
+def test_held_out_matches_the_unique_isin_form(data, users):
+    # Held-out items come from phi; slates may be empty and may hold items
+    # missing from phi, here the ids outside 0-30.
+    phi = PhiArray.of({item: 1.0 for item in range(31)})
+    test = Profiles.of(
+        data.draw(st.sets(st.integers(0, 30), min_size=1, max_size=8)) for _ in range(users)
+    )
+    slate_items = st.integers(0, 30) | st.integers(-(2**31), 2**31)
+    slates = Profiles.of(
+        data.draw(st.lists(slate_items, max_size=10, unique=True)) for _ in range(users)
+    )
+    got = evaluation._held_out(slates, np.sort(evaluation._item_keys(test)))
+    expected = _unique_isin_held_out(slates, test)
+    np.testing.assert_array_equal(got, expected)
+    assert not got[np.isnan(phi.lookup(slates.items))].any()
 
 
 def _rows_of(p):

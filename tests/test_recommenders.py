@@ -223,7 +223,7 @@ class TestRandom:
     def test_pinned_draw(self):
         # Any change to the per-user draw stream shows here.
         rec = RandomRecommender(range(100), seed=11)
-        assert rec.slates([watched(7, {3, 50, 99})], 5)[0].entries == (98, 69, 42, 68, 53)
+        assert rec.slates([watched(7, {3, 50, 99})], 5)[0].entries == (87, 47, 38, 39, 31)
 
 
 class TestTopPop:
@@ -260,12 +260,44 @@ class TestTopPop:
         assert len(slates) == 1
 
 
-def _isin_random_slate(pool, exclude, seed, k):
-    """A random slate by the former np.isin exclusion; short when fewer than k are left."""
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(state):
+    """splitmix64's finalizer of state + gamma, in plain Python integers."""
+    z = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _plain_key(*parts):
+    """Each part x in turn: the key becomes splitmix64's (x + 1)-th output from the key."""
+    key = 0
+    for part in parts:
+        key = _splitmix64((key + part * 0x9E3779B97F4A7C15) & _MASK64)
+    return key
+
+
+def _floyd_random_slate(pool, exclude, seed, user, k):
+    """A random slate by a plain-Python Floyd loop over np.isin's available items.
+
+    Round i draws from the key at index i and orders its pick by the key at
+    index k + i, as RandomRecommender.slates documents.
+    """
     available = pool[~np.isin(pool, list(exclude))]
-    size = min(k, len(available))
-    picks = np.random.default_rng(seed).choice(len(available), size=size, replace=False)
-    return tuple(available[picks].tolist())
+    left = len(available)
+    count = min(k, left)
+    keys = recommenders._stream_keys(
+        seed, recommenders._RANDOM_STREAM, np.array(user), np.arange(2 * k)
+    ).tolist()
+    picks = []
+    for i in range(count):
+        j = left - count + i
+        pick = keys[i] % (j + 1)
+        picks.append(j if pick in picks else pick)
+    order = sorted(range(count), key=lambda i: keys[k + i])
+    return tuple(available[[picks[i] for i in order]].tolist())
 
 
 def _isin_top_pop_slate(ranking, exclude, k):
@@ -287,7 +319,96 @@ def test_random_slates_match_the_isin_form(ids, k, seed):
     candidates, exclude = ids
     pool = np.array(sorted(candidates))
     got = random_slate(candidates, exclude, k, seed, user=3).entries
-    assert got == _isin_random_slate(pool, exclude, (seed, 3), k)
+    assert got == _floyd_random_slate(pool, exclude, seed, 3, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    user=st.integers(-(2**63), 2**63 - 1),
+    index=st.integers(0, 2**20),
+)
+def test_stream_keys_match_plain_python_splitmix64(seed, user, index):
+    got = recommenders._stream_keys(seed, 5, np.array([user]), np.array([index]))
+    assert got.tolist() == [_plain_key(seed, 5, user, index)]
+
+
+def test_stream_keys_start_with_splitmix64s_published_first_output():
+    # splitmix64 seeded with 0 first returns 0xE220A8397B1DCDAF.
+    assert _splitmix64(0) == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize(("pool", "exclude", "k"), [(range(6), {0}, 3), (range(3), set(), 5)])
+def test_random_slates_are_uniform_over_ordered_slates(pool, exclude, k):
+    # Every ordered slate, and so every (item, position), is equally likely:
+    # 5 * 4 * 3 = 60 slates of 3 from 5 items left, or the 3! = 6 orders of
+    # a short slate. The chi-squared bound is the 1 - 1e-4 quantile, so a
+    # uniform draw exceeds it for one seed in 10,000.
+    from scipy.stats import chi2
+
+    users = 12_000
+    requests = [watched(user, exclude) for user in range(users)]
+    slates = RandomRecommender(pool, seed=29).slates(requests, k)
+    counts = {}
+    for slate in slates:
+        counts[slate.entries] = counts.get(slate.entries, 0) + 1
+    left = len(pool) - len(exclude)
+    cells = math.perm(left, min(k, left))
+    assert len(counts) == cells
+    assert all(not set(entries) & exclude for entries in counts)
+    expected = users / cells
+    statistic = sum((count - expected) ** 2 / expected for count in counts.values())
+    assert statistic < chi2.ppf(1 - 1e-4, cells - 1)
+    by_position = np.zeros((len(pool), min(k, left)))
+    for slate in slates:
+        by_position[list(slate.entries), np.arange(len(slate))] += 1
+    expected = users / left
+    kept = by_position[sorted(set(pool) - exclude)]
+    statistic = ((kept - expected) ** 2 / expected).sum(axis=0)
+    assert np.all(statistic < chi2.ppf(1 - 1e-4, left - 1))
+
+
+def test_random_slates_are_independent_of_the_split_stream():
+    from scipy.stats import chi2
+
+    from popbias.evaluation import split_user_ratings
+
+    # split_user_ratings draws from np.random.default_rng([seed, user]). A
+    # slate drawn from that generator's state, as choice(pool, k) without
+    # replacement, matches no user's random slate.
+    seed, pool = 7, np.arange(1990)
+    requests = [watched(user, set()) for user in range(200)]
+    for request, slate in zip(requests, RandomRecommender(pool, seed).slates(requests, 10)):
+        shared = np.random.default_rng([seed, request.user]).choice(pool.size, 10, replace=False)
+        assert slate.entries != tuple(pool[shared].tolist())
+    # A user with 2 ratings and train_fraction 0.5 trains on one of them and
+    # draws one of 2 pool items: the 2 x 2 table of the two passes a
+    # chi-squared test of independence at the 1 - 1e-4 quantile.
+    users = 4_000
+    requests = [watched(user, set()) for user in range(users)]
+    picks = [slate.entries[0] for slate in RandomRecommender([0, 1], seed).slates(requests, 1)]
+    trains = [int(split_user_ratings(user, 2, 0.5, seed)[0][0]) for user in range(users)]
+    table = np.zeros((2, 2))
+    np.add.at(table, (trains, picks), 1)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / users
+    assert ((table - expected) ** 2 / expected).sum() < chi2.ppf(1 - 1e-4, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.sets(st.integers(-50, 400), max_size=60),
+    values=st.lists(st.integers(-(2**40), 2**40) | st.integers(-60, 410), max_size=80),
+)
+def test_positions_match_the_searchsorted_form(ids, values):
+    ids = np.array(sorted(ids), dtype=np.int64)
+    values = np.array(values, dtype=np.int64)
+    positions, found = recommenders._positions(ids, values)
+    expected = np.searchsorted(ids, values)
+    expected_found = expected < ids.size
+    expected_found[expected_found] = ids[expected[expected_found]] == values[expected_found]
+    np.testing.assert_array_equal(found, expected_found)
+    np.testing.assert_array_equal(positions[found], expected[found])
+    assert np.all(positions[~found] == -1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,7 +435,7 @@ def test_random_batches_match_the_isin_form_per_request(data, k, seed):
     requests = [request_for(user, [(i, 3.0) for i in p]) for user, p in enumerate(profiles)]
     got = [slate.entries for slate in RandomRecommender(pool, seed).slates(requests, k)]
     expected = [
-        _isin_random_slate(np.array(pool, dtype=np.int64), p, (seed, user), k)
+        _floyd_random_slate(np.array(pool, dtype=np.int64), p, seed, user, k)
         for user, p in enumerate(profiles)
     ]
     assert got == expected

@@ -8,8 +8,9 @@
 # .perfbench_work/config/*.json it runs `popbias evaluate` from a temporary
 # git worktree of BASE_REF and from this tree, both from the root of this
 # checkout, and compares report.csv, report.md and manifest.json byte for
-# byte. For each file that differs it prints one line, then the first 40 lines
-# of `diff -u` of the two copies, and it exits 1 if any file differs.
+# byte. For each file that differs it prints one line, for report.csv a
+# second one naming the rows that differ (`rows: random`), then the first 40
+# lines of `diff -u` of the two copies, and it exits 1 if any file differs.
 set -euo pipefail
 
 base=${1:?usage: tools/same_reports.sh BASE_REF}
@@ -41,6 +42,12 @@ for cfg in "${configs[@]}"; do
   for file in report.csv report.md manifest.json; do
     if ! cmp -s "$work/out/base/$name/$file" "$work/out/head/$name/$file"; then
       echo "$name: $file differs from $base" >&2
+      if [[ $file == report.csv ]]; then
+        # The recommender names of the changed rows, each once, in order.
+        { diff "$work/out/base/$name/$file" "$work/out/head/$name/$file" || true; } \
+          | awk -F, '/^[<>] / && !seen[substr($1, 3)]++ { names = names " " substr($1, 3) }
+                     END { print "rows:" names }' >&2
+      fi
       { diff -u "$work/out/base/$name/$file" "$work/out/head/$name/$file" || true; } \
         | head -n 40 >&2
       status=1
