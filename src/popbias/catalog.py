@@ -72,7 +72,7 @@ _WS_RE = re.compile(r"\s+")
 
 # The dtypes of the user, item, rating and timestamp columns of a Ratings.
 _DTYPES = (np.int64, np.int64, float, np.int64)
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Largest edit distance at which a title still fuzzily matches a catalog title.
 MAX_EDIT_DISTANCE = 2
@@ -216,13 +216,21 @@ def _parse_lines(
     return values, issues
 
 
+def _integer(raw: str, field: str) -> int:
+    """An id or timestamp field: an integer in [0, 2**63). Not an integer: ValueError."""
+    value = int(raw)
+    if value < 0:
+        raise _BadLine(f"{field} is negative")
+    if value > _INT64_MAX:
+        raise _BadLine(f"{field} outside the 64-bit range")
+    return value
+
+
 def _movie(raw_id: str, raw_title: str, raw_genres: str) -> CatalogEntry:
     try:
-        item = int(raw_id)
+        item = _integer(raw_id, "movie id")
     except ValueError:
         raise _BadLine("movie id is not an integer") from None
-    if item < 0:
-        raise _BadLine("movie id is negative")
     m = _YEAR_RE.match(raw_title.strip())
     if m:
         title = m.group("title").strip()
@@ -248,18 +256,12 @@ def parse_movies(
 
 def _interaction(raw_user: str, raw_item: str, raw_rating: str, raw_ts: str) -> Interaction:
     try:
-        user = int(raw_user)
-        item = int(raw_item)
-        rating = float(raw_rating)
-        timestamp = int(raw_ts)
+        user, item = _integer(raw_user, "user id"), _integer(raw_item, "movie id")
+        rating, timestamp = float(raw_rating), _integer(raw_ts, "timestamp")
     except ValueError:
         raise _BadLine("non-numeric field") from None
     if not 0.5 <= rating <= 5.0:
         raise _BadLine(f"rating {rating} outside [0.5, 5.0]")
-    if timestamp < 0:
-        raise _BadLine("negative timestamp")
-    if not all(_INT64_MIN <= v <= _INT64_MAX for v in (user, item, timestamp)):
-        raise _BadLine("integer field outside the 64-bit range")
     return Interaction(user=user, item=item, rating=rating, timestamp=timestamp)
 
 
@@ -268,8 +270,8 @@ def parse_ratings(
 ) -> tuple[list[Interaction], list[ParseIssue]]:
     """Parse ``UserID::MovieID::Rating::Timestamp`` lines, leniently or strictly.
 
-    Ratings must fall in [0.5, 5.0], timestamps must be non-negative, and ids
-    and timestamps must fit the 64-bit columns of :class:`Ratings`.
+    Ratings must fall in [0.5, 5.0], and ids and timestamps must be
+    integers in [0, 2**63), which the 64-bit columns of :class:`Ratings` hold.
     """
     return _parse_lines(lines, strict, "ratings", 4, _interaction)
 
@@ -466,10 +468,9 @@ def normalize_title(title: str) -> str:
 
     Lowercases, strips diacritics, rotates a trailing ", The"/", A"/", An"
     to the front and drops it together with any leading article, removes
-    punctuation, and collapses whitespace.
+    punctuation, and collapses whitespace. A blank or punctuation-only title
+    gives "".
     """
-    if not title or not title.strip():
-        raise ValueError("title must be non-empty")
     text = title.strip().lower()
     # ASCII text is its own NFKD form and holds no combining mark.
     if not text.isascii():
@@ -490,32 +491,27 @@ def normalize_title(title: str) -> str:
     return text
 
 
-def _lookup_title(title: str) -> str:
-    """``normalize_title`` of the title, or "" for a blank title, which it rejects."""
-    return normalize_title(title) if title.strip() else ""
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance (unit-cost insert, delete, substitute) between two strings, capped.
 
-
-def levenshtein(a: str, b: str, cap: int | None = None) -> int:
-    """Edit distance (unit-cost insert, delete, substitute) between two strings.
-
-    Without ``cap`` the result is the exact distance. With ``cap`` it is the
-    exact distance when that is at most ``cap`` and exactly ``cap + 1``
-    otherwise. Characters are code points, compared as they are: no
-    normalization happens here.
+    The result is the exact distance when that is at most
+    ``MAX_EDIT_DISTANCE``, and exactly ``MAX_EDIT_DISTANCE + 1`` otherwise.
+    Characters are code points, compared as they are: no normalization
+    happens here.
 
     The common prefix and suffix are stripped, then Myers' bit-vector
     algorithm (J. ACM 1999, in Hyyrö's formulation) runs over Python ints
     of one bit per character of the longer string, so each character of
     the shorter string costs a fixed handful of integer operations instead
     of a row of the DP table, at any length. It stops as soon as the
-    distance cannot come back within ``cap``.
+    distance cannot come back within the cap.
     """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    if cap is not None and len(a) - len(b) > cap:
-        return cap + 1
+    if len(a) - len(b) > MAX_EDIT_DISTANCE:
+        return MAX_EDIT_DISTANCE + 1
     n = len(b)
     lo = 0
     while lo < n and a[lo] == b[lo]:
@@ -526,7 +522,7 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     a = a[lo : len(a) - hi]
     b = b[lo : n - hi]
     if not b:
-        return len(a)  # within cap: stripping kept the length difference
+        return len(a)  # stripping kept the length difference, so this is within the cap
 
     # Bit i of the vectors is the vertical delta D[i+1][j] - D[i][j] of the
     # DP column for prefix b[:j] against a (pv: +1, mv: -1); score is the
@@ -540,8 +536,8 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
     last = bit >> 1
     pv, mv, score = mask, 0, len(a)
     # D[len(a)][j] moves by at most 1 per remaining column, so once
-    # score - remaining > cap the final distance is past cap.
-    slack = len(b) if cap is None else len(b) + cap
+    # score - remaining > MAX_EDIT_DISTANCE the final distance is past the cap.
+    slack = len(b) + MAX_EDIT_DISTANCE
     for ch in b:
         eq = peq.get(ch, 0)
         xv = eq | mv
@@ -557,8 +553,8 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
         pv = mh | (~(xv | ph) & mask)
         mv = ph & xv
         slack -= 1
-        if cap is not None and score > slack:
-            return cap + 1
+        if score > slack:
+            return MAX_EDIT_DISTANCE + 1
     return score
 
 
@@ -569,9 +565,9 @@ class TitleIndex:
     Resolution order: exact key, then year +/- 1, then unique fuzzy match
     with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
     candidates. Ambiguity at any stage resolves to ``None`` rather than
-    guessing an item, and so does a title that is blank or normalizes to
-    nothing (punctuation only). A catalog entry with such a title is left
-    out of the index, so no query can resolve to it.
+    guessing an item, and so does a title whose key is "" (a blank or
+    punctuation-only title, see :func:`normalize_title`). A catalog entry
+    with such a title is left out of the index, so no query can resolve to it.
 
     ``build`` lays the catalog out once in (year, insertion) order: the
     normalized titles and their items, an ``int64`` year array, the title
@@ -585,7 +581,7 @@ class TitleIndex:
     distance never exceeds edit distance, so a candidate whose bound is
     past ``MAX_EDIT_DISTANCE`` cannot win or tie and is dropped. The others
     are scored by :func:`levenshtein` (looked up as the module global,
-    capped at ``MAX_EDIT_DISTANCE``) in ascending bound order, ties in
+    which caps at ``MAX_EDIT_DISTANCE``) in ascending bound order, ties in
     window order, and the scan stops at the first candidate whose bound
     exceeds the best distance found so far: that candidate and every later
     one score more than the best, so none can win or tie. Results equal
@@ -608,7 +604,7 @@ class TitleIndex:
         exact: dict[tuple[str, int], list[int]] = {}
         keys: list[tuple[str, int, int]] = []
         for entry in entries:
-            title = _lookup_title(entry.title)
+            title = normalize_title(entry.title)
             if not title:
                 continue
             exact.setdefault((title, entry.year), []).append(entry.item)
@@ -634,7 +630,7 @@ class TitleIndex:
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
-        title = _lookup_title(title)
+        title = normalize_title(title)
         if not title:
             return None
 
@@ -668,7 +664,7 @@ class TitleIndex:
         for b, i in zip(bound[candidates].tolist(), (lo + candidates).tolist()):
             if b > best_distance:
                 break
-            d = levenshtein(title, self._titles[i], cap=MAX_EDIT_DISTANCE)
+            d = levenshtein(title, self._titles[i])
             if d < best_distance:
                 best_distance = d
                 best_items = [self._items[i]]

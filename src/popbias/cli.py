@@ -105,6 +105,13 @@ def _write_output(path: Path, text: str) -> None:
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _note_issues(path: str, issues: list[cat.ParseIssue]) -> None:
+    """One stderr note for a file whose malformed lines a lenient read left out."""
+    if issues:
+        note = f"note: {path}: {len(issues)} malformed line(s) left out, the first at {issues[0]}"
+        click.echo(note, err=True)
+
+
 def _load_data(movies: str, ratings: str, strict: bool):
     _require_file(movies, "movies")
     _require_file(ratings, "ratings")
@@ -113,6 +120,8 @@ def _load_data(movies: str, ratings: str, strict: bool):
         table, rating_issues = cat.read_ratings_file(ratings, strict=strict)
     except cat.ParseError as exc:
         raise click.ClickException(str(exc))
+    _note_issues(movies, movie_issues)
+    _note_issues(ratings, rating_issues)
     if not len(table):
         raise click.ClickException("no interactions parsed")
     return entries, movie_issues, table, rating_issues
@@ -169,7 +178,8 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
         raise click.ClickException("provide either SCORES_FILE or --ratings")
     if ratings is not None:
         _require_file(ratings, "ratings")
-        table, _ = cat.read_ratings_file(ratings)
+        table, issues = cat.read_ratings_file(ratings)
+        _note_issues(ratings, issues)
         if not len(table):
             raise click.ClickException("no interactions parsed")
         samples = [float(v) for v in cat.compute_popularity(table).values()]
@@ -427,10 +437,10 @@ def correlate(reports: tuple[str, ...], out: str | None) -> None:
         if all(row[c] is not None for row in all_rows)
     }
     try:
-        matrix = ev.correlate_metrics(bias_by_metric)
+        taus = ev.correlate_metrics(bias_by_metric)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    text = ev.emit_correlations(matrix)
+    text = ev.emit_correlations(taus)
     if out:
         _write_output(Path(out), text)
         click.echo(f"wrote {out}")

@@ -18,7 +18,8 @@ fold shares. ``evaluate_recommender`` takes all of the fold's slates at
 once and returns the fold's per-user table: one array per report column,
 in report order, row i for the user of request i, NaN where a value is
 undefined. The columns are a hit rate per cutoff of ``HIT_CUTOFFS``, each
-metric from one ``evaluate_metric`` call, then the unfilled slots.
+metric from one ``evaluate_metric`` call, then the unfilled slots: k minus
+the slate's length, for every recommender.
 ``summarize`` is the only reduction: a column's fold mean adds its defined
 values left to right in fold order, and a row is the mean and standard
 error of those fold means. ``EvalRow`` and the report keep the table's
@@ -43,7 +44,6 @@ __all__ = [
     "UserSplit",
     "FoldPlan",
     "EvalRow",
-    "CorrelationMatrix",
     "split_user_ratings",
     "make_folds",
     "FoldInputs",
@@ -254,9 +254,10 @@ def evaluate_recommender(
     ``evaluate_metric``, over every user's slate against that column of
     training-profile statistics. ``hr<cut>`` for each cut of
     ``HIT_CUTOFFS`` is recall: the share of a user's held-out items among
-    the first cut slate items. ``unmatched`` is the user's unfilled slots.
-    Every user has a hit rate and an ``unmatched`` value; a user with an
-    empty slate has zero hits.
+    the first cut slate items. ``unmatched`` is the user's unfilled slots,
+    k minus the slate's length: an LLM line that names no valid catalog item
+    and a baseline's short slate both leave one. Every user has a hit rate
+    and an ``unmatched`` value; a user with an empty slate has zero hits.
 
     A metric's value is NaN, which leaves the user out of that metric's
     fold mean in ``summarize``, where the metric is undefined for the user:
@@ -281,7 +282,7 @@ def evaluate_recommender(
     }
     for m, u_statistics in fold.statistics.items():
         columns[m] = evaluate_metric(m, slates, u_statistics, fold.phi)
-    columns["unmatched"] = np.array([result.unmatched for result in results], dtype=float)
+    columns["unmatched"] = (k - slates.lengths).astype(float)
     return columns
 
 
@@ -325,19 +326,14 @@ def summarize(name: str, tables: Sequence[Mapping[str, np.ndarray]]) -> EvalRow:
     return EvalRow(name=name, columns=columns)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric Kendall-tau matrix over metric ids; None marks undefined."""
+def correlate_metrics(
+    bias_by_metric: Mapping[str, Sequence[float]]
+) -> dict[str, dict[str, float | None]]:
+    """Each metric's row of Kendall tau against every metric, across recommender rows.
 
-    metric_ids: tuple[str, ...]
-    values: dict[tuple[str, str], float | None]
-
-    def tau(self, a: str, b: str) -> float | None:
-        return self.values[(a, b)]
-
-
-def correlate_metrics(bias_by_metric: Mapping[str, Sequence[float]]) -> CorrelationMatrix:
-    """Pairwise Kendall tau between metrics across recommender rows."""
+    The mapping is symmetric, 1.0 on the diagonal, and None where tau is
+    undefined, as it is against a constant column.
+    """
     ids = tuple(bias_by_metric)
     if not ids:
         raise ValueError("no metrics to correlate")
@@ -347,20 +343,15 @@ def correlate_metrics(bias_by_metric: Mapping[str, Sequence[float]]) -> Correlat
     n = lengths.pop()
     if n < 4:
         raise ValueError(f"need at least 4 rows to correlate, got {n}")
-    values: dict[tuple[str, str], float | None] = {}
-    for a in ids:
-        for b in ids:
-            if a == b:
-                values[(a, b)] = 1.0
-                continue
-            if (b, a) in values:
-                values[(a, b)] = values[(b, a)]
-                continue
+    taus: dict[str, dict[str, float | None]] = {a: {} for a in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i:]:
             try:
-                values[(a, b)] = kendall_tau(bias_by_metric[a], bias_by_metric[b])
+                tau = 1.0 if a == b else kendall_tau(bias_by_metric[a], bias_by_metric[b])
             except ValueError:
-                values[(a, b)] = None
-    return CorrelationMatrix(metric_ids=ids, values=values)
+                tau = None
+            taus[a][b] = taus[b][a] = tau
+    return taus
 
 
 def _fmt(value: float | None) -> str:
@@ -395,12 +386,10 @@ def emit_report(rows: Sequence[EvalRow], fmt: str = "csv") -> str:
     return _render(header, cells, fmt)
 
 
-def emit_correlations(matrix: CorrelationMatrix) -> str:
-    """Render a Kendall-tau matrix as CSV; undefined cells are blank."""
-    ids = matrix.metric_ids
-    return _render(
-        ["metric", *ids], ([a, *(_fmt(matrix.tau(a, b)) for b in ids)] for a in ids), "csv"
-    )
+def emit_correlations(taus: Mapping[str, Mapping[str, float | None]]) -> str:
+    """Render ``correlate_metrics``' rows as CSV; undefined cells are blank."""
+    ids = list(taus)
+    return _render(["metric", *ids], ([a, *(_fmt(taus[a][b]) for b in ids)] for a in ids), "csv")
 
 
 def build_manifest(

@@ -423,9 +423,10 @@ class WokRecommender(BaseRecommender):
         self.name = f"wok-{cfg.model_name}{suffix}"
 
     def recommend(self, request: RecRequest, k: int) -> RecResult:
-        """One user's slate; each of the ``k`` slots no valid item fills counts
-        as unmatched, so short completions are penalized too. A user with no
-        catalogued training item has no prompt and gets an empty slate."""
+        """One user's slate of at most ``k`` valid items. The evaluation counts
+        each slot no valid item fills as unmatched, so short completions are
+        penalized too. A user with no catalogued training item has no prompt
+        and gets an empty slate."""
         slate = Slate(entries=())
         history = build_watch_history(request.profile, self.entries)
         if history:
@@ -433,7 +434,7 @@ class WokRecommender(BaseRecommender):
             parsed = parse_recommendations(text)
             # Validation tags every watched (profile) item and keeps it off the slate.
             slate = validate_and_resolve(parsed, request.exclude, self.index, k).slate
-        return RecResult(slate=slate, unmatched=k - len(slate))
+        return RecResult(slate=slate)
 
     def recommend_batch(self, requests: Sequence[RecRequest], k: int) -> list[RecResult]:
         if not requests:

@@ -209,9 +209,6 @@ class Slate:
         if len(set(self.entries)) != len(self.entries):
             raise ValueError("slate contains duplicate items")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class RatingMatrix:
     """User-item ratings with per-user means.
@@ -485,7 +482,6 @@ class RecRequest:
 @dataclass(frozen=True)
 class RecResult:
     slate: Slate
-    unmatched: int = 0
 
 
 class BaseRecommender:

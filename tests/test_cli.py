@@ -233,7 +233,7 @@ def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):
     def recording(self, requests, k):
         results = recommend_batch(self, requests, k)
         for request, result in zip(requests, results):
-            lengths[self.name, request.user] = len(result.slate)
+            lengths[self.name, request.user] = len(result.slate.entries)
         return results
 
     monkeypatch.setattr(BaseRecommender, "recommend_batch", recording)
@@ -603,6 +603,22 @@ def test_fit_from_ratings_fits_the_popularity_counts(small_corpus):
     assert result.output == "n: 300\nx_min: 1\nalpha: 0.4838\nks_stat: 0.4420\n"
 
 
+def test_fit_notes_the_malformed_lines_it_leaves_out(small_corpus, tmp_path):
+    _, ratings = small_corpus
+    lines = ratings.read_text(encoding="utf-8").splitlines(keepends=True)
+    broken = tmp_path / "broken.dat"
+    broken.write_text("".join(lines[:4] + ["-7::3::4::100\n"] + lines[4:]), encoding="utf-8")
+    clean = CliRunner().invoke(main, ["fit", "--ratings", str(ratings)])
+    result = CliRunner().invoke(main, ["fit", "--ratings", str(broken)])
+    assert result.exit_code == clean.exit_code == 0, result.output
+    assert result.stdout == clean.stdout
+    assert clean.stderr == ""
+    assert result.stderr == (
+        f"note: {broken}: 1 malformed line(s) left out, "
+        "the first at line 5: user id is negative ('-7::3::4::100')\n"
+    )
+
+
 def test_fit_reports_a_missing_ratings_file(tmp_path):
     missing = tmp_path / "ratings.dat"
     result = CliRunner().invoke(main, ["fit", "--ratings", str(missing)])
@@ -630,11 +646,18 @@ def test_strict_parse_names_the_malformed_line_and_lenient_run_skips_it(small_co
     # The output directory is made in set-up, before the data is read; nothing is written to it.
     assert list((tmp_path / "strict").iterdir()) == []
 
-    outputs = []
+    outputs, stderr = [], []
     for name, path in (("lenient", broken), ("clean", ratings)):
         result = run(path, tmp_path / name)
         assert result.exit_code == 0, result.output
+        stderr.append(result.stderr)
         manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
         del manifest["config"]["data"]
         outputs.append(((tmp_path / name / "report.csv").read_bytes(), manifest))
     assert outputs[0] == outputs[1]
+    # The lenient run notes the line it left out, on stderr only.
+    assert stderr == [
+        f"note: {broken}: 1 malformed line(s) left out, "
+        "the first at line 101: non-numeric field ('7::x::4::100')\n",
+        "",
+    ]

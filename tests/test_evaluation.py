@@ -18,6 +18,8 @@ from popbias.evaluation import (
     FoldSpec,
     UserSplit,
     aggregate_folds,
+    correlate_metrics,
+    emit_correlations,
     emit_report,
     evaluate_recommender,
     make_folds,
@@ -25,7 +27,7 @@ from popbias.evaluation import (
     summarize,
 )
 from popbias.metrics import METRICS, PhiArray, Profiles
-from popbias.recommenders import BaseRecommender, Slate
+from popbias.recommenders import BaseRecommender, RandomRecommender, Slate, TopPopRecommender
 
 BIAS_METRICS = ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff")
 
@@ -215,7 +217,8 @@ def test_each_exclusion_reason_leaves_a_user_out_of_its_metrics_only():
     # Hit rates count every user; the empty slate hits nothing.
     np.testing.assert_array_equal(table["hr5"], [1, 0, 1, 0.5])
     np.testing.assert_array_equal(table["hr10"], table["hr5"])
-    np.testing.assert_array_equal(table["unmatched"], np.zeros(4))
+    # Every slate is short of k = 10; the empty one leaves all ten slots unfilled.
+    np.testing.assert_array_equal(table["unmatched"], [8, 10, 8, 8])
     row = summarize("fixed", [table, table])
     assert row.columns["hr5"] == ((1 + 0 + 1 + 0.5) / 4, 0.0)
     assert row.columns["avg_pop_lift"] == pytest.approx(((0.5 + 11 / 9) / 2, 0.0), abs=1e-12)
@@ -240,7 +243,17 @@ def test_the_table_has_one_row_per_request_in_request_order():
     )
 
 
-def _reference_table(fold, slates, phi):
+def test_a_baselines_short_and_empty_slates_count_their_unfilled_slots():
+    # Five catalog items: user 1 has seen two of them, user 2 all five.
+    phi = {item: float(item) for item in range(1, 6)}
+    fold = _fold_of((1, (1, 2), (3,)), (2, (1, 2, 3, 4, 5), (6,)))
+    inputs = FoldInputs.of(fold, PhiArray.of(phi), ["log_pop_diff"])
+    for rec in (RandomRecommender(phi, seed=0), TopPopRecommender(phi)):
+        table = evaluate_recommender(rec, inputs, 10)
+        np.testing.assert_array_equal(table["unmatched"], [7, 10], err_msg=rec.name)
+
+
+def _reference_table(fold, slates, phi, k):
     """The per-user loop: hit rates over sets, one-row metric calls."""
     phi_array = PhiArray.of(phi)
     table = {"hr5": [], "hr10": [], **{m: [] for m in BIAS_METRICS}, "unmatched": []}
@@ -252,7 +265,7 @@ def _reference_table(fold, slates, phi):
         train = Profiles.of([(it.item for it in split.train)])
         for m in BIAS_METRICS:
             table[m].append(METRICS[m].evaluate_rows(Profiles.of([slate]), train, phi_array)[0])
-        table["unmatched"].append(0.0)
+        table["unmatched"].append(float(k - len(slate)))
     return {column: np.array(values) for column, values in table.items()}
 
 
@@ -285,7 +298,7 @@ def test_fold_batch_equals_the_per_user_loop_exactly():
         evaluate_recommender(FixedSlates(slates), FoldInputs.of(fold, phi_array, BIAS_METRICS), 10)
         for fold in folds
     ]
-    references = [_reference_table(fold, slates, phi) for fold in folds]
+    references = [_reference_table(fold, slates, phi, 10) for fold in folds]
     for table, reference in zip(tables, references):
         assert list(table) == list(reference)
         for column, values in reference.items():
@@ -375,15 +388,35 @@ def test_report_layout_of_a_two_fold_run():
         for fold in folds
     ]
     rows = [summarize("fixed", tables)]
-    # hr5 over folds (0.5, 0.75), hr10 (1, 0.75); avg_pop_lift (-7/72, -1/9).
+    # hr5 over folds (0.5, 0.75), hr10 (1, 0.75); avg_pop_lift (-7/72, -1/9);
+    # unmatched (6, 8), from slates of 2 and 6 items, then 2 and 2.
     assert emit_report(rows, fmt="csv") == (
         "recommender,hr5,hr5_sem,hr10,hr10_sem,log_pop_diff,log_pop_diff_sem,"
         "avg_pop_lift,avg_pop_lift_sem,unmatched,unmatched_sem\n"
-        "fixed,0.6250,0.1250,0.8750,0.1250,,,-0.1042,0.0069,0.0000,0.0000\n"
+        "fixed,0.6250,0.1250,0.8750,0.1250,,,-0.1042,0.0069,7.0000,1.0000\n"
     )
     assert emit_report(rows, fmt="markdown") == (
         "| recommender | hr5 | hr5_sem | hr10 | hr10_sem | log_pop_diff | log_pop_diff_sem"
         " | avg_pop_lift | avg_pop_lift_sem | unmatched | unmatched_sem |\n"
         "|---|---|---|---|---|---|---|---|---|---|---|\n"
-        "| fixed | 0.6250 | 0.1250 | 0.8750 | 0.1250 |  |  | -0.1042 | 0.0069 | 0.0000 | 0.0000 |\n"
+        "| fixed | 0.6250 | 0.1250 | 0.8750 | 0.1250 |  |  | -0.1042 | 0.0069 | 7.0000 | 1.0000 |\n"
+    )
+
+
+def test_correlate_metrics_maps_each_metric_to_its_symmetric_row():
+    # a and b agree on 2 of 6 pairs and disagree on 4: tau = -1/3.
+    taus = correlate_metrics({"a": [1, 2, 3, 4], "b": [4, 1, 3, 2], "flat": [5, 5, 5, 5]})
+    assert list(taus) == ["a", "b", "flat"]
+    for x, row in taus.items():
+        assert list(row) == list(taus)
+        assert row[x] == 1.0
+        assert all(row[y] == taus[y][x] for y in taus)
+    assert taus["a"]["b"] == pytest.approx(-1 / 3)
+    # Tau against a constant column is undefined.
+    assert taus["a"]["flat"] is None and taus["b"]["flat"] is None
+    assert emit_correlations(taus) == (
+        "metric,a,b,flat\n"
+        "a,1.0000,-0.3333,\n"
+        "b,-0.3333,1.0000,\n"
+        "flat,,,1.0000\n"
     )

@@ -160,7 +160,7 @@ class TestValidateAndResolve:
             ValidityTag.MALFORMED,
         ]
         assert result.slate.entries == (1,)
-        assert 5 - len(result.slate) == 4  # unfilled slots
+        assert 5 - len(result.slate.entries) == 4  # unfilled slots
 
     def test_too_new_beats_unmatched(self, catalog_index):
         index, _ = catalog_index
@@ -179,8 +179,7 @@ class TestValidateAndResolve:
         )
         parsed = parse_recommendations(lines)
         result = validate_and_resolve(parsed, set(), index, requested_k=10)
-        assert len(result.slate.entries) == 4
-        assert 10 - len(result.slate) == 6  # unfilled slots
+        assert 10 - len(result.slate.entries) == 6  # unfilled slots
 
     def test_duplicate_valid_title_tagged_malformed(self, catalog_index):
         index, _ = catalog_index
@@ -199,7 +198,7 @@ class TestValidateAndResolve:
             ValidityTag.MALFORMED,
         ]
         assert result.slate.entries == (2,)
-        assert 3 - len(result.slate) == 2  # unfilled slots
+        assert 3 - len(result.slate.entries) == 2  # unfilled slots
 
     @pytest.mark.parametrize(
         ("title", "line"),
@@ -218,7 +217,7 @@ class TestValidateAndResolve:
         index, _ = catalog_index
         parsed = parse_recommendations("")
         result = validate_and_resolve(parsed, set(), index, requested_k=10)
-        assert 10 - len(result.slate) == 10  # unfilled slots
+        assert 10 - len(result.slate.entries) == 10  # unfilled slots
 
     def test_slate_truncated_to_k(self, catalog_index):
         index, _ = catalog_index
@@ -227,7 +226,6 @@ class TestValidateAndResolve:
         )
         result = validate_and_resolve(parsed, set(), index, requested_k=2)
         assert len(result.slate.entries) == 2
-        assert 2 - len(result.slate) == 0  # unfilled slots
 
 
 class TestStubProvider:
@@ -511,7 +509,6 @@ class TestWokRecommender:
         second = rec.recommend(request, 3)
         assert first == second
         assert first.slate.entries == (1, 3)  # Heat is already watched
-        assert first.unmatched == 1
 
     def test_batch_preserves_order(self, tmp_path, catalog_index):
         rec, request = self._setup(tmp_path, catalog_index)
@@ -524,7 +521,7 @@ class TestWokRecommender:
         results = rec.recommend_batch([request, uncatalogued], 3)
         assert results == [
             rec.recommend(request, 3),
-            RecResult(slate=Slate(entries=()), unmatched=3),
+            RecResult(slate=Slate(entries=())),
         ]
         # Rows 0-1 and 3 are the two users' training ratings, 2 and 4 their test items.
         table = Ratings.of(

@@ -361,7 +361,7 @@ def test_random_slates_are_uniform_over_ordered_slates(pool, exclude, k):
     assert statistic < chi2.ppf(1 - 1e-4, cells - 1)
     by_position = np.zeros((len(pool), min(k, left)))
     for slate in slates:
-        by_position[list(slate.entries), np.arange(len(slate))] += 1
+        by_position[list(slate.entries), np.arange(len(slate.entries))] += 1
     expected = users / left
     kept = by_position[sorted(set(pool) - exclude)]
     statistic = ((kept - expected) ** 2 / expected).sum(axis=0)
@@ -908,7 +908,7 @@ def test_item_scoring_over_a_wide_catalog_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(len(slate) == 10 for slate in slates)
+    assert all(len(slate.entries) == 10 for slate in slates)
     assert peak < 16 * 2**20
 
 
@@ -926,7 +926,7 @@ def test_user_scoring_over_a_wide_catalog_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(len(slate) == 10 for slate in slates)
+    assert all(len(slate.entries) == 10 for slate in slates)
     assert peak < 16 * 2**20
 
 
@@ -962,9 +962,6 @@ class TestSlate:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             Slate(entries=(1, 1))
-
-    def test_len(self):
-        assert len(Slate(entries=(1, 2))) == 2
 
 
 class TestAdapters:
