@@ -499,19 +499,19 @@ def levenshtein(a: str, b: str) -> int:
     Characters are code points, compared as they are: no normalization
     happens here.
 
-    The common prefix and suffix are stripped, then Myers' bit-vector
-    algorithm (J. ACM 1999, in Hyyrö's formulation) runs over Python ints
-    of one bit per character of the longer string, so each character of
-    the shorter string costs a fixed handful of integer operations instead
-    of a row of the DP table, at any length. It stops as soon as the
-    distance cannot come back within the cap.
+    The common prefix and suffix are stripped, then the DP table is filled
+    only in the band |i - j| <= ``MAX_EDIT_DISTANCE`` that every path within
+    the cap stays in (Ukkonen, "Algorithms for approximate string matching",
+    1985), with values past the cap held at the cap. The fill stops at the
+    first row with no cell within the cap: every path crosses that row.
     """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    if len(a) - len(b) > MAX_EDIT_DISTANCE:
-        return MAX_EDIT_DISTANCE + 1
+    cap = MAX_EDIT_DISTANCE + 1
+    if len(a) - len(b) >= cap:
+        return cap
     n = len(b)
     lo = 0
     while lo < n and a[lo] == b[lo]:
@@ -519,43 +519,18 @@ def levenshtein(a: str, b: str) -> int:
     hi = 0
     while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
         hi += 1
-    a = a[lo : len(a) - hi]
-    b = b[lo : n - hi]
-    if not b:
-        return len(a)  # stripping kept the length difference, so this is within the cap
-
-    # Bit i of the vectors is the vertical delta D[i+1][j] - D[i][j] of the
-    # DP column for prefix b[:j] against a (pv: +1, mv: -1); score is the
-    # bottom cell D[len(a)][j].
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, len(a)
-    # D[len(a)][j] moves by at most 1 per remaining column, so once
-    # score - remaining > MAX_EDIT_DISTANCE the final distance is past the cap.
-    slack = len(b) + MAX_EDIT_DISTANCE
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-        slack -= 1
-        if score > slack:
-            return MAX_EDIT_DISTANCE + 1
-    return score
+    a, b = a[lo : len(a) - hi], b[lo : n - hi]
+    # prev[j] is D[i - 1][j], the distance from a[:i - 1] to b[:j]; a cell outside the band is cap.
+    prev = [min(j, cap) for j in range(len(b) + 1)]
+    for i, ch in enumerate(a, 1):
+        first, last = max(1, i - MAX_EDIT_DISTANCE), min(len(b), i + MAX_EDIT_DISTANCE)
+        row = [min(i, cap)] + [cap] * len(b)
+        for j in range(first, last + 1):
+            row[j] = min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (ch != b[j - 1]), cap)
+        if min(row[first - 1 : last + 1]) == cap:
+            return cap
+        prev = row
+    return prev[-1]
 
 
 @dataclass(frozen=True, eq=False)

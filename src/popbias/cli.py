@@ -17,7 +17,7 @@ from popbias import evaluation as ev
 from popbias.desiderata import DESIDERATA, desiderata_grid
 from popbias.distfit import fit_pareto
 from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
-from popbias.metrics import METRICS, PhiArray, scored_metric
+from popbias.metrics import MAX_ID_SPAN, METRICS, PhiArray, scored_metric
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
     ItemKnnRecommender,
@@ -138,7 +138,7 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
     entries, movie_issues, table, rating_issues = _load_data(movies, ratings, strict_parse)
     phi = cat.compute_popularity(table)
     scores = np.array(sorted(phi.values()), dtype=float)
-    top_item = max(phi.items(), key=lambda kv: (kv[1], -kv[0]))
+    top_item = int(TopPopRecommender(phi).ranking[0])
     click.echo(f"movies: {len(entries)} ({len(movie_issues)} malformed lines)")
     click.echo(f"ratings: {len(table)} ({len(rating_issues)} malformed lines)")
     click.echo(f"items with ratings: {len(phi)}")
@@ -147,7 +147,7 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
         "popularity quantiles (min/p25/p50/p75/max): "
         + "/".join(f"{q:.0f}" for q in quants)
     )
-    click.echo(f"most popular item: {top_item[0]} ({top_item[1]:.0f} ratings)")
+    click.echo(f"most popular item: {top_item} ({phi[top_item]} ratings)")
     if out_dir is not None:
         popularity = io.StringIO()
         writer = csv.writer(popularity)
@@ -160,7 +160,7 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
             "items_with_ratings": len(phi),
             "movie_parse_issues": len(movie_issues),
             "rating_parse_issues": len(rating_issues),
-            "max_popularity_item": top_item[0],
+            "max_popularity_item": top_item,
         }
         _write_output(
             out_dir / "ingest_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -323,6 +323,13 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     entries, _, table, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
     )
+    # The id tables (PhiArray, the recommenders' lookups) are dense over each column's span.
+    for column in ("user", "item"):
+        ids = getattr(table, column)
+        if int(ids.max()) - int(ids.min()) + 1 > MAX_ID_SPAN:
+            raise click.ClickException(
+                f"{column} ids span more than {MAX_ID_SPAN} values (largest {ids.max()})"
+            )
     phi = cat.compute_popularity(table)
     # Only wok reads the index, but the benchmark times its build on every run.
     index = cat.TitleIndex.build(entries)

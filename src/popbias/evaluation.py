@@ -137,6 +137,9 @@ def make_folds(ratings: Ratings, spec: FoldSpec) -> FoldPlan:
             f"ratings are not sorted by user: row {row} (user {owner[row]}) "
             f"follows user {owner[row - 1]}"
         )
+    # Sorted, so the first row holds the smallest user; split seeds need users >= 0.
+    if owner.size and owner[0] < 0:
+        raise ValueError(f"user ids must be >= 0: user {owner[0]}")
     first = np.ones(owner.size, dtype=bool)
     first[1:] = owner[1:] != owner[:-1]
     starts = np.flatnonzero(first)

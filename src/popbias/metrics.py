@@ -67,6 +67,7 @@ import numpy as np
 __all__ = [
     "Profiles",
     "PhiArray",
+    "MAX_ID_SPAN",
     "Metric",
     "METRICS",
     "gini_coefficient",
@@ -114,14 +115,21 @@ class Profiles:
         return np.arange(self.items.size) - np.repeat(self.offsets[:-1], self.lengths)
 
 
+# Largest span, max - min + 1, of user or item ids that ``evaluate`` accepts. The
+# id tables are dense over it: 2**24 slots is 128 MiB per float table, and
+# MovieLens ids stay below 300k.
+MAX_ID_SPAN = 1 << 24
+
+
 @dataclass(frozen=True)
 class PhiArray:
     """Raw popularity scores ``phi`` as an array indexed by item id.
 
     ``table[a - first]`` is item a's score. The table spans the range of
-    ids in phi (catalog ids, which are dense: MovieLens ids stay below
-    300k), holds NaN for an id in the range that phi lacks and ends with
-    one NaN slot that every id outside the range reads.
+    ids in phi, so it assumes dense ids: ``evaluate`` refuses ratings whose
+    ids span more than ``MAX_ID_SPAN``. It holds NaN for an id in the range
+    that phi lacks and ends with one NaN slot that every id outside the
+    range reads.
     """
 
     first: int

@@ -271,7 +271,8 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Each value's position in the sorted distinct ids (-1 if absent), and whether it is there.
 
     A lookup is one read of a table over [ids[0], ids[-1]], which assumes
-    dense catalog ids, as PhiArray does (MovieLens ids stay below 300k).
+    dense ids, as PhiArray does: ``evaluate`` refuses ratings whose user or
+    item ids span more than ``metrics.MAX_ID_SPAN``.
     """
     positions = np.full(values.shape, -1, dtype=np.int64)
     if ids.size:

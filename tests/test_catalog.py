@@ -652,7 +652,8 @@ def _reference_levenshtein(a: str, b: str) -> int:
 # A small alphabet makes short distances and cap exits common; "e\u0301" and
 # "u\u0308" are combining marks, compared as separate code points.
 _EDIT_ALPHABET = "ab e\u0301\u00e9u\u0308\u00df\u65e5"
-# Short strings and strings longer than one 64-bit word.
+# Short strings, and long ones that put the band of cells within the cap far
+# from the table's corner.
 _edit_text = st.one_of(
     st.text(alphabet=_EDIT_ALPHABET, max_size=8),
     st.text(alphabet=_EDIT_ALPHABET, min_size=60, max_size=150),
@@ -667,6 +668,11 @@ def _assert_levenshtein_contract(a: str, b: str) -> None:
 
 @given(_edit_text, _edit_text)
 @example("bbaab", "aabba")
+# Edits at both ends, which the prefix and suffix strip cannot remove.
+@example("xabcdefgy", "abcdefgz")  # 2
+@example("b" + "a" * 70 + "c", "a" * 70 + "d")  # 2
+@example("ab" * 40, "ba" * 40)  # 2
+@example("xy" + "a" * 70, "a" * 70 + "xy")  # 3, the cap exit
 @settings(deadline=None)
 def test_levenshtein_matches_reference(a, b):
     _assert_levenshtein_contract(a, b)

@@ -22,6 +22,7 @@ from popbias.llm_gateway import (
     prompt_fingerprint,
     render_prompt,
 )
+from popbias.metrics import MAX_ID_SPAN
 from popbias.recommenders import BaseRecommender
 
 
@@ -245,6 +246,55 @@ def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text("utf-8"))["errors"] == {}
     assert lengths["random", 1] == lengths["top_pop", 1] == 8
     assert {lengths[name, u] for name in ("random", "top_pop") for u in range(2, 41)} == {10}
+
+
+@pytest.mark.parametrize(
+    ("column", "last_user", "extra", "recommenders"),
+    [
+        ("item", 40, "40::1000000000000::4::5000\n", ["random", "top_pop"]),
+        ("user", 1000000000000, "", ["user_knn"]),
+    ],
+)
+def test_evaluate_refuses_an_id_column_too_sparse_for_dense_tables(
+    tmp_path, column, last_user, extra, recommenders
+):
+    # 40 users rate 10 of 40 films each, and every user is in a fold; the last
+    # user, or one more rating's film, has a 13-digit id.
+    movies = tmp_path / "movies.dat"
+    ratings = tmp_path / "ratings.dat"
+    movies.write_text(
+        "".join(f"{i}::Movie {i} (1990)::Drama\n" for i in range(1, 41))
+        + "1000000000000::Huge Id Film (1995)::Drama\n",
+        "utf-8",
+    )
+    ratings.write_text(
+        "".join(
+            f"{u}::{(u + j) % 40 + 1}::{j % 5 + 1}::{100 * j}\n"
+            for u in [*range(1, 40), last_user]
+            for j in range(10)
+        )
+        + extra,
+        "utf-8",
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 2, "users_per_fold": 20},
+                "recommenders": recommenders,
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert (
+        f"Error: {column} ids span more than {MAX_ID_SPAN} values (largest 1000000000000)"
+        in result.output
+    )
+    assert not (out / "report.csv").exists()
 
 
 def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
@@ -590,6 +640,26 @@ def test_ingest_writes_popularity_and_summary(small_corpus, tmp_path):
         "rating_parse_issues": 0,
         "ratings": sum(counts.values()),
     }
+
+
+def test_ingest_reports_the_smaller_id_on_a_tie_for_most_popular(tmp_path):
+    movies = tmp_path / "movies.dat"
+    ratings = tmp_path / "ratings.dat"
+    movies.write_text("".join(f"{i}::Movie {i} (1990)::Drama\n" for i in (3, 5, 8)), "utf-8")
+    # Items 8 and 5 tie on three ratings each, and 8 comes first in the file.
+    ratings.write_text(
+        "".join(f"{u}::{i}::4::{10 * u + i}\n" for u in (1, 2, 3) for i in (8, 5))
+        + "1::3::4::99\n",
+        "utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["ingest", "--movies", str(movies), "--ratings", str(ratings), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "most popular item: 5 (3 ratings)" in result.output.splitlines()
+    summary = json.loads((out / "ingest_summary.json").read_text(encoding="utf-8"))
+    assert summary["max_popularity_item"] == 5
 
 
 def test_fit_from_ratings_fits_the_popularity_counts(small_corpus):

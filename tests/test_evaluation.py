@@ -68,6 +68,15 @@ def test_make_folds_rejects_a_table_not_sorted_by_user():
         make_folds(ratings, FoldSpec(fold_count=1, users_per_fold=2, min_ratings=1))
 
 
+def test_make_folds_names_a_negative_user():
+    users = np.repeat(np.arange(-3, 30), 12)
+    ratings = Ratings.from_columns(
+        users, np.tile(np.arange(12), 33), np.full(users.size, 4.0), np.arange(users.size)
+    )
+    with pytest.raises(ValueError, match=r"user ids must be >= 0: user -3$"):
+        make_folds(ratings, FoldSpec(fold_count=2, users_per_fold=15))
+
+
 def test_split_depends_only_on_user_and_seed():
     interactions = _interactions()
     spec = FoldSpec(fold_count=3, users_per_fold=10, seed=7)
