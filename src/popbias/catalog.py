@@ -17,29 +17,35 @@ on, strict mode raises :class:`ParseError` at the first.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
 by (user, timestamp, item) unless the file is in that order already.
-``read_ratings_file`` first tries a fast path. It accepts a file only when
-every line is blank or plain ``digits::digits::decimal::digits`` with at
-most one ``.`` in the rating, a rating in [0.5, 5], ids and timestamps of
-at most 16 digits, and a rating of at most 8 digits on either side of its
-``.`` and 15 in all; then every line is one the line parser accepts, with
-the same values, and there is nothing to report. It reads the file twice,
-in pieces of about 256 KiB that each end just after a ``\n``: once to check
-the bytes and count the lines, which sizes the four columns, and once to
-parse each piece on its raw bytes, straight into the columns. That parse
-finds the piece's newlines, colons and dots in one numpy pass each, and
-reads each field from the overlapping little-endian 8-byte word that ends
-at its last byte, eight digits at a time, with a second word for a field
-of 9 to 16 digits. On anything else (another byte, a malformed line or a
-longer field in any piece, an out-of-range rating, an exception) it falls
-back to :func:`parse_ratings` over the lines of the whole file, read once
-more, so lenient ``ParseIssue`` records and strict-mode errors are always
-the line parser's.
+``read_ratings_file`` first tries a fast path of two steps. A pre-check
+reads the file in pieces of about 256 KiB that each end just after a
+``\n``. It accepts only the bytes ``0-9 : . \r \n``, and a ``\r`` only
+as the start of a ``\r\n``; it counts the colons, and the pairs of
+adjacent colons. Then one ``np.loadtxt`` call, with warnings raised as
+errors, splits each line at ``:`` and reads fields 0, 2, 4 and 6 as the
+user, item, rating and timestamp; it skips blank lines, as the line
+parser does. The table is kept only if there are six colons and three
+adjacent pairs per row, and every rating is in [0.5, 5].
+
+A kept table is the line parser's. Reading field 6 needs at least six
+colons on a line, so the colon total leaves exactly six on each.
+``loadtxt`` refuses an empty field, so fields 0, 2, 4 and 6 hold a byte
+and only the colons around fields 1, 3 and 5 can be adjacent: at most
+three pairs a line, so the pair total makes all three adjacent on every
+line. ``loadtxt`` also refuses a dotted or out-of-range id or timestamp
+(the byte check leaves no sign or space to refuse). So every line is
+``F::F::F::F``, read to the values ``int`` and ``float`` give. Anything
+else (a failed check, an exception) falls back to :func:`parse_ratings`
+over the lines of the whole file, read once more, so lenient
+``ParseIssue`` records and strict-mode errors are always the line
+parser's.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -292,96 +298,11 @@ def read_movies_file(
     return parse_movies(_split_lines(Path(path).read_bytes()), strict=strict)
 
 
-# Longest fields the fast path converts: an integer of two 8-byte words,
-# and a rating of one word on each side of its '.' whose at most 15 digits,
-# divided by a power of ten, give a correctly rounded float.
-_MAX_DIGITS = 16
-_MAX_RATING_DIGITS = 15
-_UINT_POWERS = np.array([10**e for e in range(9)], dtype=np.uint64)
-_FLOAT_POWERS = np.array([float(10**e) for e in range(9)])
-# Entry n keeps the low four bits of a word's top n bytes: the values of n digits.
-_DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * b << 8 * b for b in range(8, -1, -1)], np.uint64)
-# The fast path reads the file in pieces of about this many bytes; a piece's
-# temporaries take about ten times its size.
+# The fast path's pre-check reads the file in pieces of about this many bytes, one
+# piece at a time, so its memory does not grow with the file.
 _PIECE_BYTES = 1 << 18
-
-
-def _eight_digits(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The value of each field's ``length`` (0 to 8) digits, which end just before byte ``end``.
-
-    ``words[p]`` holds bytes ``p`` to ``p + 7``, the first one lowest, so the
-    digits are the top bytes of ``words[end - 8]``. Masking keeps their
-    values and clears the bytes below, which read as leading zeros; three
-    multiply-shift-mask steps join digit pairs, then pairs and quads (the
-    SWAR conversion used by Langdale and Lemire, VLDB J. 2019).
-    """
-    value = words[end - 8] & _DIGIT_MASKS[length]
-    for width, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF)):
-        value = value * np.uint64(10**width) + (value >> np.uint64(8 * width))
-        value &= np.uint64(mask)
-    return value
-
-
-def _integers(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Each field of 1 to 16 digits ending just before ``end``, as int64."""
-    value = _eight_digits(words, end, np.minimum(length, 8))
-    if (length > 8).any():
-        value += _eight_digits(words, end - 8, np.maximum(length - 8, 0)) * _UINT_POWERS[8]
-    return value.view(np.int64)
-
-
-def _piece_columns(piece: bytes) -> tuple[np.ndarray, ...] | None:
-    """The user, item, rating and timestamp columns of a piece's lines.
-
-    None when a line is neither blank nor plain ``digits::digits::decimal::digits``,
-    a field is longer than the fast path converts, or a rating is outside [0.5, 5].
-    """
-    if b"\r" in piece:
-        if piece.count(b"\r") != piece.count(b"\r\n"):
-            return None
-        piece = piece.replace(b"\r\n", b"\n")
-    # Padding in front keeps both words of every field inside the text.
-    text = b"\n" * 16 + piece + (b"" if piece.endswith(b"\n") else b"\n")
-    chars = np.frombuffer(text, dtype=np.uint8)
-    words = np.ndarray((chars.size - 7,), dtype="<u8", buffer=text, strides=(1,))
-    newlines = np.flatnonzero(chars == ord("\n"))
-    colons = np.flatnonzero(chars == ord(":"))
-    dots = np.flatnonzero(chars == ord("."))
-    # An empty span between two newlines is a blank line.
-    filled = np.flatnonzero(np.diff(newlines) > 1)
-    if colons.size != 6 * filled.size:
-        return None
-    # k[j][i] is colon j of line i, if every line holds six.
-    k = colons.reshape(-1, 6).T
-    if any((k[j + 1] - k[j] != 1).any() for j in (0, 2, 4)):
-        return None
-    # A field lies between the newline before its line or a '::', and a '::'
-    # or its line's newline. With every field at least one byte long, each
-    # line holds its own six colons, in three '::' pairs.
-    ends = newlines[filled + 1]
-    spans = ((newlines[filled], k[0]), (k[1], k[2]), (k[3], k[4]), (k[5], ends))
-    length = [end - before - 1 for before, end in spans]
-    if any(((n < 1) | (n > _MAX_DIGITS)).any() for n in length):
-        return None
-    # Only a rating may hold a '.', and at most one.
-    line = np.searchsorted(ends, dots)
-    if not ((k[3][line] < dots) & (dots < k[4][line])).all() or (np.diff(line) == 0).any():
-        return None
-    point = k[4].copy()  # a rating without a '.' ends where one would be
-    point[line] = dots
-    before = point - k[3] - 1
-    after = np.maximum(k[4] - point - 1, 0)
-    digits = before + after
-    if ((np.maximum(before, after) > 8) | (digits < 1) | (digits > _MAX_RATING_DIGITS)).any():
-        return None
-
-    user, item, timestamp = (_integers(words, spans[f][1], length[f]) for f in (0, 1, 3))
-    mantissa = _eight_digits(words, point, before) * _UINT_POWERS[after]
-    mantissa += _eight_digits(words, k[4], after)
-    rating = mantissa / _FLOAT_POWERS[after]
-    if not ((rating >= 0.5) & (rating <= 5.0)).all():
-        return None
-    return user, item, rating, timestamp
+# A fast-path row: the user, item, rating and timestamp fields of a line split at ':'.
+_RECORD = np.dtype(list(zip(("user", "item", "rating", "timestamp"), _DTYPES)))
 
 
 def _pieces(path: str | Path) -> Iterator[bytes]:
@@ -405,27 +326,29 @@ def _pieces(path: str | Path) -> Iterator[bytes]:
 def _parse_ratings_fast(path: str | Path) -> Ratings | None:
     """The table of a file of plain rating lines, or None to use the line parser.
 
-    Its lines, counted in a first pass, bound the rows and size the columns.
+    The module docstring says why a table it returns is the line parser's.
+    Its columns are views of the one record array ``loadtxt`` returns,
+    unless the sort replaces them with sorted copies.
     """
-    lines = 0
+    colons = pairs = 0
     for piece in _pieces(path):
         if piece.translate(None, b"0123456789:.\r\n"):
             return None
-        lines += piece.count(b"\n") + (not piece.endswith(b"\n"))
-    columns = [np.empty(lines, dtype) for dtype in _DTYPES]
-    rows = 0
-    for piece in _pieces(path):
-        values = _piece_columns(piece)
-        if values is None:
+        if b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n"):
             return None
-        for i, value in enumerate(values):
-            columns[i][rows : rows + value.size] = value
-        rows += values[0].size
-    if not rows:
+        colon = np.frombuffer(piece, np.uint8) == ord(":")
+        colons += np.count_nonzero(colon)
+        pairs += np.count_nonzero(colon[1:] & colon[:-1])
+    # A warning refuses the file too: older numpy only warns when it reads an
+    # integer field written as a float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(path, delimiter=":", usecols=(0, 2, 4, 6), dtype=_RECORD, ndmin=1)
+    rating = table["rating"]
+    rows = table.size
+    if colons != 6 * rows or pairs != 3 * rows or not ((rating >= 0.5) & (rating <= 5.0)).all():
         return None
-    # Blank lines hold no rating. Only the list holds the columns, so the
-    # sort frees each one as soon as its sorted copy exists.
-    columns = [column[:rows] for column in columns]
+    columns = [table[name] for name in _RECORD.names]
     _sort_rows(columns)
     return Ratings(*columns)
 
@@ -435,10 +358,10 @@ def read_ratings_file(
 ) -> tuple[Ratings, list[ParseIssue]]:
     """The file's ratings as one sorted table, plus the lines left out.
 
-    The fast path parses the file piece by piece on its raw bytes, eight
-    digits per word read, and does not sort a file already in order; it and
-    its line-parser fallback are described in the module docstring. A file
-    the fast path accepts gives the table the line parser would give.
+    The fast path, a byte pre-check and one ``np.loadtxt`` call, and its
+    line-parser fallback are described in the module docstring. A file the
+    fast path accepts gives the table the line parser would give, and one
+    already in order is not sorted again.
     """
     try:
         ratings = _parse_ratings_fast(path)

@@ -199,28 +199,28 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     click.echo(f"ks_stat: {result.ks_stat:.4f}")
 
 
-def _build_fold_recommenders(cfg, train, phi, woks):
-    """The configured recommenders: models trained on the fold's ratings, and the run's ``woks``."""
+def _build_fold_recommenders(cfg, train, shared):
+    """The configured recommenders, in config order.
+
+    Those in the run's ``shared`` map are reused; KNN models are trained on the fold's ratings.
+    """
     recs = []
     matrix = None
     for name in cfg["recommenders"]:
-        if name == "random":
-            recs.append(RandomRecommender(phi.keys(), seed=cfg["folds"]["seed"]))
-        elif name == "top_pop":
-            recs.append(TopPopRecommender(phi))
-        elif name in ("item_knn", "user_knn"):
-            if matrix is None:
-                matrix = RatingMatrix.from_interactions(train)
-            if name == "item_knn":
-                recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
-            else:
-                recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
-        else:  # a wok key: evaluate has checked every name
-            recs.append(woks[name])
+        if name in shared:
+            recs.append(shared[name])
+            continue
+        # item_knn or user_knn: evaluate has checked every name.
+        if matrix is None:
+            matrix = RatingMatrix.from_interactions(train)
+        if name == "item_knn":
+            recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
+        else:
+            recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
     return recs
 
 
-def _score_fold(cfg, fold, phi, phi_array, woks, errors):
+def _score_fold(cfg, fold, phi_array, shared, errors):
     """Each configured recommender's per-user table on one fold, skipping those in errors.
 
     A recommender whose provider fails is recorded in ``errors``. The fold's
@@ -228,7 +228,7 @@ def _score_fold(cfg, fold, phi, phi_array, woks, errors):
     while the next fold's models are built.
     """
     inputs = ev.FoldInputs.of(fold, phi_array, cfg["metrics"])
-    recs = _build_fold_recommenders(cfg, inputs.ratings, phi, woks)
+    recs = _build_fold_recommenders(cfg, inputs.ratings, shared)
     tables: dict[str, dict[str, np.ndarray]] = {}
     for rec in recs:
         if rec.name in errors:
@@ -334,7 +334,12 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     # Only wok reads the index, but the benchmark times its build on every run.
     index = cat.TitleIndex.build(entries)
     by_item = {e.item: e for e in entries} if wok_keys else {}
-    woks = {key: WokRecommender(provider, index, by_item, WOK_VARIANTS[key]) for key in wok_keys}
+    # The recommenders no fold trains, built once for the run.
+    shared = {key: WokRecommender(provider, index, by_item, WOK_VARIANTS[key]) for key in wok_keys}
+    if "random" in names:
+        shared["random"] = RandomRecommender(phi.keys(), seed=spec.seed)
+    if "top_pop" in names:
+        shared["top_pop"] = TopPopRecommender(phi)
 
     try:
         plan = ev.make_folds(table, spec)
@@ -347,7 +352,7 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        for name, table in _score_fold(cfg, fold, phi, phi_array, woks, errors).items():
+        for name, table in _score_fold(cfg, fold, phi_array, shared, errors).items():
             per_rec_tables.setdefault(name, []).append(table)
 
     rows = [

@@ -249,11 +249,15 @@ class RatingMatrix:
         )
         return cls(users, items, csr)
 
+    @cached_property
     def centered(self) -> sparse.csr_matrix:
-        """Ratings with each user's mean subtracted from their entries."""
+        """Ratings with each user's mean subtracted from their entries, computed once, read-only."""
         centered = self.csr.tocoo(copy=True)
         centered.data = centered.data - self.user_means[centered.row]
-        return centered.tocsr()
+        centered = centered.tocsr()
+        for array in (centered.data, centered.indices, centered.indptr):
+            array.flags.writeable = False
+        return centered
 
 
 def _csr_of_rows(
@@ -392,7 +396,7 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
 
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    centered = matrix.centered()
+    centered = matrix.centered
     # Both modes sum the squares over the users x items matrix: summing the
     # rows of its transpose instead rounds differently in the last bit.
     norms = np.sqrt(
@@ -630,7 +634,7 @@ class UserKnnRecommender(BaseRecommender):
         self.matrix = matrix
         self.items = matrix.items
         # C + 1j * B: the centered ratings, with imaginary part 1 at every rating.
-        self.scored = matrix.centered().astype(complex)
+        self.scored = matrix.centered.astype(complex)
         self.scored.data += 1j
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:

@@ -218,7 +218,7 @@ _RATING_TEXT = st.sampled_from(
         "4.999999999999999999",
     ]
 )
-# Ids and timestamps of one 8-byte word, of two, and of more than two.
+# Ids and timestamps of up to 8 digits, of 9 to 16, and of 17 or 18.
 _INTEGER_TEXT = st.integers(0, 10**6).map(str) | st.sampled_from([8, 9, 16, 17, 18]).flatmap(
     lambda width: st.integers(0, 10**width - 1).map(lambda value: str(value).zfill(width))
 )
@@ -271,6 +271,28 @@ _MALFORMED_LINE = st.sampled_from(
 @example(lines=[("1::2::3::4\r", True)], clean=True, final_newline=True, latin1=False)
 @example(lines=[("1::2::.1.2::4", False)], clean=True, final_newline=True, latin1=False)
 @example(lines=[("::2::3::4", False)], clean=True, final_newline=True, latin1=False)
+# Lines that np.loadtxt alone, splitting at ':' and keeping fields 0, 2, 4
+# and 6, would read otherwise than the line parser.
+@example(lines=[("1:5:2::3::4", False)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("1::2::3::4::5", False)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("1::::2::3::4", False)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("1.0::2::3::4", False)], clean=True, final_newline=True, latin1=False)
+@example(lines=[("1::2::3::4.0", False)], clean=True, final_newline=True, latin1=False)
+@example(
+    lines=[("9223372036854775807::2::3::4", False)], clean=True, final_newline=True, latin1=False
+)
+@example(
+    lines=[("9223372036854775808::2::3::4", False)], clean=True, final_newline=True, latin1=False
+)
+# A line of four pairs makes up for one of two, so only the colon count refuses them.
+@example(
+    lines=[("1:5:2::3::4", False), ("1::2::3::4::5", False)],
+    clean=True,
+    final_newline=True,
+    latin1=False,
+)
+# np.loadtxt ends a line at a bare '\r'; the line rule does not.
+@example(lines=[("1::2::3::4\r5::6::4.5::7", False)], clean=True, final_newline=True, latin1=False)
 @given(
     lines=st.lists(st.tuples(_VALID_LINE | _MALFORMED_LINE, st.booleans()), max_size=25),
     clean=st.booleans(),
@@ -467,7 +489,7 @@ def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatc
     path = tmp_path / "ratings.dat"
     path.write_bytes(
         b"\n2::7::.5::30\r\n\n1::9::5.::20\n1::8::04.50::20\n"
-        # Fields of two 8-byte words, and a rating of one word on each side.
+        # Sixteen-digit fields, and a rating of eight digits on each side of its '.'.
         b"9999999999999999::0000000000000001::0000004.50000000::1234567890123456\n"
         b"12345678::123456789::00000005::99999999\n1::3::2::10"
     )
@@ -493,7 +515,18 @@ def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatc
         b"1::2::00000003.00000000::4",
     ],
 )
-def test_longer_fields_give_the_line_parsers_table(tmp_path, monkeypatch, line):
+def test_longer_fields_give_the_line_parsers_table(tmp_path, line):
+    data = b"5::6::4.5::7\n" + line + b"\n"
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(data)
+    expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
+    ratings, issues = read_ratings_file(path)
+    assert not expected_issues
+    assert issues == expected_issues
+    assert tuple(ratings) == tuple(sorted(expected, key=lambda it: (it.user, it.timestamp, it.item)))
+
+
+def test_an_id_past_64_bits_falls_back_to_the_line_parser(tmp_path, monkeypatch):
     calls = []
 
     def line_parser(*args, **kwargs):
@@ -501,14 +534,14 @@ def test_longer_fields_give_the_line_parsers_table(tmp_path, monkeypatch, line):
         return parse_ratings(*args, **kwargs)
 
     monkeypatch.setattr(catalog, "parse_ratings", line_parser)
-    data = b"5::6::4.5::7\n" + line + b"\n"
     path = tmp_path / "ratings.dat"
-    path.write_bytes(data)
-    expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
+    path.write_bytes(b"5::6::4.5::7\n9223372036854775808::2::3::4\n")
     ratings, issues = read_ratings_file(path)
-    assert calls and not expected_issues
-    assert issues == expected_issues
-    assert tuple(ratings) == tuple(sorted(expected, key=lambda it: (it.user, it.timestamp, it.item)))
+    assert calls
+    assert issues == [
+        ParseIssue(2, "9223372036854775808::2::3::4", "user id outside the 64-bit range")
+    ]
+    assert tuple(ratings) == (Interaction(5, 6, 4.5, 7),)
 
 
 def test_the_synthetic_corpus_is_read_without_the_line_parser(small_corpus, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+import popbias.cli as cli
 from popbias.catalog import compute_popularity, read_movies_file, read_ratings_file
 from popbias.cli import load_config, main
 from popbias.distfit import fit_pareto
@@ -200,6 +201,36 @@ def test_one_run_scores_every_prompt_over_the_same_folds(small_corpus, tmp_path)
     assert list(manifest["errors"]) == ["wok-stub-model-mitigate"]
     assert "no stub fixture" in manifest["errors"]["wok-stub-model-mitigate"]
     assert rest == [rows[0], rows[1], rows[3]]
+
+
+def test_baselines_no_fold_trains_are_built_once_per_run(small_corpus, tmp_path, monkeypatch):
+    movies, ratings = small_corpus
+    built = []
+    for name in ("RandomRecommender", "TopPopRecommender"):
+
+        def counting(*args, _cls=getattr(cli, name), **kwargs):
+            built.append(_cls.name)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    config = tmp_path / "config.json"
+    names = ["user_knn", "top_pop", "item_knn", "random"]
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": {"fold_count": 3, "users_per_fold": 20},
+                "recommenders": names,
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(built) == ["random", "top_pop"]
+    rows = list(csv.DictReader(io.StringIO((out / "report.csv").read_text("utf-8"))))
+    assert [row["recommender"] for row in rows] == names
 
 
 def test_a_user_with_few_candidates_gets_a_short_slate(tmp_path, monkeypatch):

@@ -510,6 +510,15 @@ def matrix_from(ratings):
     )
 
 
+def test_centered_ratings_are_computed_once_and_read_only():
+    matrix = matrix_from({(1, 10): 4.0, (1, 11): 2.0, (2, 10): 5.0})
+    centered = matrix.centered
+    assert matrix.centered is centered
+    assert centered.toarray().tolist() == [[1.0, -1.0], [0.0, 0.0]]
+    for array in (centered.data, centered.indices, centered.indptr):
+        assert not array.flags.writeable
+
+
 class TestBuildItemKnn:
     def test_identically_rated_items_are_mutual_top_neighbors(self):
         ratings = {
@@ -776,7 +785,7 @@ def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, tria
     rng = np.random.default_rng(7_000 + trial)
     ratings = _block_matrix(rng)
     matrix = matrix_from(ratings)
-    centered = matrix.centered()
+    centered = matrix.centered
     assert (centered.data == 0).any()
     products = []
 
