@@ -10,10 +10,14 @@ split into lines at ``\n`` only, and every trailing ``\r`` is stripped from
 each line, so ``"x\r\r\n"`` is the line ``"x"``. Other Unicode line
 boundaries (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, U+0085, U+2028, U+2029)
 stay inside their line, so line numbers count physical lines. Blank lines
-are skipped but counted. ``parse_movies`` and ``parse_ratings`` apply the
-rule to the lines they are given, and share one lenient/strict contract:
-lenient mode records each malformed line as a :class:`ParseIssue` and goes
-on, strict mode raises :class:`ParseError` at the first.
+are skipped but counted. A number field may have whitespace around it. An
+id or timestamp is ASCII digits, which ``int`` reads, so ``1_0``, ``+5``
+and a non-ASCII digit are malformed, and so is a negative value (a minus
+sign and digits). A rating is ASCII without ``_``, which ``float`` reads.
+``parse_movies`` and ``parse_ratings`` apply the rule to the lines they are
+given, and share one lenient/strict contract: lenient mode records each
+malformed line as a :class:`ParseIssue` and goes on, strict mode raises
+:class:`ParseError` at the first.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
 by (user, timestamp, item) unless the file is in that order already.
@@ -223,7 +227,10 @@ def _parse_lines(
 
 
 def _integer(raw: str, field: str) -> int:
-    """An id or timestamp field: an integer in [0, 2**63). Not an integer: ValueError."""
+    """An id or timestamp field: an integer in [0, 2**63). Not ASCII digits: ValueError."""
+    digits = raw.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(raw)
     value = int(raw)
     if value < 0:
         raise _BadLine(f"{field} is negative")
@@ -263,6 +270,8 @@ def parse_movies(
 def _interaction(raw_user: str, raw_item: str, raw_rating: str, raw_ts: str) -> Interaction:
     try:
         user, item = _integer(raw_user, "user id"), _integer(raw_item, "movie id")
+        if "_" in raw_rating or not raw_rating.strip().isascii():
+            raise ValueError(raw_rating)
         rating, timestamp = float(raw_rating), _integer(raw_ts, "timestamp")
     except ValueError:
         raise _BadLine("non-numeric field") from None
@@ -460,12 +469,13 @@ def levenshtein(a: str, b: str) -> int:
 class TitleIndex:
     """Lookup from normalized (title, year) keys to catalog items.
 
-    Resolution order: exact key, then year +/- 1, then unique fuzzy match
-    with edit distance <= ``MAX_EDIT_DISTANCE`` over the year-window
-    candidates. Ambiguity at any stage resolves to ``None`` rather than
-    guessing an item, and so does a title whose key is "" (a blank or
-    punctuation-only title, see :func:`normalize_title`). A catalog entry
-    with such a title is left out of the index, so no query can resolve to it.
+    A title resolves to the item of its exact (normalized title, year) key;
+    otherwise to the unique closest title within year +/- 1 at edit
+    distance <= ``MAX_EDIT_DISTANCE``. Ambiguity resolves to ``None``
+    rather than guessing an item, and so does a title whose key is "" (a
+    blank or punctuation-only title, see :func:`normalize_title`). A catalog
+    entry with such a title is left out of the index, so no query can
+    resolve to it.
 
     ``build`` lays the catalog out once in (year, insertion) order: the
     normalized titles and their items, an ``int64`` year array, the title
@@ -538,20 +548,9 @@ class TitleIndex:
         if len(hits) > 1:
             return None
 
-        # Year-0 entries carry no usable year and stay out of tolerant stages.
+        # Year-0 entries carry no usable year and stay out of the fuzzy stage.
         if year <= 0:
             return None
-        near = [
-            item
-            for y in (year - 1, year + 1)
-            if y > 0
-            for item in self._exact.get((title, y), [])
-        ]
-        if len(near) == 1:
-            return near[0]
-        if len(near) > 1:
-            return None
-
         lo = int(np.searchsorted(self._years, max(year - 1, 1), "left"))
         hi = int(np.searchsorted(self._years, year + 1, "right"))
         bound = self._bag_bounds(title, lo, hi)

@@ -304,17 +304,17 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
             provider = ProviderConfig(**cfg["provider"])
         except ValueError as exc:
             raise click.ClickException(f"provider.{exc}")
-        # A stub without fixtures would fail every request.
-        if provider.dialect == "stub" and not Path(provider.fixtures_dir).is_dir():
-            raise click.ClickException(
-                f"provider.fixtures_dir is not a directory: {provider.fixtures_dir}"
-            )
-        # A network dialect fails every request without these (the key is read per call).
-        for key in ("endpoint", "api_key_env"):
-            if provider.dialect != "stub" and not getattr(provider, key):
+        # Each dialect fails every request without these (a network key is read per call).
+        stub = provider.dialect == "stub"
+        for key in ("fixtures_dir",) if stub else ("endpoint", "api_key_env"):
+            if not getattr(provider, key):
                 raise click.ClickException(
                     f"provider.{key} must be set for dialect {provider.dialect!r}"
                 )
+        if stub and not Path(provider.fixtures_dir).is_dir():
+            raise click.ClickException(
+                f"provider.fixtures_dir is not a directory: {provider.fixtures_dir}"
+            )
     if {"item_knn", "user_knn"}.intersection(names):
         # Loaded here, in set-up, rather than by the first fold's rating matrix.
         import scipy.sparse  # noqa: F401

@@ -313,18 +313,10 @@ def parse_recommendations(text: str) -> ParsedCompletion:
         if not line.strip():
             continue
         m = _REC_LINE_RE.match(line)
-        if m:
-            position = int(m.group("pos"))
-            if position <= last_position:
-                malformed.append(line)
-                continue
+        if m and (position := int(m.group("pos"))) > last_position:
             last_position = position
-            recs.append(
-                ParsedRec(position=position, title=m.group("title"), year=int(m.group("year")))
-            )
-        elif _NUMBERED_PREFIX_RE.match(line):
-            malformed.append(line)
-        elif recs or malformed:
+            recs.append(ParsedRec(position, m.group("title"), int(m.group("year"))))
+        elif recs or malformed or _NUMBERED_PREFIX_RE.match(line):
             malformed.append(line)
         # else: preamble before the first numbered line, ignored
     return ParsedCompletion(recs=tuple(recs), malformed=tuple(malformed))

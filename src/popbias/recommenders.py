@@ -18,10 +18,9 @@ decides. The rule is deterministic, so runs are reproducible, but not
 airtight: a tie whose two computed values fall on opposite sides of a
 snapping boundary still ranks by the raw values. One kernel, _first_k,
 applies it to (row, col, score) entries of any number of rows at once. It
-finds each row's k-th largest raw score by a partition and snaps only the
-entries that can reach that score's snap, the tie candidates, before
-sorting them: snapping is monotone and moves a score by at most half a
-40-bit step.
+finds each row's k-th largest raw score by a partition and snaps and sorts
+only the entries that can reach that score's snap: snapping is monotone and
+moves a score by at most half a 40-bit step.
 
 Batch scoring: every recommender answers a batch through one entry point,
 slates(requests, k), which BaseRecommender.recommend_batch wraps. A
@@ -164,11 +163,13 @@ def _first_k(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int) -> 
     positions in ascending id order. The result lists the kept positions in
     that order.
 
-    Only the entries that can be kept are snapped and sorted. _snap is
-    monotone, so a row's k-th largest snapped score is the snap of its k-th
-    largest raw score, found by partitioning the raw scores. Rounding moves
-    a score by at most half a 40-bit step, so an entry more than half a step
-    of the kth's binade below it snaps below it too and is passed over.
+    Only the entries that can reach a row's k-th snapped score are snapped
+    and sorted. _snap is monotone, so that score is the snap of the row's
+    k-th largest raw score, found by partitioning the raw scores. Rounding
+    moves a score by at most half a 40-bit step, so an entry more than half
+    a step of the kth's binade below it snaps below it too and is passed
+    over. A row has at least k entries at or above its k-th snapped score,
+    all sorted, so the cut to k drops every sorted entry that snaps below it.
     """
     row_start = np.ones(rows.size, dtype=bool)
     row_start[1:] = rows[1:] != rows[:-1]
@@ -188,11 +189,9 @@ def _first_k(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int) -> 
         # power of two the steps are half as large.
         reach = kth - np.abs(kth) * 2.0**-SCORE_SNAP_BITS
         candidates = np.flatnonzero(scores >= np.repeat(reach, counts))
-        snapped = _snap(scores[candidates])
-        exact = snapped >= kth[np.searchsorted(starts, candidates, side="right") - 1]
-        candidates, snapped = candidates[exact], snapped[exact]
     else:
-        candidates, snapped = np.arange(rows.size), _snap(scores)
+        candidates = np.arange(rows.size)
+    snapped = _snap(scores[candidates])
     order = candidates[np.lexsort((cols[candidates], -snapped, rows[candidates]))]
     ranked_rows = rows[order]
     rank = np.arange(order.size) - np.searchsorted(ranked_rows, ranked_rows)

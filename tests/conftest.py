@@ -49,3 +49,19 @@ def eval_corpus(tmp_path_factory):
     """Full-scale corpus backing the evaluation-protocol acceptance test."""
     movies, ratings = make_corpus(seed=11)
     return write_corpus(tmp_path_factory.mktemp("eval_corpus"), movies, ratings)
+
+
+def _skipped(config) -> int:
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    return len(reporter.stats.get("skipped", ())) if reporter else 0
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail a run that skipped any test or module: tier-1 runs every test."""
+    if exitstatus == pytest.ExitCode.OK and _skipped(session.config):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if skipped := _skipped(config):
+        terminalreporter.write_line(f"{skipped} skipped: tier-1 allows no skipped tests", red=True)

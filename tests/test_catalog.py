@@ -72,7 +72,14 @@ class TestParseMovies:
 
     @pytest.mark.parametrize(
         ("raw_id", "reason"),
-        [("-1", "movie id is negative"), (str(2**63), "movie id outside the 64-bit range")],
+        [
+            ("-1", "movie id is negative"),
+            (str(2**63), "movie id outside the 64-bit range"),
+            # int() reads these Python spellings; an id is ASCII digits only.
+            ("1_0", "movie id is not an integer"),
+            ("+5", "movie id is not an integer"),
+            ("\u0663", "movie id is not an integer"),
+        ],
     )
     def test_movie_id_is_an_integer_in_the_64_bit_range(self, raw_id, reason):
         line = f"{raw_id}::Heat (1995)::Action"
@@ -109,6 +116,14 @@ class TestParseRatings:
             ("3::2::4::-100", "timestamp is negative"),
             ("9223372036854775808::2::4::100", "user id outside the 64-bit range"),
             ("3::2::4::9223372036854775808", "timestamp outside the 64-bit range"),
+            # int() and float() read these Python spellings; a field is ASCII without '_'.
+            ("1_0::2::4::100", "non-numeric field"),
+            ("+3::2::4::100", "non-numeric field"),
+            ("3::\u0663::4::100", "non-numeric field"),
+            ("3::2::4::1_00", "non-numeric field"),
+            ("3::2::4::\uff11", "non-numeric field"),
+            ("3::2::0_4::100", "non-numeric field"),
+            ("3::2::\u0664::100", "non-numeric field"),
         ],
     )
     def test_ids_and_timestamps_are_integers_in_the_64_bit_range(self, line, reason):
@@ -851,6 +866,13 @@ def _catalog_with_queries(draw):
 @example(
     ([CatalogEntry(1, "Pi", 1998), CatalogEntry(2, "M", 1931)], [("...", 1998), ("--", 1931)])
 )
+# A title exact one year off is the window's distance-0 title: exact at
+# year - 1 only; at both year - 1 and year + 1 (a tie, so None); at year - 1
+# with a title one edit away at year + 1; at the year and at year + 1.
+@example(([CatalogEntry(1, "Heat", 1994)], [("Heat", 1995)]))
+@example(([CatalogEntry(1, "Heat", 1994), CatalogEntry(2, "Heat", 1996)], [("Heat", 1995)]))
+@example(([CatalogEntry(1, "Heat", 1994), CatalogEntry(2, "Heats", 1996)], [("Heat", 1995)]))
+@example(([CatalogEntry(1, "Heat", 1995), CatalogEntry(2, "Heat", 1996)], [("Heat", 1995)]))
 @settings(deadline=None)
 def test_bag_filter_keeps_resolve_exact(case):
     entries, queries = case

@@ -29,6 +29,8 @@ from popbias.recommenders import BaseRecommender
 
 def test_evaluate_reports_baselines_and_records_provider_error(small_corpus, tmp_path):
     movies, ratings = small_corpus
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -36,6 +38,8 @@ def test_evaluate_reports_baselines_and_records_provider_error(small_corpus, tmp
                 "data": {"movies": str(movies), "ratings": str(ratings)},
                 "folds": {"fold_count": 2, "users_per_fold": 30},
                 "recommenders": ["random", "top_pop", "item_knn", "user_knn", "wok"],
+                # An empty fixtures directory passes set-up; each request then fails.
+                "provider": {"fixtures_dir": str(fixtures)},
             }
         ),
         encoding="utf-8",
@@ -385,6 +389,8 @@ def test_evaluate_rejects_desiderata_only_pru(small_corpus, tmp_path):
             {"recommenders": ["wok"], "provider": {"fixtures_dir": "no/such/fixtures"}},
             "provider.fixtures_dir is not a directory: no/such/fixtures",
         ),
+        # "" names no directory, although Path("") is the working directory.
+        ({"recommenders": ["wok"]}, "provider.fixtures_dir must be set for dialect 'stub'"),
         (
             {"recommenders": ["wok"], "provider": {"dialect": "openai", "api_key_env": "KEY"}},
             "provider.endpoint must be set for dialect 'openai'",
@@ -572,6 +578,8 @@ def _modules_loaded(*args: str) -> dict:
 
 def test_runs_load_scipy_and_requests_only_when_they_use_them(small_corpus, tmp_path):
     movies, ratings = small_corpus
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
     assert _modules_loaded() == {"after_import": []}
 
     def run(name, recommenders):
@@ -582,6 +590,7 @@ def test_runs_load_scipy_and_requests_only_when_they_use_them(small_corpus, tmp_
                     "data": {"movies": str(movies), "ratings": str(ratings)},
                     "folds": {"fold_count": 2, "users_per_fold": 30},
                     "recommenders": recommenders,
+                    "provider": {"fixtures_dir": str(fixtures)},
                 }
             ),
             encoding="utf-8",
@@ -591,7 +600,7 @@ def test_runs_load_scipy_and_requests_only_when_they_use_them(small_corpus, tmp_
         assert (out / "report.csv").is_file()
         return loaded["after_run"]
 
-    # The stub provider has no fixtures here, so wok fails alone and the run completes.
+    # The stub's fixtures directory is empty, so wok fails alone and the run completes.
     assert run("no_knn", ["random", "top_pop", "wok"]) == []
     assert run("knn", ["top_pop", "item_knn"]) == ["scipy", "scipy.sparse"]
 
