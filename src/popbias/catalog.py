@@ -3,7 +3,7 @@ r"""MovieLens-format ingestion, popularity counting, and title resolution.
 Flat-file ingestion only: ``movies.dat`` (``MovieID::Title (Year)::Genres``)
 and ``ratings.dat`` (``UserID::MovieID::Rating::Timestamp``). The parsed
 catalog and title index are immutable after construction and safe to share
-across threads; the popularity counts are a plain dict, shared read-only.
+across threads; the popularity counts are a ``PhiArray``, shared read-only.
 
 Line rule: a file is decoded as UTF-8, or as latin-1 where that fails, and
 split into lines at ``\n`` only, and every trailing ``\r`` is stripped from
@@ -12,8 +12,8 @@ boundaries (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, U+0085, U+2028, U+2029)
 stay inside their line, so line numbers count physical lines. Blank lines
 are skipped but counted. A number field may have whitespace around it. An
 id or timestamp is ASCII digits, which ``int`` reads, so ``1_0``, ``+5``
-and a non-ASCII digit are malformed, and so is a negative value (a minus
-sign and digits). A rating is ASCII without ``_``, which ``float`` reads.
+and a non-ASCII digit are malformed, and so is any value with a minus sign,
+``-0`` included. A rating is ASCII without ``_``, which ``float`` reads.
 ``parse_movies`` and ``parse_ratings`` apply the rule to the lines they are
 given, and share one lenient/strict contract: lenient mode records each
 malformed line as a :class:`ParseIssue` and goes on, strict mode raises
@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from popbias.metrics import PhiArray
 
 __all__ = [
     "CatalogEntry",
@@ -228,12 +230,13 @@ def _parse_lines(
 
 def _integer(raw: str, field: str) -> int:
     """An id or timestamp field: an integer in [0, 2**63). Not ASCII digits: ValueError."""
-    digits = raw.strip().removeprefix("-")
+    text = raw.strip()
+    digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(raw)
-    value = int(raw)
-    if value < 0:
-        raise _BadLine(f"{field} is negative")
+    if text.startswith("-"):
+        raise _BadLine(f"{field} has a minus sign")
+    value = int(digits)
     if value > _INT64_MAX:
         raise _BadLine(f"{field} outside the 64-bit range")
     return value
@@ -383,8 +386,8 @@ def read_ratings_file(
     return Ratings.of(interactions), issues
 
 
-def compute_popularity(ratings: Ratings) -> dict[int, int]:
-    """Count ratings per item; the keys are in ascending item id order.
+def compute_popularity(ratings: Ratings) -> PhiArray:
+    """Count ratings per item, as the PhiArray of the rated item ids, ascending, and their counts.
 
     Every rating counts, duplicates included, so only rated items appear
     and every count is >= 1.
@@ -392,7 +395,7 @@ def compute_popularity(ratings: Ratings) -> dict[int, int]:
     if not len(ratings):
         raise ValueError("no interactions: popularity table would be empty")
     items, counts = np.unique(ratings.item, return_counts=True)
-    return dict(zip(items.tolist(), counts.tolist()))
+    return PhiArray(items, counts.astype(float))
 
 
 def normalize_title(title: str) -> str:

@@ -17,7 +17,7 @@ from popbias import evaluation as ev
 from popbias.desiderata import DESIDERATA, desiderata_grid
 from popbias.distfit import fit_pareto
 from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, WokRecommender
-from popbias.metrics import MAX_ID_SPAN, METRICS, PhiArray, scored_metric
+from popbias.metrics import METRICS, check_id_span, scored_metric
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
     ItemKnnRecommender,
@@ -112,19 +112,29 @@ def _note_issues(path: str, issues: list[cat.ParseIssue]) -> None:
         click.echo(note, err=True)
 
 
+def _load_ratings(path: str, strict: bool):
+    """The ratings file's table and the lines left out; a missing file or no ratings is refused."""
+    _require_file(path, "ratings")
+    try:
+        table, issues = cat.read_ratings_file(path, strict=strict)
+    except cat.ParseError as exc:
+        raise click.ClickException(str(exc))
+    _note_issues(path, issues)
+    if not len(table):
+        raise click.ClickException("no interactions parsed")
+    return table, issues
+
+
 def _load_data(movies: str, ratings: str, strict: bool):
     _require_file(movies, "movies")
+    # Checked before the movies are read too, so a missing file is named first.
     _require_file(ratings, "ratings")
     try:
         entries, movie_issues = cat.read_movies_file(movies, strict=strict)
-        table, rating_issues = cat.read_ratings_file(ratings, strict=strict)
     except cat.ParseError as exc:
         raise click.ClickException(str(exc))
     _note_issues(movies, movie_issues)
-    _note_issues(ratings, rating_issues)
-    if not len(table):
-        raise click.ClickException("no interactions parsed")
-    return entries, movie_issues, table, rating_issues
+    return entries, movie_issues, *_load_ratings(ratings, strict)
 
 
 @main.command()
@@ -137,27 +147,23 @@ def ingest(movies: str, ratings: str, out: str | None, strict_parse: bool) -> No
     out_dir = _make_out_dir(out) if out else None
     entries, movie_issues, table, rating_issues = _load_data(movies, ratings, strict_parse)
     phi = cat.compute_popularity(table)
-    scores = np.array(sorted(phi.values()), dtype=float)
     top_item = int(TopPopRecommender(phi).ranking[0])
     click.echo(f"movies: {len(entries)} ({len(movie_issues)} malformed lines)")
     click.echo(f"ratings: {len(table)} ({len(rating_issues)} malformed lines)")
-    click.echo(f"items with ratings: {len(phi)}")
-    quants = np.quantile(scores, [0.0, 0.25, 0.5, 0.75, 1.0])
-    click.echo(
-        "popularity quantiles (min/p25/p50/p75/max): "
-        + "/".join(f"{q:.0f}" for q in quants)
-    )
-    click.echo(f"most popular item: {top_item} ({phi[top_item]} ratings)")
+    click.echo(f"items with ratings: {phi.ids.size}")
+    quants = "/".join(f"{q:.0f}" for q in np.quantile(phi.scores, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    click.echo(f"popularity quantiles (min/p25/p50/p75/max): {quants}")
+    click.echo(f"most popular item: {top_item} ({phi.scores.max():.0f} ratings)")
     if out_dir is not None:
         popularity = io.StringIO()
         writer = csv.writer(popularity)
         writer.writerow(["item", "count"])
-        writer.writerows([item, int(phi[item])] for item in sorted(phi))
+        writer.writerows(zip(phi.ids.tolist(), phi.scores.astype(np.int64).tolist()))
         _write_output(out_dir / "popularity.csv", popularity.getvalue())
         summary = {
             "movies": len(entries),
             "ratings": len(table),
-            "items_with_ratings": len(phi),
+            "items_with_ratings": phi.ids.size,
             "movie_parse_issues": len(movie_issues),
             "rating_parse_issues": len(rating_issues),
             "max_popularity_item": top_item,
@@ -177,12 +183,7 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
     if (scores_file is None) == (ratings is None):
         raise click.ClickException("provide either SCORES_FILE or --ratings")
     if ratings is not None:
-        _require_file(ratings, "ratings")
-        table, issues = cat.read_ratings_file(ratings)
-        _note_issues(ratings, issues)
-        if not len(table):
-            raise click.ClickException("no interactions parsed")
-        samples = [float(v) for v in cat.compute_popularity(table).values()]
+        samples = cat.compute_popularity(_load_ratings(ratings, strict=False)[0]).scores
     else:
         _require_file(scores_file, "scores")
         try:
@@ -220,14 +221,14 @@ def _build_fold_recommenders(cfg, train, shared):
     return recs
 
 
-def _score_fold(cfg, fold, phi_array, shared, errors):
+def _score_fold(cfg, fold, phi, shared, errors):
     """Each configured recommender's per-user table on one fold, skipping those in errors.
 
     A recommender whose provider fails is recorded in ``errors``. The fold's
     models and shared inputs are dropped on return, so none of them is alive
     while the next fold's models are built.
     """
-    inputs = ev.FoldInputs.of(fold, phi_array, cfg["metrics"])
+    inputs = ev.FoldInputs.of(fold, phi, cfg["metrics"])
     recs = _build_fold_recommenders(cfg, inputs.ratings, shared)
     tables: dict[str, dict[str, np.ndarray]] = {}
     for rec in recs:
@@ -323,13 +324,11 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     entries, _, table, _ = _load_data(
         cfg["data"]["movies"], cfg["data"]["ratings"], cfg["strict_parse"]
     )
-    # The id tables (PhiArray, the recommenders' lookups) are dense over each column's span.
     for column in ("user", "item"):
-        ids = getattr(table, column)
-        if int(ids.max()) - int(ids.min()) + 1 > MAX_ID_SPAN:
-            raise click.ClickException(
-                f"{column} ids span more than {MAX_ID_SPAN} values (largest {ids.max()})"
-            )
+        try:
+            check_id_span(getattr(table, column))
+        except ValueError as exc:
+            raise click.ClickException(f"{column} {exc}")
     phi = cat.compute_popularity(table)
     # Only wok reads the index, but the benchmark times its build on every run.
     index = cat.TitleIndex.build(entries)
@@ -337,7 +336,7 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     # The recommenders no fold trains, built once for the run.
     shared = {key: WokRecommender(provider, index, by_item, WOK_VARIANTS[key]) for key in wok_keys}
     if "random" in names:
-        shared["random"] = RandomRecommender(phi.keys(), seed=spec.seed)
+        shared["random"] = RandomRecommender(phi, seed=spec.seed)
     if "top_pop" in names:
         shared["top_pop"] = TopPopRecommender(phi)
 
@@ -346,13 +345,12 @@ def evaluate(config_path, movies, ratings, seed, out, provider, strict_parse) ->
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
-    phi_array = PhiArray.of(phi)
     per_rec_tables: dict[str, list[dict[str, np.ndarray]]] = {}
     errors: dict[str, str] = {}
     for fold_no, fold in enumerate(plan.folds):
         if not fold:
             raise click.ClickException(f"fold {fold_no} is empty after exclusions")
-        for name, table in _score_fold(cfg, fold, phi_array, shared, errors).items():
+        for name, table in _score_fold(cfg, fold, phi, shared, errors).items():
             per_rec_tables.setdefault(name, []).append(table)
 
     rows = [

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from popbias.distfit import sample_pareto
-from popbias.metrics import METRICS, Metric, PhiArray, Profiles
+from popbias.metrics import METRICS, Metric, PhiArray, Profiles, registered_metric
 
 __all__ = [
     "DESIDERATA",
@@ -253,10 +253,7 @@ def check_desideratum(
     desiderata-only metric reads one shared profile, so its fixture's two
     score lists must be equal.
     """
-    try:
-        metric = METRICS[metric_id]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric_id!r}") from None
+    metric = registered_metric(metric_id)
     if desideratum not in DESIDERATA:
         raise ValueError(f"unknown desideratum {desideratum!r}")
     if desideratum == "well_behaved":

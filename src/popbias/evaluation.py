@@ -262,16 +262,9 @@ def evaluate_recommender(
     and a baseline's short slate both leave one. Every user has a hit rate
     and an ``unmatched`` value; a user with an empty slate has zero hits.
 
-    A metric's value is NaN, which leaves the user out of that metric's
-    fold mean in ``summarize``, where the metric is undefined for the user:
-
-    * an empty slate makes every metric undefined;
-    * a slate or profile item missing from ``phi`` makes every metric
-      undefined;
-    * a score below 1 (log domain) makes ``log_pop_diff`` undefined;
-    * a user aggregate of zero makes ``avg_pop_lift`` undefined;
-    * a score that is not positive makes ``gini_diff`` and
-      ``herfindahl_diff`` undefined.
+    A metric's value is NaN where it is undefined for the user (the
+    ``metrics`` module docstring lists where), which leaves the user out of
+    that metric's fold mean in ``summarize``.
     """
     results = rec.recommend_batch(fold.requests, k)
     slates = Profiles.of(result.slate.entries for result in results)

@@ -37,6 +37,10 @@ on its own, so a batch gives the same bits as one profile at a time.
 Nothing may pad a row or reorder the items within one: either changes the
 summation order and with it the last bits of the result.
 
+Every id lookup, ``PhiArray.lookup``'s and the recommenders', reads the
+dense table of ``id_positions``, one slot per id in the ids' span, and
+``check_id_span`` refuses a span past ``MAX_ID_SPAN`` before any is made.
+
 A row is undefined, and its value NaN, where
 
 * one of its items is missing from ``phi`` (every metric);
@@ -68,12 +72,15 @@ __all__ = [
     "Profiles",
     "PhiArray",
     "MAX_ID_SPAN",
+    "check_id_span",
+    "id_positions",
     "Metric",
     "METRICS",
     "gini_coefficient",
     "herfindahl_index",
     "spearman_rho",
     "kendall_tau",
+    "registered_metric",
     "scored_metric",
     "evaluate_metric",
 ]
@@ -115,39 +122,50 @@ class Profiles:
         return np.arange(self.items.size) - np.repeat(self.offsets[:-1], self.lengths)
 
 
-# Largest span, max - min + 1, of user or item ids that ``evaluate`` accepts. The
-# id tables are dense over it: 2**24 slots is 128 MiB per float table, and
-# MovieLens ids stay below 300k.
+# Largest span, max - min + 1, of an id_positions table's ids: 2**24 slots, 128 MiB.
 MAX_ID_SPAN = 1 << 24
 
 
-@dataclass(frozen=True)
-class PhiArray:
-    """Raw popularity scores ``phi`` as an array indexed by item id.
+def check_id_span(ids: np.ndarray) -> None:
+    """Refuse, with ValueError, ids whose span max - min + 1 is past MAX_ID_SPAN."""
+    if ids.size and int(ids.max()) - int(ids.min()) + 1 > MAX_ID_SPAN:
+        raise ValueError(f"ids span more than {MAX_ID_SPAN} values (largest {ids.max()})")
 
-    ``table[a - first]`` is item a's score. The table spans the range of
-    ids in phi, so it assumes dense ids: ``evaluate`` refuses ratings whose
-    ids span more than ``MAX_ID_SPAN``. It holds NaN for an id in the range
-    that phi lacks and ends with one NaN slot that every id outside the
-    range reads.
+
+def id_positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position among sorted distinct ids (-1 if absent), and whether it is there.
+
+    One dense table holds them: a slot per id in [ids[0], ids[-1]], -1 for
+    a non-id, and a last -1 slot that the values outside the span read. Ids
+    that ``check_id_span`` refuses are refused before the table is made.
     """
+    check_id_span(ids)
+    first = int(ids[0]) if ids.size else 0
+    table = np.full(int(ids[-1]) - first + 2 if ids.size else 1, -1, dtype=np.int64)
+    table[ids - first] = np.arange(ids.size)
+    offsets = values - first
+    offsets[(offsets < 0) | (offsets >= table.size)] = -1
+    positions = table[offsets]
+    return positions, positions >= 0
 
-    first: int
-    table: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class PhiArray:
+    """Raw popularity scores ``phi``: item ``ids[i]``, ids ascending, has score ``scores[i]``."""
+
+    ids: np.ndarray
+    scores: np.ndarray
 
     @classmethod
     def of(cls, phi: Mapping[int, float]) -> "PhiArray":
-        ids = np.fromiter(phi.keys(), np.int64, len(phi))
-        first = int(ids.min()) if ids.size else 0
-        table = np.full(int(ids.max()) - first + 2 if ids.size else 1, np.nan)
-        table[ids - first] = np.fromiter(phi.values(), float, len(phi))
-        return cls(first=first, table=table)
+        """The PhiArray of a hand-built mapping from item id to score."""
+        ids = sorted(phi)
+        return cls(np.array(ids, dtype=np.int64), np.array([phi[a] for a in ids], dtype=float))
 
     def lookup(self, items: np.ndarray) -> np.ndarray:
         """The score of every item, NaN where the item is missing from phi."""
-        pos = items - self.first
-        pos[(pos < 0) | (pos >= self.table.size)] = self.table.size - 1
-        return self.table[pos]
+        # Position -1, an item missing from phi, reads the NaN after the last score.
+        return np.append(self.scores, np.nan)[id_positions(self.ids, items)[0]]
 
 
 def _rows(scores: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -322,13 +340,18 @@ METRICS: dict[str, Metric] = {
 }
 
 
-def scored_metric(metric_id: str) -> Metric:
-    """The registered metric of that id, refused with ValueError if unknown or desiderata-only."""
+def registered_metric(metric_id: str) -> Metric:
+    """The registered metric of that id, refused with ValueError naming the known ids if none is."""
     try:
-        metric = METRICS[metric_id]
-    except (KeyError, TypeError):
+        return METRICS[metric_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id, such as a list
         known = ", ".join(sorted(METRICS))
         raise ValueError(f"unknown metric {metric_id!r} (known: {known})") from None
+
+
+def scored_metric(metric_id: str) -> Metric:
+    """The registered metric of that id, refused with ValueError if unknown or desiderata-only."""
+    metric = registered_metric(metric_id)
     if metric.desiderata_only:
         raise ValueError(
             f"{metric_id!r} is a desiderata-only metric: it ranks the items a slate "

@@ -26,10 +26,10 @@ Batch scoring: every recommender answers a batch through one entry point,
 slates(requests, k), which BaseRecommender.recommend_batch wraps. A
 request's training profile is its exclusion set. Random and top-pop look up
 the whole batch's profile items at once (_excluded) and map each pick, the
-j-th item of the pool or the ranking outside a profile, to its position with
-one search for the whole batch (_nth_outside), so no request copies the
-catalog. Random draws the batch's picks at once, by Floyd's algorithm over
-keys of (seed, purpose, user, index) from one counter-based stream
+j-th item of phi's ids or of the ranking outside a profile, to its position
+with one search for the whole batch (_nth_outside), so no request copies
+the catalog. Random draws the batch's picks at once, by Floyd's algorithm
+over keys of (seed, purpose, user, index) from one counter-based stream
 (_stream_keys), which is not the one that split the users' ratings. The KNN
 recommenders score blocks of requests, each with one sparse product:
 
@@ -82,7 +82,7 @@ Built models are immutable; recommend calls are thread-safe.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +91,7 @@ from typing import TYPE_CHECKING, TypeVar
 import numpy as np
 
 from popbias.catalog import Ratings
+from popbias.metrics import PhiArray, id_positions
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -270,22 +271,6 @@ def _csr_of_rows(
     return sparse.csr_matrix((vals, cols, indptr), shape=shape)
 
 
-def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's position in the sorted distinct ids (-1 if absent), and whether it is there.
-
-    A lookup is one read of a table over [ids[0], ids[-1]], which assumes
-    dense ids, as PhiArray does: ``evaluate`` refuses ratings whose user or
-    item ids span more than ``metrics.MAX_ID_SPAN``.
-    """
-    positions = np.full(values.shape, -1, dtype=np.int64)
-    if ids.size:
-        table = np.full(int(ids[-1] - ids[0]) + 1, -1, dtype=np.int64)
-        table[ids - ids[0]] = np.arange(ids.size)
-        inside = (values >= ids[0]) & (values <= ids[-1])
-        positions[inside] = table[values[inside] - ids[0]]
-    return positions, positions >= 0
-
-
 def _profile_cells(profiles: Sequence[Ratings], ids: np.ndarray) -> tuple[np.ndarray, ...]:
     """(row, col) of each profile rating whose item is in the sorted ids, and the kept mask.
 
@@ -293,7 +278,7 @@ def _profile_cells(profiles: Sequence[Ratings], ids: np.ndarray) -> tuple[np.nda
     marks the kept ones among all the profiles' ratings, concatenated.
     """
     items = np.concatenate([np.empty(0, np.int64), *(profile.item for profile in profiles)])
-    cols, known = _positions(ids, items)
+    cols, known = id_positions(ids, items)
     rows = np.repeat(np.arange(len(profiles)), [len(profile) for profile in profiles])
     return rows[known], cols[known], known
 
@@ -501,10 +486,12 @@ class BaseRecommender:
 
 
 class RandomRecommender(BaseRecommender):
+    """Uniform draws from a pool, the item ids of the PhiArray it is given."""
+
     name = "random"
 
-    def __init__(self, candidates: Iterable[int], seed: int):
-        self.pool = np.array(sorted(set(candidates)), dtype=np.int64)
+    def __init__(self, phi: PhiArray, seed: int):
+        self.pool = phi.ids
         self.seed = seed
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
@@ -541,7 +528,7 @@ class RandomRecommender(BaseRecommender):
 
 
 class TopPopRecommender(BaseRecommender):
-    """Most popular items outside each profile, by the popularity table it is given.
+    """Most popular items outside each profile, ranked by the PhiArray it is given.
 
     The evaluation passes phi counted over all ratings, held-out test
     ratings included, so the popularity ranking sees the test side.
@@ -549,12 +536,10 @@ class TopPopRecommender(BaseRecommender):
 
     name = "top_pop"
 
-    def __init__(self, phi: Mapping[int, float]):
-        ids = sorted(phi)
-        scores = np.fromiter((phi[item] for item in ids), dtype=float, count=len(ids))
-        positions = np.arange(len(ids))
-        order = _first_k(np.zeros_like(positions), positions, scores, len(ids))
-        self.ids = np.array(ids, dtype=np.int64)
+    def __init__(self, phi: PhiArray):
+        positions = np.arange(phi.ids.size)
+        order = _first_k(np.zeros_like(positions), positions, phi.scores, phi.ids.size)
+        self.ids = phi.ids
         self.ranking = self.ids[order]
         # rank[p] is the place of ids[p] in the ranking.
         self.rank = np.empty_like(order)
@@ -644,7 +629,7 @@ class UserKnnRecommender(BaseRecommender):
         without neighbors gets an empty slate.
         """
         users = np.array([request.user for request in requests], dtype=np.int64)
-        positions, known = _positions(self.matrix.users, users)
+        positions, known = id_positions(self.matrix.users, users)
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
         profiles = [request.profile for request in requests]

@@ -32,7 +32,13 @@ from popbias.catalog import (
     read_ratings_file,
 )
 from popbias.evaluation import FoldSpec, UserSplit, make_folds
+from popbias.metrics import PhiArray
 from popbias.recommenders import RatingMatrix
+
+
+def counts_of(phi):
+    """A PhiArray as a dict from item id to score, in id order."""
+    return dict(zip(phi.ids.tolist(), phi.scores.tolist()))
 
 
 class TestParseMovies:
@@ -73,7 +79,8 @@ class TestParseMovies:
     @pytest.mark.parametrize(
         ("raw_id", "reason"),
         [
-            ("-1", "movie id is negative"),
+            ("-1", "movie id has a minus sign"),
+            ("-0", "movie id has a minus sign"),
             (str(2**63), "movie id outside the 64-bit range"),
             # int() reads these Python spellings; an id is ASCII digits only.
             ("1_0", "movie id is not an integer"),
@@ -111,9 +118,12 @@ class TestParseRatings:
     @pytest.mark.parametrize(
         ("line", "reason"),
         [
-            ("-3::2::4::100", "user id is negative"),
-            ("3::-2::4::100", "movie id is negative"),
-            ("3::2::4::-100", "timestamp is negative"),
+            ("-3::2::4::100", "user id has a minus sign"),
+            ("3::-2::4::100", "movie id has a minus sign"),
+            ("3::2::4::-100", "timestamp has a minus sign"),
+            ("-0::2::4::100", "user id has a minus sign"),
+            ("3::-0::4::100", "movie id has a minus sign"),
+            ("3::2::4::-0", "timestamp has a minus sign"),
             ("9223372036854775808::2::4::100", "user id outside the 64-bit range"),
             ("3::2::4::9223372036854775808", "timestamp outside the 64-bit range"),
             # int() and float() read these Python spellings; a field is ASCII without '_'.
@@ -144,7 +154,7 @@ class TestParseRatings:
         )
         table, issues = read_ratings_file(path)
         assert len(issues) == 36
-        assert {issue.reason for issue in issues} == {"user id is negative"}
+        assert {issue.reason for issue in issues} == {"user id has a minus sign"}
         plan = make_folds(table, FoldSpec(fold_count=2, users_per_fold=15))
         assert sorted(s.user for fold in plan.folds for s in fold) == list(range(30))
 
@@ -583,7 +593,7 @@ def test_duplicate_ratings_are_counted_and_the_later_one_is_kept(tmp_path):
         encoding="utf-8",
     )
     ratings, _ = read_ratings_file(path)
-    assert compute_popularity(ratings) == {4: 1, 5: 3, 6: 3, 9: 1}
+    assert counts_of(compute_popularity(ratings)) == {4: 1, 5: 3, 6: 3, 9: 1}
     matrix = RatingMatrix.from_interactions(ratings)
     dense = dict(zip(matrix.items.tolist(), matrix.csr.toarray()[0].tolist()))
     assert dense == {4: 1.0, 5: 4.0, 6: 5.0, 9: 3.0}
@@ -609,11 +619,11 @@ class TestComputePopularity:
             [f"{u}::7::4::1" for u in range(3)] + ["9::9::3::1"]
         )
         phi = compute_popularity(Ratings.of(interactions))
-        assert dict(phi) == {7: 3, 9: 1}
+        assert counts_of(phi) == {7: 3, 9: 1}
 
     def test_single_interaction(self):
         phi = compute_popularity(Ratings.of([Interaction(1, 5, 4.0, 0)]))
-        assert dict(phi) == {5: 1}
+        assert counts_of(phi) == {5: 1}
 
     def test_duplicate_user_item_pairs_both_counted(self):
         # Oracle: brute-force group-by over the raw lines.
@@ -623,7 +633,7 @@ class TestComputePopularity:
         for line in lines:
             item = int(line.split("::")[1])
             expected[item] = expected.get(item, 0) + 1
-        assert dict(compute_popularity(Ratings.of(interactions))) == expected
+        assert counts_of(compute_popularity(Ratings.of(interactions))) == expected
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no interactions"):
@@ -636,7 +646,32 @@ class TestComputePopularity:
     )
     def test_total_equals_interaction_count(self, pairs):
         interactions = [Interaction(u, i, 3.0, 0) for u, i in pairs]
-        assert sum(compute_popularity(Ratings.of(interactions)).values()) == len(interactions)
+        assert sum(compute_popularity(Ratings.of(interactions)).scores) == len(interactions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 60)), min_size=1, max_size=80
+        ),
+        probes=st.lists(st.integers(-5, 70), max_size=20),
+    )
+    def test_equals_a_counter_of_the_items_in_id_order(self, pairs, probes):
+        # Repeated (user, item) pairs and items in no sorted order.
+        interactions = [Interaction(u, i, 3.0, t) for t, (u, i) in enumerate(pairs)]
+        phi = compute_popularity(Ratings.of(interactions))
+        counter = Counter(item for _, item in pairs)
+        assert phi.ids.tolist() == sorted(counter)
+        assert phi.scores.tolist() == [counter[item] for item in sorted(counter)]
+        built = PhiArray.of(counter)
+        np.testing.assert_array_equal(built.ids, phi.ids)
+        np.testing.assert_array_equal(built.scores, phi.scores)
+        # Probes fall below, between and above the rated ids.
+        items = np.array(probes + sorted(counter), dtype=np.int64)
+        expected = [float(counter[item]) if item in counter else math.nan for item in items]
+        np.testing.assert_array_equal(phi.lookup(items), expected)
+        np.testing.assert_array_equal(built.lookup(items), expected)
+        empty = PhiArray.of({}).lookup(items)
+        assert empty.shape == items.shape and np.isnan(empty).all()
 
 
 class TestNormalizeTitle:
@@ -1100,5 +1135,5 @@ def test_popularity_scores_at_least_one(toy_files):
     _, ratings_path = toy_files
     interactions, _ = read_ratings_file(ratings_path)
     phi = compute_popularity(interactions)
-    assert all(v >= 1 for v in phi.values())
-    assert math.isclose(sum(phi.values()), len(interactions))
+    assert all(v >= 1 for v in phi.scores)
+    assert math.isclose(sum(phi.scores), len(interactions))

@@ -143,7 +143,8 @@ def _write_variant_fixtures(movies, ratings, fixtures, spec):
     by_id = {e.item: e for e in read_movies_file(movies)[0]}
     table = read_ratings_file(ratings)[0]
     phi = compute_popularity(table)
-    ranked = sorted(phi, key=lambda item: (-phi[item], item))
+    counts = dict(zip(phi.ids.tolist(), phi.scores.tolist()))
+    ranked = sorted(counts, key=lambda item: (-counts[item], item))
     third = len(ranked) // 3
     pools = {
         PromptVariant.BASE: ranked,
@@ -725,7 +726,7 @@ def test_fit_notes_the_malformed_lines_it_leaves_out(small_corpus, tmp_path):
     assert clean.stderr == ""
     assert result.stderr == (
         f"note: {broken}: 1 malformed line(s) left out, "
-        "the first at line 5: user id is negative ('-7::3::4::100')\n"
+        "the first at line 5: user id has a minus sign ('-7::3::4::100')\n"
     )
 
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,12 @@ def test_unknown_inputs_rejected():
         check_desideratum("log_pop_diff", "nope")
     with pytest.raises(ValueError, match="unknown metric"):
         desiderata_grid(metric_ids=["log_pop_diff", "nope"])
+    # An unhashable id is unknown too, and the message lists the known ids.
+    known = re.escape("(known: avg_pop_lift, gini_diff, herfindahl_diff, log_pop_diff, pru)")
+    with pytest.raises(ValueError, match=rf"^unknown metric \['log_pop_diff'\] {known}$"):
+        check_desideratum(["log_pop_diff"], "monotonic")
+    with pytest.raises(ValueError, match=rf"^unknown metric \['x'\] {known}$"):
+        desiderata_grid([["x"]])
 
 
 def test_custom_fixture_single_item_lift():

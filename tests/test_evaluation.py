@@ -257,7 +257,7 @@ def test_a_baselines_short_and_empty_slates_count_their_unfilled_slots():
     phi = {item: float(item) for item in range(1, 6)}
     fold = _fold_of((1, (1, 2), (3,)), (2, (1, 2, 3, 4, 5), (6,)))
     inputs = FoldInputs.of(fold, PhiArray.of(phi), ["log_pop_diff"])
-    for rec in (RandomRecommender(phi, seed=0), TopPopRecommender(phi)):
+    for rec in (RandomRecommender(PhiArray.of(phi), seed=0), TopPopRecommender(PhiArray.of(phi))):
         table = evaluate_recommender(rec, inputs, 10)
         np.testing.assert_array_equal(table["unmatched"], [7, 10], err_msg=rec.name)
 

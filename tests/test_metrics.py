@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from popbias import metrics
 from popbias.metrics import (
+    MAX_ID_SPAN,
     METRICS,
     PhiArray,
     Profiles,
@@ -245,6 +247,22 @@ def test_module_table_names_each_records_functions():
     for m in METRICS.values():
         row = (m.id, m.transform.__name__, m.aggregate.__name__, m.compare.__name__)
         assert re.search(r"^" + r"\s+".join(row) + r"\s*$", metrics.__doc__, re.M), row
+
+
+def test_an_id_span_past_max_id_span_is_refused_before_its_table_is_made():
+    # Ids 0 and 2**24 span MAX_ID_SPAN + 1 values.
+    phi = PhiArray.of({0: 1.0, 2**24: 1.0})
+    match = f"^ids span more than {MAX_ID_SPAN} values \\(largest {2**24}\\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            phi.lookup(np.array([0]))
+        with pytest.raises(ValueError, match=match):
+            metrics.id_positions(phi.ids, np.array([0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_unknown_metric_rejected():

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from popbias import recommenders
+from popbias import metrics, recommenders
 from popbias.catalog import Interaction, Ratings
+from popbias.metrics import PhiArray
 from popbias.recommenders import (
     SCORE_BLOCK,
     SCORE_SNAP_BITS,
@@ -161,14 +162,19 @@ def watched(user, items):
     return request_for(user, [(i, 3.0) for i in sorted(items)])
 
 
+def pool_of(candidates):
+    """The PhiArray of candidate items, each scored 1: a random recommender's pool."""
+    return PhiArray.of(dict.fromkeys(candidates, 1.0))
+
+
 def random_slate(candidates, exclude, k, seed, user=0):
     """The random slate of one request whose profile is exclude."""
-    return RandomRecommender(candidates, seed).slates([watched(user, exclude)], k)[0]
+    return RandomRecommender(pool_of(candidates), seed).slates([watched(user, exclude)], k)[0]
 
 
 def top_pop_slate(phi, exclude, k):
     """The top-pop slate of one request whose profile is exclude."""
-    return TopPopRecommender(phi).slates([watched(0, exclude)], k)[0]
+    return TopPopRecommender(PhiArray.of(phi)).slates([watched(0, exclude)], k)[0]
 
 
 def item_knn_slate(model, profile, k):
@@ -222,7 +228,7 @@ class TestRandom:
 
     def test_pinned_draw(self):
         # Any change to the per-user draw stream shows here.
-        rec = RandomRecommender(range(100), seed=11)
+        rec = RandomRecommender(pool_of(range(100)), seed=11)
         assert rec.slates([watched(7, {3, 50, 99})], 5)[0].entries == (87, 47, 38, 39, 31)
 
 
@@ -348,7 +354,7 @@ def test_random_slates_are_uniform_over_ordered_slates(pool, exclude, k):
 
     users = 12_000
     requests = [watched(user, exclude) for user in range(users)]
-    slates = RandomRecommender(pool, seed=29).slates(requests, k)
+    slates = RandomRecommender(pool_of(pool), seed=29).slates(requests, k)
     counts = {}
     for slate in slates:
         counts[slate.entries] = counts.get(slate.entries, 0) + 1
@@ -378,7 +384,7 @@ def test_random_slates_are_independent_of_the_split_stream():
     # replacement, matches no user's random slate.
     seed, pool = 7, np.arange(1990)
     requests = [watched(user, set()) for user in range(200)]
-    for request, slate in zip(requests, RandomRecommender(pool, seed).slates(requests, 10)):
+    for request, slate in zip(requests, RandomRecommender(pool_of(pool), seed).slates(requests, 10)):
         shared = np.random.default_rng([seed, request.user]).choice(pool.size, 10, replace=False)
         assert slate.entries != tuple(pool[shared].tolist())
     # A user with 2 ratings and train_fraction 0.5 trains on one of them and
@@ -386,7 +392,8 @@ def test_random_slates_are_independent_of_the_split_stream():
     # chi-squared test of independence at the 1 - 1e-4 quantile.
     users = 4_000
     requests = [watched(user, set()) for user in range(users)]
-    picks = [slate.entries[0] for slate in RandomRecommender([0, 1], seed).slates(requests, 1)]
+    rec = RandomRecommender(pool_of([0, 1]), seed)
+    picks = [slate.entries[0] for slate in rec.slates(requests, 1)]
     trains = [int(split_user_ratings(user, 2, 0.5, seed)[0][0]) for user in range(users)]
     table = np.zeros((2, 2))
     np.add.at(table, (trains, picks), 1)
@@ -402,7 +409,7 @@ def test_random_slates_are_independent_of_the_split_stream():
 def test_positions_match_the_searchsorted_form(ids, values):
     ids = np.array(sorted(ids), dtype=np.int64)
     values = np.array(values, dtype=np.int64)
-    positions, found = recommenders._positions(ids, values)
+    positions, found = metrics.id_positions(ids, values)
     expected = np.searchsorted(ids, values)
     expected_found = expected < ids.size
     expected_found[expected_found] = ids[expected[expected_found]] == values[expected_found]
@@ -416,7 +423,7 @@ def test_positions_match_the_searchsorted_form(ids, values):
 def test_top_pop_slates_match_the_isin_form(ids, k, data):
     candidates, exclude = ids
     phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in sorted(candidates)}
-    ranking = TopPopRecommender(phi).ranking
+    ranking = TopPopRecommender(PhiArray.of(phi)).ranking
     assert top_pop_slate(phi, exclude, k).entries == _isin_top_pop_slate(ranking, exclude, k)
 
 
@@ -433,7 +440,7 @@ def test_random_batches_match_the_isin_form_per_request(data, k, seed):
     pool = sorted(data.draw(st.sets(st.integers(0, 40), max_size=30)))
     profiles = data.draw(_batch_profiles(pool))
     requests = [request_for(user, [(i, 3.0) for i in p]) for user, p in enumerate(profiles)]
-    got = [slate.entries for slate in RandomRecommender(pool, seed).slates(requests, k)]
+    got = [slate.entries for slate in RandomRecommender(pool_of(pool), seed).slates(requests, k)]
     expected = [
         _floyd_random_slate(np.array(pool, dtype=np.int64), p, seed, user, k)
         for user, p in enumerate(profiles)
@@ -448,7 +455,7 @@ def test_top_pop_batches_match_the_isin_form_per_request(data, k):
     phi = {item: data.draw(st.sampled_from([1.0, 2.0, 2.5, 7.0])) for item in pool}
     profiles = data.draw(_batch_profiles(pool))
     requests = [request_for(user, [(i, 3.0) for i in p]) for user, p in enumerate(profiles)]
-    rec = TopPopRecommender(phi)
+    rec = TopPopRecommender(PhiArray.of(phi))
     got = [slate.entries for slate in rec.slates(requests, k)]
     assert got == [_isin_top_pop_slate(rec.ranking, p, k) for p in profiles]
 
@@ -959,8 +966,8 @@ def test_batches_larger_than_one_block_match_single_requests_in_any_order():
     ]
     assert len(requests) > SCORE_BLOCK
     for rec in (
-        RandomRecommender(phi.keys(), seed=3),
-        TopPopRecommender(phi),
+        RandomRecommender(PhiArray.of(phi), seed=3),
+        TopPopRecommender(PhiArray.of(phi)),
         ItemKnnRecommender(build_item_knn(matrix, 5)),
         UserKnnRecommender(build_user_knn(matrix, 5), matrix),
     ):
@@ -985,8 +992,8 @@ class TestAdapters:
         train = Ratings.of(Interaction(1, i, r, 0) for (u, i), r in ratings.items() if u == 1)
         request = RecRequest(user=1, profile=train)
         for rec in (
-            RandomRecommender(phi.keys(), seed=4),
-            TopPopRecommender(phi),
+            RandomRecommender(PhiArray.of(phi), seed=4),
+            TopPopRecommender(PhiArray.of(phi)),
             ItemKnnRecommender(build_item_knn(matrix, 30)),
             UserKnnRecommender(build_user_knn(matrix, 30), matrix),
         ):
@@ -994,8 +1001,7 @@ class TestAdapters:
             assert not set(result.slate.entries) & request.exclude
 
     def test_random_adapter_user_seed_independent_of_order(self):
-        phi = {i: 1.0 for i in range(50)}
-        rec = RandomRecommender(phi.keys(), seed=11)
+        rec = RandomRecommender(pool_of(range(50)), seed=11)
         req_a = RecRequest(user=7, profile=Ratings.of(()))
         req_b = RecRequest(user=8, profile=Ratings.of(()))
         ab = rec.recommend_batch([req_a, req_b], 5)

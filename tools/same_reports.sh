@@ -4,13 +4,17 @@
 #   tools/same_reports.sh BASE_REF
 #
 # Run it from a checkout in which perfbench/run.py has written its configs
-# and their inputs under .perfbench_work/. For every config
-# .perfbench_work/config/*.json it runs `popbias evaluate` from a temporary
-# git worktree of BASE_REF and from this tree, both from the root of this
-# checkout, and compares report.csv, report.md and manifest.json byte for
-# byte. Then each side runs `popbias correlate --out` over all of its
+# and their inputs under .perfbench_work/. BASE_REF's src/ is unpacked with
+# `git archive` into a temporary directory, so nothing is written under
+# .git. For every config .perfbench_work/config/*.json it runs `popbias
+# evaluate` from BASE_REF's src/ and from this tree's, both from the root of
+# this checkout, and compares report.csv, report.md and manifest.json byte
+# for byte. Then each side runs `popbias correlate --out` over all of its
 # report.csv files, in config order, and the two correlations.csv files are
-# compared the same way. For each file that differs it prints one line, for
+# compared the same way. Last, for every corpus the configs name, each side
+# runs `popbias ingest --out .` and `popbias fit --ratings` from its own
+# output directory, and their popularity.csv, ingest_summary.json and
+# stdouts are compared. For each file that differs it prints one line, for
 # report.csv a second one naming the rows that differ (`rows: random`), then
 # the first 40 lines of `diff -u` of the two copies, and it exits 1 if any
 # file differs.
@@ -27,14 +31,11 @@ if (( ${#configs[@]} == 0 )); then
 fi
 
 work=$(mktemp -d)
-cleanup() {
-  git worktree remove --force "$work/tree" >/dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$work/tree" "$base"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git archive "$base" src | tar -x -C "$work/base"
 
-src_of() { if [[ $1 == base ]]; then echo "$work/tree/src"; else echo "$root/src"; fi; }
+src_of() { if [[ $1 == base ]]; then echo "$work/base/src"; else echo "$root/src"; fi; }
 
 # Report that the two sides' copies of $2, a path under $work/out/<side>/,
 # differ (labelled $1), and mark the run failed.
@@ -51,8 +52,21 @@ differs() {
   status=1
 }
 
+# Compare each named file of the two sides' directory $2 (labelled $1).
+compare() {
+  local label=$1 dir=$2 file
+  shift 2
+  for file in "$@"; do
+    if ! cmp -s "$work/out/base/$dir/$file" "$work/out/head/$dir/$file"; then
+      differs "$label: $file" "$dir/$file"
+    fi
+  done
+}
+
 status=0
 reports=()
+corpora=()  # each "movies<TAB>ratings" pair the configs name, once
+declare -A named=()
 for cfg in "${configs[@]}"; do
   name=$(basename "$cfg" .json)
   reports+=("$name/report.csv")
@@ -60,11 +74,13 @@ for cfg in "${configs[@]}"; do
     PYTHONPATH=$(src_of "$side") python3 -m popbias.cli evaluate --config "$cfg" \
       --out "$work/out/$side/$name" >/dev/null
   done
-  for file in report.csv report.md manifest.json; do
-    if ! cmp -s "$work/out/base/$name/$file" "$work/out/head/$name/$file"; then
-      differs "$name: $file" "$name/$file"
-    fi
-  done
+  compare "$name" "$name" report.csv report.md manifest.json
+  corpus=$(python3 -c 'import json, sys; d = json.load(open(sys.argv[1]))["data"]
+print(d["movies"] + "\t" + d["ratings"])' "$cfg")
+  if [[ -z ${named[$corpus]-} ]]; then
+    named[$corpus]=1
+    corpora+=("$corpus")
+  fi
 done
 # Run from each side's output directory, so that an error names the same
 # relative paths on both sides; a side that fails compares by its message.
@@ -77,7 +93,24 @@ done
 if ! cmp -s "$work/out/base/correlations.csv" "$work/out/head/correlations.csv"; then
   differs correlations.csv correlations.csv
 fi
+n=0
+for corpus in "${corpora[@]}"; do
+  movies=${corpus%%$'\t'*} ratings=${corpus#*$'\t'}
+  [[ $movies == /* ]] || movies=$root/$movies
+  [[ $ratings == /* ]] || ratings=$root/$ratings
+  dir=corpus-$((n += 1))
+  for side in base head; do
+    mkdir -p "$work/out/$side/$dir"
+    ( cd "$work/out/$side/$dir" \
+      && export PYTHONPATH=$(src_of "$side") \
+      && python3 -m popbias.cli ingest --movies "$movies" --ratings "$ratings" --out . \
+           >ingest.txt \
+      && python3 -m popbias.cli fit --ratings "$ratings" >fit.txt )
+  done
+  compare "${corpus#*$'\t'}" "$dir" popularity.csv ingest_summary.json ingest.txt fit.txt
+done
 if (( status == 0 )); then
-  echo "${#configs[@]} configs: report.csv, report.md, manifest.json and correlations.csv match $base"
+  echo "${#configs[@]} configs: report.csv, report.md, manifest.json and" \
+    "correlations.csv match $base; ${#corpora[@]} corpora: ingest and fit outputs match"
 fi
 exit "$status"
