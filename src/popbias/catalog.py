@@ -50,6 +50,7 @@ from __future__ import annotations
 import re
 import unicodedata
 import warnings
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -404,7 +405,8 @@ def normalize_title(title: str) -> str:
     Lowercases, strips diacritics, rotates a trailing ", The"/", A"/", An"
     to the front and drops it together with any leading article, removes
     punctuation, and collapses whitespace. A blank or punctuation-only title
-    gives "".
+    gives "". The result holds only ``a-z``, ``0-9`` and single spaces between
+    words, which ``TitleIndex``'s count table relies on.
     """
     text = title.strip().lower()
     # ASCII text is its own NFKD form and holds no combining mark.
@@ -481,9 +483,13 @@ class TitleIndex:
     resolve to it.
 
     ``build`` lays the catalog out once in (year, insertion) order: the
-    normalized titles and their items, an ``int64`` year array, the title
-    lengths and a small integer matrix of character counts (titles × the
-    catalog's alphabet). A year window is then one contiguous slice.
+    normalized titles and their items, the title lengths and a small integer
+    matrix of character counts (titles × the catalog's alphabet). A year
+    window is then one contiguous slice, and a dict maps every query year
+    ``y >= 1`` whose window ``[max(y - 1, 1), y + 1]`` holds a title to that
+    slice. Normalized titles hold only ``a-z``, ``0-9`` and spaces, so one
+    256-byte table maps each ASCII code point to its count column, and every
+    other character, through ``?``, to a last, all-zero sentinel column.
 
     The fuzzy stage bounds every window candidate from below by its bag
     distance to the query (Bartolini, Ciaccia and Patella, SPIRE 2002):
@@ -505,9 +511,9 @@ class TitleIndex:
     _exact: dict[tuple[str, int], list[int]]
     _titles: tuple[str, ...]
     _items: tuple[int, ...]
-    _years: np.ndarray
+    _windows: dict[int, tuple[int, int]]
     _lengths: np.ndarray
-    _alphabet: np.ndarray
+    _columns: bytes
     _counts: np.ndarray
 
     @classmethod
@@ -520,24 +526,28 @@ class TitleIndex:
                 continue
             exact.setdefault((title, entry.year), []).append(entry.item)
             keys.append((title, entry.year, entry.item))
-        years = np.array([year for _, year, _ in keys], dtype=np.int64)
-        order = np.argsort(years, kind="stable").tolist()
-        titles = tuple(keys[i][0] for i in order)
+        keys.sort(key=lambda key: key[1])
+        titles = tuple(title for title, _, _ in keys)
+        years = [year for _, year, _ in keys]
+        windows = {}
+        for year in {y + d for y in years for d in (-1, 0, 1) if y + d >= 1}:
+            lo, hi = bisect_left(years, max(year - 1, 1)), bisect_right(years, year + 1)
+            if lo < hi:
+                windows[year] = (lo, hi)
         lengths = np.array([len(t) for t in titles], dtype=np.int64)
-        codes = np.frombuffer("".join(titles).encode("utf-32-le"), dtype="<u4")
-        present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
-        present[codes] = True
-        alphabet = np.flatnonzero(present).astype(np.uint32)
-        columns = (np.cumsum(present, dtype=np.int32) - 1)[codes]
+        codes = np.frombuffer("".join(titles).encode("ascii"), dtype=np.uint8)
+        present = np.bincount(codes, minlength=256) > 0
+        width = int(present.sum()) + 1
+        columns = np.where(present, np.cumsum(present) - 1, width - 1).astype(np.uint8)
         rows = np.repeat(np.arange(len(titles)), lengths)
         counts = np.bincount(
-            rows * len(alphabet) + columns, minlength=len(titles) * len(alphabet)
-        ).reshape(len(titles), len(alphabet))
+            rows * width + columns[codes], minlength=len(titles) * width
+        ).reshape(len(titles), width)
         counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
-        arrays = (years[order], lengths, alphabet, counts)
-        for array in arrays:
+        for array in (lengths, counts):
             array.flags.writeable = False
-        return cls(exact, titles, tuple(keys[i][2] for i in order), *arrays)
+        items = tuple(item for _, _, item in keys)
+        return cls(exact, titles, items, windows, lengths, columns.tobytes(), counts)
 
     def resolve(self, title: str, year: int) -> int | None:
         """Resolve a free-text title to an item id, or None when unmatched."""
@@ -552,16 +562,17 @@ class TitleIndex:
             return None
 
         # Year-0 entries carry no usable year and stay out of the fuzzy stage.
-        if year <= 0:
+        window = self._windows.get(year)
+        if window is None:
             return None
-        lo = int(np.searchsorted(self._years, max(year - 1, 1), "left"))
-        hi = int(np.searchsorted(self._years, year + 1, "right"))
+        lo, hi = window
         bound = self._bag_bounds(title, lo, hi)
-        candidates = np.flatnonzero(bound <= MAX_EDIT_DISTANCE)
-        candidates = candidates[np.argsort(bound[candidates], kind="stable")]
+        close = (bound <= MAX_EDIT_DISTANCE).nonzero()[0]
+        if not close.size:
+            return None
         best_distance = MAX_EDIT_DISTANCE + 1
         best_items: list[int] = []
-        for b, i in zip(bound[candidates].tolist(), (lo + candidates).tolist()):
+        for b, i in sorted(zip(bound[close].tolist(), (lo + close).tolist())):
             if b > best_distance:
                 break
             d = levenshtein(title, self._titles[i])
@@ -579,10 +590,9 @@ class TitleIndex:
 
         Characters outside the catalog's alphabet are shared with no title.
         """
-        query = np.frombuffer(title.encode("utf-32-le"), dtype="<u4")
-        columns = np.searchsorted(self._alphabet, query)
-        known = columns < len(self._alphabet)
-        known[known] = self._alphabet[columns[known]] == query[known]
-        query_counts = np.bincount(columns[known], minlength=len(self._alphabet))
+        query = title.encode("ascii", "replace").translate(self._columns)
+        query_counts = np.bincount(
+            np.frombuffer(query, dtype=np.uint8), minlength=self._counts.shape[1]
+        )
         shared = np.minimum(self._counts[lo:hi], query_counts).sum(axis=1)
         return np.maximum(self._lengths[lo:hi], len(title)) - shared

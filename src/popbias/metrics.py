@@ -37,9 +37,10 @@ on its own, so a batch gives the same bits as one profile at a time.
 Nothing may pad a row or reorder the items within one: either changes the
 summation order and with it the last bits of the result.
 
-Every id lookup, ``PhiArray.lookup``'s and the recommenders', reads the
-dense table of ``id_positions``, one slot per id in the ids' span, and
-``check_id_span`` refuses a span past ``MAX_ID_SPAN`` before any is made.
+Every id lookup, ``PhiArray.lookup``'s and the recommenders', reads a
+dense table of one slot per id in the ids' span, and ``check_id_span``
+refuses a span past ``MAX_ID_SPAN`` before any is made. A ``PhiArray``
+builds its table once, on its first lookup.
 
 A row is undefined, and its value NaN, where
 
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import ClassVar
 
@@ -86,7 +88,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profiles:
     """A batch of item profiles: row i is ``items[offsets[i]:offsets[i + 1]]``.
 
@@ -132,20 +134,31 @@ def check_id_span(ids: np.ndarray) -> None:
         raise ValueError(f"ids span more than {MAX_ID_SPAN} values (largest {ids.max()})")
 
 
-def id_positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's position among sorted distinct ids (-1 if absent), and whether it is there.
+def _id_table(ids: np.ndarray) -> tuple[int, np.ndarray]:
+    """The first of sorted distinct ids, and each id's position in a dense table.
 
-    One dense table holds them: a slot per id in [ids[0], ids[-1]], -1 for
-    a non-id, and a last -1 slot that the values outside the span read. Ids
+    The table has a slot per id in [ids[0], ids[-1]], -1 for a non-id, and a
+    last -1 slot that the values outside the span read (see ``_slots``). Ids
     that ``check_id_span`` refuses are refused before the table is made.
     """
     check_id_span(ids)
     first = int(ids[0]) if ids.size else 0
     table = np.full(int(ids[-1]) - first + 2 if ids.size else 1, -1, dtype=np.int64)
     table[ids - first] = np.arange(ids.size)
+    return first, table
+
+
+def _slots(first: int, table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's slot in an ``_id_table`` table that starts at ``first``; -1 outside it."""
     offsets = values - first
     offsets[(offsets < 0) | (offsets >= table.size)] = -1
-    positions = table[offsets]
+    return offsets
+
+
+def id_positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position among sorted distinct ids (-1 if absent), and whether it is there."""
+    first, table = _id_table(ids)
+    positions = table[_slots(first, table, values)]
     return positions, positions >= 0
 
 
@@ -162,10 +175,22 @@ class PhiArray:
         ids = sorted(phi)
         return cls(np.array(ids, dtype=np.int64), np.array([phi[a] for a in ids], dtype=float))
 
+    @cached_property
+    def _score_table(self) -> tuple[int, np.ndarray]:
+        """The ``_id_table`` of the ids with each slot holding its id's score, NaN for a non-id.
+
+        Built on the first lookup, read-only.
+        """
+        first, table = _id_table(self.ids)
+        # Position -1, a non-id, reads the NaN after the last score.
+        scores = np.append(self.scores, np.nan)[table]
+        scores.flags.writeable = False
+        return first, scores
+
     def lookup(self, items: np.ndarray) -> np.ndarray:
         """The score of every item, NaN where the item is missing from phi."""
-        # Position -1, an item missing from phi, reads the NaN after the last score.
-        return np.append(self.scores, np.nan)[id_positions(self.ids, items)[0]]
+        first, table = self._score_table
+        return table[_slots(first, table, items)]
 
 
 def _rows(scores: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -281,7 +306,8 @@ class Metric:
         scores = phi.lookup(p.items)
         lengths = p.lengths
         out = np.full(len(p), np.nan)
-        for n in np.unique(lengths[lengths > 0]):
+        # Not np.unique: on numpy 2 it imports numpy.ma, which nothing else here needs.
+        for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
             rows = np.flatnonzero(lengths == n)
             block = scores[p.offsets[rows, None] + np.arange(n)]
             out[rows] = self.aggregate(self.transform(block))

@@ -700,6 +700,20 @@ class TestNormalizeTitle:
         assert normalize_title(key) == key
 
 
+# Unicode spaces, the ASCII separators \x1c-\x1f that str.split treats as
+# whitespace, combining marks and letters outside Latin.
+_ODD_TEXT = " \t\n\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000e\u0301\u0308Ab9,\u00df\u0130\u65e5\u0416"
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), st.text(alphabet=_ODD_TEXT)))
+@example("\x1cThe\u2003Matrix\x1f, The\u3000")
+@example("A \u65e5 An")
+def test_normalize_title_keeps_only_ascii_letters_digits_and_single_spaces(title):
+    # TitleIndex counts characters in a table indexed by ASCII code point.
+    assert re.fullmatch(r"(?:[a-z0-9]+(?: [a-z0-9]+)*)?", normalize_title(title))
+
+
 def _nfkd_normalize_title(title: str) -> str:
     """normalize_title with the NFKD pass run on every title, ASCII or not."""
     text = unicodedata.normalize("NFKD", title.strip().lower())
@@ -935,6 +949,16 @@ def test_bag_bound_never_exceeds_edit_distance(titles, query):
         assert bound <= _reference_levenshtein(query, key)
 
 
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 1990, 1992, 1995)), min_size=1, max_size=8))
+def test_window_map_holds_every_year_whose_window_holds_a_title(years):
+    index = TitleIndex.build(CatalogEntry(item, "Up", year) for item, year in enumerate(years, 1))
+    layout = sorted(years)
+    for year in [*range(-1, 6), *range(1988, 1998)]:
+        window = [i for i, y in enumerate(layout) if max(year - 1, 1) <= y <= year + 1]
+        expected = (window[0], window[-1] + 1) if year >= 1 and window else None
+        assert index._windows.get(year) == expected
+
+
 def _count_levenshtein(monkeypatch) -> list[tuple[str, str]]:
     """Record the (query, title) pairs resolve scores through catalog.levenshtein."""
     calls = []
@@ -1036,8 +1060,9 @@ def test_index_is_read_only_and_shared_by_threads():
         for item in range(1, 41)
     ]
     index = TitleIndex.build(entries)
-    for array in (index._years, index._lengths, index._alphabet, index._counts):
+    for array in (index._lengths, index._counts):
         assert not array.flags.writeable
+    assert isinstance(index._columns, bytes)
     with pytest.raises(dataclasses.FrozenInstanceError):
         index._titles = ()
     queries = [(_typo(e.title, rng, 2), e.year) for e in entries] * 5

@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -263,6 +265,46 @@ def test_an_id_span_past_max_id_span_is_refused_before_its_table_is_made():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_two_lookups_build_one_table_and_read_the_same_scores(monkeypatch):
+    built = []
+
+    def counting(ids):
+        built.append(ids)
+        return table(ids)
+
+    table = metrics._id_table
+    monkeypatch.setattr(metrics, "_id_table", counting)
+    phi = PhiArray.of({3: 2.0, 5: 7.0, 9: 1.0})
+    items = np.array([9, 4, 3, 5, 10, -1, 2**40])
+    first = phi.lookup(items)
+    np.testing.assert_array_equal(first, [1.0, np.nan, 2.0, 7.0, np.nan, np.nan, np.nan])
+    np.testing.assert_array_equal(phi.lookup(items), first)
+    assert len(built) == 1
+    assert not phi._score_table[1].flags.writeable
+
+
+def test_threads_share_a_phi_whose_table_is_built_on_first_lookup():
+    phi = PhiArray.of({item: float(item % 7 + 1) for item in range(0, 3000, 3)})
+    items = np.arange(-5, 3005)
+    expected = PhiArray.of(dict(zip(phi.ids.tolist(), phi.scores.tolist()))).lookup(items)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [pool.submit(phi.lookup, items) for _ in range(32)]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        np.testing.assert_array_equal(result, expected)
+
+
+def test_profiles_compare_by_identity():
+    batch = Profiles.of([(1, 2)])
+    assert batch == batch
+    assert batch != Profiles.of([(1, 2)])
 
 
 def test_unknown_metric_rejected():

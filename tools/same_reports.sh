@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Check that this tree writes the same reports as another commit.
 #
-#   tools/same_reports.sh BASE_REF
+#   tools/same_reports.sh BASE_REF [CONFIG...]
 #
 # Run it from a checkout in which perfbench/run.py has written its configs
 # and their inputs under .perfbench_work/. BASE_REF's src/ is unpacked with
 # `git archive` into a temporary directory, so nothing is written under
-# .git. For every config .perfbench_work/config/*.json it runs `popbias
-# evaluate` from BASE_REF's src/ and from this tree's, both from the root of
-# this checkout, and compares report.csv, report.md and manifest.json byte
-# for byte. Then each side runs `popbias correlate --out` over all of its
+# .git. For every CONFIG named, or with none for every config
+# .perfbench_work/config/*.json, it runs `popbias evaluate` from BASE_REF's
+# src/ and from this tree's, both from the root of this checkout, and
+# compares report.csv, report.md and manifest.json byte for byte. A config's
+# data paths are read from the root of the checkout, as perfbench/run.py
+# writes them. Then each side runs `popbias correlate --out` over all of its
 # report.csv files, in config order, and the two correlations.csv files are
 # compared the same way. Last, for every corpus the configs name, each side
 # runs `popbias ingest --out .` and `popbias fit --ratings` from its own
@@ -20,11 +22,16 @@
 # file differs.
 set -euo pipefail
 
-base=${1:?usage: tools/same_reports.sh BASE_REF}
+base=${1:?usage: tools/same_reports.sh BASE_REF [CONFIG...]}
+shift
+configs=()
+for cfg in "$@"; do
+  configs+=("$(realpath -e "$cfg")")  # before the cd below
+done
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 shopt -s nullglob
-configs=(.perfbench_work/config/*.json)
+(( ${#configs[@]} )) || configs=(.perfbench_work/config/*.json)
 if (( ${#configs[@]} == 0 )); then
   echo "no configs under .perfbench_work/config/: run perfbench/run.py first" >&2
   exit 2
