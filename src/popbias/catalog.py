@@ -1,9 +1,10 @@
 r"""MovieLens-format ingestion, popularity counting, and title resolution.
 
-Flat-file ingestion only: ``movies.dat`` (``MovieID::Title (Year)::Genres``)
-and ``ratings.dat`` (``UserID::MovieID::Rating::Timestamp``). The parsed
-catalog and title index are immutable after construction and safe to share
-across threads; the popularity counts are a ``PhiArray``, shared read-only.
+Flat-file ingestion only: ``movies.dat`` (``MovieID::Title (Year)::Genres``,
+the genres unread) and ``ratings.dat`` (``UserID::MovieID::Rating::Timestamp``).
+The parsed catalog and title index are immutable after construction and
+safe to share across threads; the popularity counts are a ``PhiArray``,
+shared read-only.
 
 Line rule: a file is decoded as UTF-8, or as latin-1 where that fails, and
 split into lines at ``\n`` only, and every trailing ``\r`` is stripped from
@@ -20,7 +21,9 @@ malformed line as a :class:`ParseIssue` and goes on, strict mode raises
 :class:`ParseError` at the first.
 
 Ratings are read into a :class:`Ratings` table of numpy columns, sorted
-by (user, timestamp, item) unless the file is in that order already.
+by (user, timestamp, item) unless the file is in that order already. Both
+read paths, the line parser and the fast path, collect the rows into one
+record array and end in :meth:`Ratings.from_columns` of its fields.
 ``read_ratings_file`` first tries a fast path of two steps. A pre-check
 reads the file in pieces of about 256 KiB that each end just after a
 ``\n``. It accepts only the bytes ``0-9 : . \r \n``, and a ``\r`` only
@@ -85,6 +88,8 @@ _WS_RE = re.compile(r"\s+")
 
 # The dtypes of the user, item, rating and timestamp columns of a Ratings.
 _DTYPES = (np.int64, np.int64, float, np.int64)
+# A parsed row: the user, item, rating and timestamp fields of one rating line.
+_RECORD = np.dtype(list(zip(("user", "item", "rating", "timestamp"), _DTYPES)))
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Largest edit distance at which a title still fuzzily matches a catalog title.
@@ -112,11 +117,12 @@ class CatalogEntry:
     item: int
     title: str
     year: int
-    genres: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class Interaction:
+    """A row of a :class:`Ratings` table, as ``__iter__`` yields it for perfbench's readers."""
+
     user: int
     item: int
     rating: float
@@ -127,12 +133,12 @@ class Interaction:
 class Ratings:
     """Ratings as four aligned numpy columns, one row per rating.
 
-    A table made by :meth:`from_columns` or returned by ``read_ratings_file``
-    is stable-sorted by (user, timestamp, item): each user's
-    ratings are one contiguous run in watch order, and rows tied on all
-    three keys keep file order. Indexing with a slice or with ascending row
-    positions keeps that order, and gives another table; iterating yields
-    the rows as :class:`Interaction` objects.
+    A table is made by :meth:`from_columns`, which ``parse_ratings`` and
+    ``read_ratings_file`` both end in, and is stable-sorted by (user,
+    timestamp, item): each user's ratings are one contiguous run in watch
+    order, and rows tied on all three keys keep file order. Indexing with a
+    slice or with ascending row positions keeps that order, and gives
+    another table; iterating yields the rows as :class:`Interaction` objects.
     """
 
     user: np.ndarray  # int64
@@ -142,25 +148,27 @@ class Ratings:
 
     @classmethod
     def from_columns(cls, user, item, rating, timestamp) -> "Ratings":
-        """The rows stable-sorted by (user, timestamp, item), as ``_sort_rows`` sorts them.
+        """The table of the given columns' rows, stable-sorted by (user, timestamp, item).
 
-        Rows already in that order come back in the arrays given. The
-        arrays passed in are never written to.
+        Rows already in that order, ties included, come back in the arrays
+        given, converted to the column dtypes. Otherwise each column is
+        replaced by a sorted copy in turn, so a converted column that only
+        this call holds is freed before the next is sorted. The arrays
+        passed in are never written to.
         """
         given = (user, item, rating, timestamp)
         columns = [np.asarray(column, dtype) for column, dtype in zip(given, _DTYPES)]
-        _sort_rows(columns)
+        user, item, rating, timestamp = columns
+        ordered = item[:-1] <= item[1:]
+        for key in (timestamp, user):
+            before, after = key[:-1], key[1:]
+            ordered = (before < after) | ((before == after) & ordered)
+        if not ordered.all():
+            order = np.lexsort((item, timestamp, user))
+            del given, user, item, rating, timestamp, before, after
+            for i in range(len(columns)):
+                columns[i] = columns[i][order]
         return cls(*columns)
-
-    @classmethod
-    def of(cls, interactions: Iterable[Interaction]) -> "Ratings":
-        rows = list(interactions)
-        return cls.from_columns(
-            np.fromiter((it.user for it in rows), np.int64, len(rows)),
-            np.fromiter((it.item for it in rows), np.int64, len(rows)),
-            np.fromiter((it.rating for it in rows), float, len(rows)),
-            np.fromiter((it.timestamp for it in rows), np.int64, len(rows)),
-        )
 
     def __len__(self) -> int:
         return self.user.size
@@ -177,26 +185,6 @@ class Ratings:
             self.rating.tolist(),
             self.timestamp.tolist(),
         )
-
-
-def _sort_rows(columns: list[np.ndarray]) -> None:
-    """Stable-sort the list's user, item, rating and timestamp columns by (user, timestamp, item).
-
-    Rows already in that order stay as they are, ties included, as a stable
-    sort would leave them. Otherwise each column is replaced by a sorted
-    copy in turn, so one that only the list holds is freed before the next.
-    """
-    user, item, _, timestamp = columns
-    ordered = item[:-1] <= item[1:]
-    for key in (timestamp, user):
-        before, after = key[:-1], key[1:]
-        ordered = (before < after) | ((before == after) & ordered)
-    if ordered.all():
-        return
-    order = np.lexsort((item, timestamp, user))
-    del user, item, timestamp, before, after
-    for i in range(len(columns)):
-        columns[i] = columns[i][order]
 
 
 class _BadLine(Exception):
@@ -243,7 +231,7 @@ def _integer(raw: str, field: str) -> int:
     return value
 
 
-def _movie(raw_id: str, raw_title: str, raw_genres: str) -> CatalogEntry:
+def _movie(raw_id: str, raw_title: str, _genres: str) -> CatalogEntry:
     try:
         item = _integer(raw_id, "movie id")
     except ValueError:
@@ -257,8 +245,7 @@ def _movie(raw_id: str, raw_title: str, raw_genres: str) -> CatalogEntry:
         year = 0
     if not title:
         raise _BadLine("empty title")
-    genres = tuple(g for g in (t.strip() for t in raw_genres.split("|")) if g)
-    return CatalogEntry(item=item, title=title, year=year, genres=genres)
+    return CatalogEntry(item=item, title=title, year=year)
 
 
 def parse_movies(
@@ -266,12 +253,15 @@ def parse_movies(
 ) -> tuple[list[CatalogEntry], list[ParseIssue]]:
     """Parse ``MovieID::Title (Year)::Genre1|Genre2`` lines, leniently or strictly.
 
-    Titles without a trailing ``(YYYY)`` are kept with ``year=0``.
+    Titles without a trailing ``(YYYY)`` are kept with ``year=0``. The
+    genres field must be there, but its value is not read.
     """
     return _parse_lines(lines, strict, "movies", 3, _movie)
 
 
-def _interaction(raw_user: str, raw_item: str, raw_rating: str, raw_ts: str) -> Interaction:
+def _interaction(
+    raw_user: str, raw_item: str, raw_rating: str, raw_ts: str
+) -> tuple[int, int, float, int]:
     try:
         user, item = _integer(raw_user, "user id"), _integer(raw_item, "movie id")
         if "_" in raw_rating or not raw_rating.strip().isascii():
@@ -281,18 +271,23 @@ def _interaction(raw_user: str, raw_item: str, raw_rating: str, raw_ts: str) -> 
         raise _BadLine("non-numeric field") from None
     if not 0.5 <= rating <= 5.0:
         raise _BadLine(f"rating {rating} outside [0.5, 5.0]")
-    return Interaction(user=user, item=item, rating=rating, timestamp=timestamp)
+    return user, item, rating, timestamp
 
 
 def parse_ratings(
     lines: Iterable[str], strict: bool = False
-) -> tuple[list[Interaction], list[ParseIssue]]:
+) -> tuple[Ratings, list[ParseIssue]]:
     """Parse ``UserID::MovieID::Rating::Timestamp`` lines, leniently or strictly.
 
     Ratings must fall in [0.5, 5.0], and ids and timestamps must be
     integers in [0, 2**63), which the 64-bit columns of :class:`Ratings` hold.
+    The valid rows are collected into one record array, and the table is
+    :meth:`Ratings.from_columns` of its fields: sorted by (user, timestamp,
+    item), ties in line order, the table ``read_ratings_file`` returns.
     """
-    return _parse_lines(lines, strict, "ratings", 4, _interaction)
+    rows, issues = _parse_lines(lines, strict, "ratings", 4, _interaction)
+    table = np.array(rows, dtype=_RECORD)
+    return Ratings.from_columns(*(table[name] for name in _RECORD.names)), issues
 
 
 def _split_lines(data: bytes) -> list[str]:
@@ -314,8 +309,6 @@ def read_movies_file(
 # The fast path's pre-check reads the file in pieces of about this many bytes, one
 # piece at a time, so its memory does not grow with the file.
 _PIECE_BYTES = 1 << 18
-# A fast-path row: the user, item, rating and timestamp fields of a line split at ':'.
-_RECORD = np.dtype(list(zip(("user", "item", "rating", "timestamp"), _DTYPES)))
 
 
 def _pieces(path: str | Path) -> Iterator[bytes]:
@@ -341,7 +334,7 @@ def _parse_ratings_fast(path: str | Path) -> Ratings | None:
 
     The module docstring says why a table it returns is the line parser's.
     Its columns are views of the one record array ``loadtxt`` returns,
-    unless the sort replaces them with sorted copies.
+    unless :meth:`Ratings.from_columns` replaces them with sorted copies.
     """
     colons = pairs = 0
     for piece in _pieces(path):
@@ -361,9 +354,7 @@ def _parse_ratings_fast(path: str | Path) -> Ratings | None:
     rows = table.size
     if colons != 6 * rows or pairs != 3 * rows or not ((rating >= 0.5) & (rating <= 5.0)).all():
         return None
-    columns = [table[name] for name in _RECORD.names]
-    _sort_rows(columns)
-    return Ratings(*columns)
+    return Ratings.from_columns(*(table[name] for name in _RECORD.names))
 
 
 def read_ratings_file(
@@ -383,8 +374,7 @@ def read_ratings_file(
         ratings = None
     if ratings is not None:
         return ratings, []
-    interactions, issues = parse_ratings(_split_lines(Path(path).read_bytes()), strict=strict)
-    return Ratings.of(interactions), issues
+    return parse_ratings(_split_lines(Path(path).read_bytes()), strict=strict)
 
 
 def compute_popularity(ratings: Ratings) -> PhiArray:

@@ -8,8 +8,8 @@ mean plus/minus one standard error over folds.
 Splits are index arrays into the run's sorted ratings table: a
 ``UserSplit`` holds the ascending rows of one user's training and test
 ratings, so both sides keep watch order, (timestamp, item). Its ``train``
-is that slice of the table; iterating it yields ``Interaction`` rows for
-readers that want one object per rating.
+is that slice of the table. The run reads its columns; iterating it yields
+``Interaction`` rows, which only perfbench's readers still use.
 
 Each (fold, recommender) pair is scored in one batch. A fold's requests,
 held-out items and each metric's column of training-profile statistics

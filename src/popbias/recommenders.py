@@ -506,22 +506,27 @@ class RandomRecommender(BaseRecommender):
         1), j = left - count + i, and takes j instead when that pick is
         taken: every set of picks is equally likely, up to a modulo bias
         below left / 2**64. Sorting the picks by keys k + i makes every
-        order equally likely. A pick j is the j-th pool item outside the
-        profile; one search over the batch maps them all (_nth_outside).
+        order equally likely. The batch runs only as many rounds as its
+        longest slate, and draws only those keys, so its cost does not
+        grow with k past the pool. A pick j is the j-th pool item outside
+        the profile; one search over the batch maps them all (_nth_outside).
         Profile items outside the pool are ignored.
         """
         excluded, available = _excluded(self.pool, requests)
         counts = np.minimum(k, available)
+        rounds = int(counts.max(initial=0))
         users = np.fromiter((request.user for request in requests), np.int64, len(requests))
-        keys = _stream_keys(self.seed, _RANDOM_STREAM, users[:, None], np.arange(2 * k))
-        picks = np.empty((users.size, k), dtype=np.int64)
-        for i in range(k):
+        index = np.concatenate((np.arange(rounds), k + np.arange(rounds)))
+        keys = _stream_keys(self.seed, _RANDOM_STREAM, users[:, None], index)
+        picks = np.empty((users.size, rounds), dtype=np.int64)
+        for i in range(rounds):
             j = available - counts + i
             pick = (keys[:, i] % (j + 1).astype(np.uint64)).astype(np.int64)
             picks[:, i] = np.where((picks[:, :i] == pick[:, None]).any(axis=1), j, pick)
         # Rounds past a request's count take the largest order key, so they sort last.
-        live = np.arange(k) < counts[:, None]
-        order = np.argsort(np.where(live, keys[:, k:], np.uint64(2**64 - 1)), axis=1, kind="stable")
+        live = np.arange(rounds) < counts[:, None]
+        order_keys = np.where(live, keys[:, rounds:], np.uint64(2**64 - 1))
+        order = np.argsort(order_keys, axis=1, kind="stable")
         nth = np.take_along_axis(picks, order, axis=1)[live]
         picked = _nth_outside(excluded, self.pool.size, counts, nth)
         return _split_slates(self.pool[picked], counts)

@@ -10,7 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
-from popbias.catalog import Interaction, Ratings, read_movies_file, read_ratings_file
+from popbias.catalog import Ratings, read_movies_file, read_ratings_file
 from popbias.evaluation import FoldInputs, FoldSpec, make_folds
 from popbias.llm_gateway import build_watch_history
 from popbias.metrics import PhiArray
@@ -79,7 +79,8 @@ def test_split_train_and_parsed_ratings_have_what_the_benchmark_reads(toy_files)
     ratings, issues = read_ratings_file(ratings_path)
     assert len(ratings) == 6 and not issues
 
-    table = Ratings.of(Interaction(u, i, 4.0, 10 * i) for u in range(4) for i in range(12))
+    rows = [(u, i, 4.0, 10 * i) for u in range(4) for i in range(12)]
+    table = Ratings.from_columns(*zip(*rows))
     plan = make_folds(table, FoldSpec(fold_count=2, users_per_fold=2))
     for split in (split for fold in plan.folds for split in fold):
         assert split.train

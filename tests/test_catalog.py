@@ -41,19 +41,18 @@ def counts_of(phi):
     return dict(zip(phi.ids.tolist(), phi.scores.tolist()))
 
 
+def assert_same_table(got, want):
+    """The two Ratings tables hold the same columns: dtypes and bytes."""
+    for name in ("user", "item", "rating", "timestamp"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestParseMovies:
     def test_basic_line(self):
         entries, issues = parse_movies(["1::Toy Story (1995)::Animation|Children"])
         assert not issues
-        assert entries == [
-            CatalogEntry(item=1, title="Toy Story", year=1995, genres=("Animation", "Children"))
-        ]
-
-    def test_single_genre(self):
-        entries, _ = parse_movies(["2::Heat (1995)::Action"])
-        assert entries[0].title == "Heat"
-        assert entries[0].year == 1995
-        assert entries[0].genres == ("Action",)
+        assert entries == [CatalogEntry(item=1, title="Toy Story", year=1995)]
 
     def test_malformed_line_recorded_with_number(self):
         entries, issues = parse_movies(["1::Heat (1995)::Action", "", "3::BadLine"])
@@ -95,13 +94,13 @@ class TestParseMovies:
 
 class TestParseRatings:
     def test_integer_rating(self):
-        interactions, issues = parse_ratings(["1::122::5::838985046"])
+        table, issues = parse_ratings(["1::122::5::838985046"])
         assert not issues
-        assert interactions == [Interaction(user=1, item=122, rating=5.0, timestamp=838985046)]
+        assert list(table) == [Interaction(user=1, item=122, rating=5.0, timestamp=838985046)]
 
     def test_half_star_rating(self):
-        interactions, _ = parse_ratings(["1::185::3.5::838983525"])
-        assert interactions[0].rating == 3.5
+        table, _ = parse_ratings(["1::185::3.5::838983525"])
+        assert table.rating.tolist() == [3.5]
 
     def test_malformed(self):
         _, issues = parse_ratings(["x::y::z"])
@@ -137,10 +136,9 @@ class TestParseRatings:
         ],
     )
     def test_ids_and_timestamps_are_integers_in_the_64_bit_range(self, line, reason):
-        assert parse_ratings(["1::2::3::4", line]) == (
-            [Interaction(1, 2, 3.0, 4)],
-            [ParseIssue(2, line, reason)],
-        )
+        table, issues = parse_ratings(["1::2::3::4", line])
+        assert list(table) == [Interaction(1, 2, 3.0, 4)]
+        assert issues == [ParseIssue(2, line, reason)]
         with pytest.raises(ParseError, match=f"^ratings line 2: {reason}$"):
             parse_ratings(["1::2::3::4", line], strict=True)
 
@@ -212,6 +210,45 @@ def test_a_line_loses_every_trailing_carriage_return(tmp_path):
     table, issues = read_ratings_file(ratings)
     assert tuple(table) == (Interaction(1, 2, 3.0, 4),)
     assert issues == [ParseIssue(2, "x::y", "expected 4 '::'-separated fields")]
+
+
+# A valid rating row (user, item, rating, timestamp) from few keys, so rows tie
+# on (user, timestamp, item) and their ratings tell them apart.
+_ROW = st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(1, 10).map(lambda r: r / 2), st.integers(0, 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        _ROW
+        | st.sampled_from(["x::y::z", "1::2::3", "1::2::5.5::4", "-1::2::3::4", "1::2::x::4"])
+        | st.just(""),
+        max_size=40,
+    )
+)
+def test_parse_ratings_returns_the_valid_rows_as_one_sorted_table(lines):
+    text = ["{}::{}::{}::{}".format(*line) if isinstance(line, tuple) else line for line in lines]
+    rows = [line for line in lines if isinstance(line, tuple)]
+    malformed = [n for n, line in enumerate(lines, 1) if isinstance(line, str) and line]
+
+    table, issues = parse_ratings(text)
+    assert_same_table(table, Ratings.from_columns(*([row[c] for row in rows] for c in range(4))))
+    # sorted() is stable, so rows tied on all three keys stay in line order.
+    by_key = sorted(rows, key=lambda row: (row[0], row[3], row[1]))
+    assert list(table) == [Interaction(*row) for row in by_key]
+    assert [(issue.line_no, issue.line) for issue in issues] == [
+        (n, text[n - 1]) for n in malformed
+    ]
+
+    if malformed:
+        with pytest.raises(ParseError, match=f"^ratings line {malformed[0]}: "):
+            parse_ratings(text, strict=True)
+    else:
+        strict, strict_issues = parse_ratings(text, strict=True)
+        assert_same_table(strict, table)
+        assert not strict_issues
 
 
 def _lines_by_the_line_rule(data: bytes) -> list[str]:
@@ -338,8 +375,7 @@ def test_read_ratings_file_equals_the_line_parser(
 
     expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
     ratings, issues = read_ratings_file(path)
-    by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
-    assert tuple(ratings) == tuple(by_key)
+    assert_same_table(ratings, expected)
     assert issues == expected_issues
 
     try:
@@ -348,7 +384,7 @@ def test_read_ratings_file_equals_the_line_parser(
     except ParseError as exc:
         strict_error = str(exc)
     if strict_error is None:
-        assert tuple(read_ratings_file(path, strict=True)[0]) == tuple(by_key)
+        assert_same_table(read_ratings_file(path, strict=True)[0], expected)
     else:
         with pytest.raises(ParseError) as raised:
             read_ratings_file(path, strict=True)
@@ -388,8 +424,7 @@ def test_read_ratings_file_in_small_pieces_equals_the_line_parser(
     expected, expected_issues = parse_ratings(_lines_by_the_line_rule(data))
     with mock.patch.object(catalog, "_PIECE_BYTES", piece_bytes):
         ratings, issues = read_ratings_file(path)
-    by_key = sorted(expected, key=lambda it: (it.user, it.timestamp, it.item))
-    assert tuple(ratings) == tuple(by_key)
+    assert_same_table(ratings, expected)
     assert issues == expected_issues
 
 
@@ -548,7 +583,7 @@ def test_longer_fields_give_the_line_parsers_table(tmp_path, line):
     ratings, issues = read_ratings_file(path)
     assert not expected_issues
     assert issues == expected_issues
-    assert tuple(ratings) == tuple(sorted(expected, key=lambda it: (it.user, it.timestamp, it.item)))
+    assert_same_table(ratings, expected)
 
 
 def test_an_id_past_64_bits_falls_back_to_the_line_parser(tmp_path, monkeypatch):
@@ -575,12 +610,7 @@ def test_the_synthetic_corpus_is_read_without_the_line_parser(small_corpus, monk
     monkeypatch.setattr(catalog, "parse_ratings", _refuse_the_line_parser)
     ratings, issues = read_ratings_file(path)
     assert not issues
-    reference = Ratings.of(expected)
-    for got, want in zip(
-        (ratings.user, ratings.item, ratings.rating, ratings.timestamp),
-        (reference.user, reference.item, reference.rating, reference.timestamp),
-    ):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_same_table(ratings, expected)
 
 
 def test_duplicate_ratings_are_counted_and_the_later_one_is_kept(tmp_path):
@@ -615,29 +645,27 @@ def test_duplicate_ratings_are_counted_and_the_later_one_is_kept(tmp_path):
 
 class TestComputePopularity:
     def test_counts(self):
-        interactions, _ = parse_ratings(
-            [f"{u}::7::4::1" for u in range(3)] + ["9::9::3::1"]
-        )
-        phi = compute_popularity(Ratings.of(interactions))
+        table, _ = parse_ratings([f"{u}::7::4::1" for u in range(3)] + ["9::9::3::1"])
+        phi = compute_popularity(table)
         assert counts_of(phi) == {7: 3, 9: 1}
 
     def test_single_interaction(self):
-        phi = compute_popularity(Ratings.of([Interaction(1, 5, 4.0, 0)]))
+        phi = compute_popularity(Ratings.from_columns([1], [5], [4.0], [0]))
         assert counts_of(phi) == {5: 1}
 
     def test_duplicate_user_item_pairs_both_counted(self):
         # Oracle: brute-force group-by over the raw lines.
         lines = ["1::5::4::10", "1::5::3::20", "2::5::5::30", "2::6::1::40"]
-        interactions, _ = parse_ratings(lines)
+        table, _ = parse_ratings(lines)
         expected: dict[int, int] = {}
         for line in lines:
             item = int(line.split("::")[1])
             expected[item] = expected.get(item, 0) + 1
-        assert counts_of(compute_popularity(Ratings.of(interactions))) == expected
+        assert counts_of(compute_popularity(table)) == expected
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no interactions"):
-            compute_popularity(Ratings.of([]))
+            compute_popularity(Ratings.from_columns([], [], [], []))
 
     @given(
         st.lists(
@@ -645,8 +673,9 @@ class TestComputePopularity:
         )
     )
     def test_total_equals_interaction_count(self, pairs):
-        interactions = [Interaction(u, i, 3.0, 0) for u, i in pairs]
-        assert sum(compute_popularity(Ratings.of(interactions)).scores) == len(interactions)
+        users, items = zip(*pairs)
+        table = Ratings.from_columns(users, items, [3.0] * len(pairs), [0] * len(pairs))
+        assert sum(compute_popularity(table).scores) == len(pairs)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -657,8 +686,10 @@ class TestComputePopularity:
     )
     def test_equals_a_counter_of_the_items_in_id_order(self, pairs, probes):
         # Repeated (user, item) pairs and items in no sorted order.
-        interactions = [Interaction(u, i, 3.0, t) for t, (u, i) in enumerate(pairs)]
-        phi = compute_popularity(Ratings.of(interactions))
+        users, items = zip(*pairs)
+        phi = compute_popularity(
+            Ratings.from_columns(users, items, [3.0] * len(pairs), range(len(pairs)))
+        )
         counter = Counter(item for _, item in pairs)
         assert phi.ids.tolist() == sorted(counter)
         assert phi.scores.tolist() == [counter[item] for item in sorted(counter)]

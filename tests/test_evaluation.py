@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popbias import evaluation
-from popbias.catalog import Interaction, Ratings
+from popbias.catalog import Ratings
 from popbias.cli import main
 from popbias.evaluation import (
     FoldInputs,
@@ -32,14 +32,13 @@ from popbias.recommenders import BaseRecommender, RandomRecommender, Slate, TopP
 BIAS_METRICS = ("log_pop_diff", "avg_pop_lift", "gini_diff", "herfindahl_diff")
 
 
-def _interactions(n_users=40, per_user=12):
+def _ratings(n_users=40, per_user=12):
     """Every user rates ``per_user`` distinct items at distinct timestamps."""
     rng = random.Random(3)
-    return [
-        Interaction(user, item, 4.0, 1000 * user + t)
-        for user in range(n_users)
-        for t, item in enumerate(rng.sample(range(200), per_user))
-    ]
+    items = [item for _ in range(n_users) for item in rng.sample(range(200), per_user)]
+    users = np.repeat(np.arange(n_users), per_user)
+    timestamps = 1000 * users + np.tile(np.arange(per_user), n_users)
+    return Ratings.from_columns(users, items, np.full(users.size, 4.0), timestamps)
 
 
 def _splits(plan):
@@ -47,13 +46,13 @@ def _splits(plan):
 
 
 def test_make_folds_are_disjoint_and_partition_each_user():
-    interactions = _interactions()
-    plan = make_folds(Ratings.of(interactions), FoldSpec(fold_count=3, users_per_fold=10))
+    table = _ratings()
+    plan = make_folds(table, FoldSpec(fold_count=3, users_per_fold=10))
     users = [{s.user for s in fold} for fold in plan.folds]
     assert [len(u) for u in users] == [10, 10, 10]
     assert len(set().union(*users)) == 30
     for split in _splits(plan).values():
-        rated = {it.item for it in interactions if it.user == split.user}
+        rated = {it.item for it in table if it.user == split.user}
         train = {it.item for it in split.train}
         assert train.isdisjoint(split.test_items)
         assert train | split.test_items == rated
@@ -78,13 +77,15 @@ def test_make_folds_names_a_negative_user():
 
 
 def test_split_depends_only_on_user_and_seed():
-    interactions = _interactions()
+    table = _ratings()
     spec = FoldSpec(fold_count=3, users_per_fold=10, seed=7)
-    a = _splits(make_folds(Ratings.of(interactions), spec))
-    shuffled = list(interactions)
-    random.Random(0).shuffle(shuffled)
+    a = _splits(make_folds(table, spec))
+    order = list(range(len(table)))
+    random.Random(0).shuffle(order)
+    shuffled = table[order]
     spec = FoldSpec(fold_count=2, users_per_fold=18, seed=7)
-    b = _splits(make_folds(Ratings.of(shuffled), spec))
+    columns = (shuffled.user, shuffled.item, shuffled.rating, shuffled.timestamp)
+    b = _splits(make_folds(Ratings.from_columns(*columns), spec))
     shared = a.keys() & b.keys()
     assert shared
 
@@ -173,11 +174,12 @@ def _fold_of(*splits):
     Users come in ascending order; each rates its train items, then its
     test items, 4.0 each, in that watch order.
     """
-    table = Ratings.of(
-        Interaction(user, item, 4.0, t)
+    rows = [
+        (user, item, 4.0, t)
         for user, train, test in splits
         for t, item in enumerate((*train, *test))
-    )
+    ]
+    table = Ratings.from_columns(*zip(*rows))
     fold = []
     for user, train, test in splits:
         start = int(np.searchsorted(table.user, user))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from popbias import llm_gateway
-from popbias.catalog import CatalogEntry, Interaction, Ratings, TitleIndex
+from popbias.catalog import CatalogEntry, Ratings, TitleIndex
 from popbias.llm_gateway import (
     MAX_HISTORY_TITLES,
     MAX_RELEASE_YEAR,
@@ -477,24 +477,24 @@ def test_build_watch_history_orders_by_timestamp():
     # Profile tables built from the same rows in any order give one history.
     entries = {i: CatalogEntry(i, f"Film {i}", 1990 + i) for i in (2, 5, 7)}
     rows = [
-        Interaction(3, 5, 4.0, 100),
-        Interaction(3, 2, 3.0, 100),  # ties item 5 on timestamp, so it comes first
-        Interaction(3, 7, 5.0, 50),
-        Interaction(3, 7, 5.0, 50),  # a duplicate row is watched twice
-        Interaction(3, 99, 2.0, 70),  # missing from the catalog, so skipped
+        (3, 5, 4.0, 100),
+        (3, 2, 3.0, 100),  # ties item 5 on timestamp, so it comes first
+        (3, 7, 5.0, 50),
+        (3, 7, 5.0, 50),  # a duplicate row is watched twice
+        (3, 99, 2.0, 70),  # missing from the catalog, so skipped
     ]
     expected = [("Film 7", 1997), ("Film 7", 1997), ("Film 2", 1992), ("Film 5", 1995)]
-    assert build_watch_history(Ratings.of(rows), entries) == expected
+    assert build_watch_history(Ratings.from_columns(*zip(*rows)), entries) == expected
     rng = np.random.default_rng(0)
     for _ in range(5):
-        shuffled = tuple(rows[i] for i in rng.permutation(len(rows)))
-        assert build_watch_history(Ratings.of(shuffled), entries) == expected
+        shuffled = zip(*(rows[i] for i in rng.permutation(len(rows))))
+        assert build_watch_history(Ratings.from_columns(*shuffled), entries) == expected
 
 
 class TestWokRecommender:
     def _setup(self, tmp_path, catalog_index):
         index, entries = catalog_index
-        train = Ratings.of([Interaction(5, 2, 4.0, 100), Interaction(5, 4, 5.0, 200)])
+        train = Ratings.from_columns([5, 5], [2, 4], [4.0, 5.0], [100, 200])
         request = RecRequest(user=5, profile=train)
         history = build_watch_history(train, entries)
         prompt = render_prompt(history, 3)
@@ -517,16 +517,15 @@ class TestWokRecommender:
 
     def test_user_without_catalogued_history_gets_empty_slate(self, tmp_path, catalog_index):
         rec, request = self._setup(tmp_path, catalog_index)
-        uncatalogued = RecRequest(user=6, profile=Ratings.of([Interaction(6, 99, 3.0, 100)]))
+        uncatalogued = RecRequest(user=6, profile=Ratings.from_columns([6], [99], [3.0], [100]))
         results = rec.recommend_batch([request, uncatalogued], 3)
         assert results == [
             rec.recommend(request, 3),
             RecResult(slate=Slate(entries=())),
         ]
         # Rows 0-1 and 3 are the two users' training ratings, 2 and 4 their test items.
-        table = Ratings.of(
-            [*request.profile, Interaction(5, 3, 4.0, 300)]
-            + [*uncatalogued.profile, Interaction(6, 1, 4.0, 300)]
+        table = Ratings.from_columns(
+            [5, 5, 5, 6, 6], [2, 4, 3, 99, 1], [4.0, 5.0, 4.0, 3.0, 4.0], [100, 200, 300, 100, 300]
         )
         fold = [
             UserSplit(5, table, train_rows=np.array([0, 1]), test_rows=np.array([2])),
@@ -564,7 +563,7 @@ class TestBatchConcurrency:
         # User i watched Film i; the reply to that user names Film i + n.
         entries = {i: CatalogEntry(i, f"Film {i}", 1990) for i in range(1, 2 * n + 1)}
         requests = [
-            RecRequest(i, Ratings.of([Interaction(i, i, 4.0, 0)])) for i in range(1, n + 1)
+            RecRequest(i, Ratings.from_columns([i], [i], [4.0], [0])) for i in range(1, n + 1)
         ]
         return TitleIndex.build(list(entries.values())), entries, requests
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from popbias import metrics, recommenders
-from popbias.catalog import Interaction, Ratings
+from popbias.catalog import Ratings
 from popbias.metrics import PhiArray
 from popbias.recommenders import (
     SCORE_BLOCK,
@@ -153,7 +153,9 @@ def knn_model(mode, neighbors):
 
 def request_for(user, profile):
     """The evaluation request of a user whose training side is profile."""
-    train = Ratings.of(Interaction(user, i, r, ts) for ts, (i, r) in enumerate(profile))
+    pairs = list(profile)
+    items, ratings = [i for i, _ in pairs], [r for _, r in pairs]
+    train = Ratings.from_columns([user] * len(pairs), items, ratings, range(len(pairs)))
     return RecRequest(user=user, profile=train)
 
 
@@ -320,7 +322,7 @@ _IDS = st.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids=_IDS, k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@given(ids=_IDS, k=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
 def test_random_slates_match_the_isin_form(ids, k, seed):
     candidates, exclude = ids
     pool = np.array(sorted(candidates))
@@ -435,7 +437,7 @@ def _batch_profiles(pool):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@given(data=st.data(), k=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
 def test_random_batches_match_the_isin_form_per_request(data, k, seed):
     pool = sorted(data.draw(st.sets(st.integers(0, 40), max_size=30)))
     profiles = data.draw(_batch_profiles(pool))
@@ -446,6 +448,22 @@ def test_random_batches_match_the_isin_form_per_request(data, k, seed):
         for user, p in enumerate(profiles)
     ]
     assert got == expected
+
+
+def test_random_draws_keys_for_its_slates_not_for_k(monkeypatch):
+    # A 5-item pool caps every slate at 5, so a batch needs at most 2 * 5 keys
+    # per request, a pick and an order key per round, however large k is.
+    stream_keys = recommenders._stream_keys
+
+    def bounded(seed, purpose, user, index):
+        assert np.size(index) <= 2 * 5, f"asked for {np.size(index)} keys"
+        return stream_keys(seed, purpose, user, index)
+
+    monkeypatch.setattr(recommenders, "_stream_keys", bounded)
+    rec = RandomRecommender(pool_of(range(5)), seed=3)
+    slates = rec.slates([watched(0, set()), watched(1, {2})], 10**6)
+    assert sorted(slates[0].entries) == [0, 1, 2, 3, 4]
+    assert sorted(slates[1].entries) == [0, 1, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,9 +534,8 @@ def test_first_k_matches_the_oracle_near_snapping_boundaries(table, k):
 
 
 def matrix_from(ratings):
-    return RatingMatrix.from_interactions(
-        Ratings.of(Interaction(u, i, r, ts) for ts, ((u, i), r) in enumerate(ratings.items()))
-    )
+    rows = [(u, i, r, ts) for ts, ((u, i), r) in enumerate(ratings.items())]
+    return RatingMatrix.from_interactions(Ratings.from_columns(*zip(*rows)))
 
 
 def test_centered_ratings_are_computed_once_and_read_only():
@@ -989,7 +1006,8 @@ class TestAdapters:
         ratings = {(u, i): 3.0 + (u + i) % 3 for u in range(1, 6) for i in range(1, 7)}
         matrix = matrix_from(ratings)
         phi = {i: float(10 - i) for i in range(1, 9)}
-        train = Ratings.of(Interaction(1, i, r, 0) for (u, i), r in ratings.items() if u == 1)
+        rows = [(1, i, r, 0) for (u, i), r in ratings.items() if u == 1]
+        train = Ratings.from_columns(*zip(*rows))
         request = RecRequest(user=1, profile=train)
         for rec in (
             RandomRecommender(PhiArray.of(phi), seed=4),
@@ -1002,8 +1020,8 @@ class TestAdapters:
 
     def test_random_adapter_user_seed_independent_of_order(self):
         rec = RandomRecommender(pool_of(range(50)), seed=11)
-        req_a = RecRequest(user=7, profile=Ratings.of(()))
-        req_b = RecRequest(user=8, profile=Ratings.of(()))
+        req_a = RecRequest(user=7, profile=Ratings.from_columns([], [], [], []))
+        req_b = RecRequest(user=8, profile=Ratings.from_columns([], [], [], []))
         ab = rec.recommend_batch([req_a, req_b], 5)
         ba = rec.recommend_batch([req_b, req_a], 5)
         assert ab[0].slate.entries == ba[1].slate.entries

@@ -15,8 +15,12 @@
 # report.csv files, in config order, and the two correlations.csv files are
 # compared the same way. Last, for every corpus the configs name, each side
 # runs `popbias ingest --out .` and `popbias fit --ratings` from its own
-# output directory, and their popularity.csv, ingest_summary.json and
-# stdouts are compared. For each file that differs it prints one line, for
+# output directory, and their popularity.csv, ingest_summary.json, stdouts
+# and stderrs are compared. Every corpus perfbench writes is read by the
+# ratings fast path, so the same is done once more for a copy of the first
+# corpus whose ratings.dat ends in an out-of-range line (1::2::9::100),
+# which only the line parser reads; its stderr holds the note on that line.
+# For each file that differs it prints one line, for
 # report.csv a second one naming the rows that differ (`rows: random`), then
 # the first 40 lines of `diff -u` of the two copies, and it exits 1 if any
 # file differs.
@@ -100,6 +104,15 @@ done
 if ! cmp -s "$work/out/base/correlations.csv" "$work/out/head/correlations.csv"; then
   differs correlations.csv correlations.csv
 fi
+if (( ${#corpora[@]} )); then
+  ratings=${corpora[0]#*$'\t'}
+  [[ $ratings == /* ]] || ratings=$root/$ratings
+  mkdir "$work/malformed"
+  cp "$ratings" "$work/malformed/ratings.dat"
+  [[ -z $(tail -c 1 "$ratings") ]] || echo >>"$work/malformed/ratings.dat"
+  echo "1::2::9::100" >>"$work/malformed/ratings.dat"
+  corpora+=("${corpora[0]%%$'\t'*}"$'\t'"$work/malformed/ratings.dat")
+fi
 n=0
 for corpus in "${corpora[@]}"; do
   movies=${corpus%%$'\t'*} ratings=${corpus#*$'\t'}
@@ -111,13 +124,15 @@ for corpus in "${corpora[@]}"; do
     ( cd "$work/out/$side/$dir" \
       && export PYTHONPATH=$(src_of "$side") \
       && python3 -m popbias.cli ingest --movies "$movies" --ratings "$ratings" --out . \
-           >ingest.txt \
-      && python3 -m popbias.cli fit --ratings "$ratings" >fit.txt )
+           >ingest.txt 2>ingest.err \
+      && python3 -m popbias.cli fit --ratings "$ratings" >fit.txt 2>fit.err )
   done
-  compare "${corpus#*$'\t'}" "$dir" popularity.csv ingest_summary.json ingest.txt fit.txt
+  compare "${corpus#*$'\t'}" "$dir" popularity.csv ingest_summary.json ingest.txt ingest.err \
+    fit.txt fit.err
 done
 if (( status == 0 )); then
   echo "${#configs[@]} configs: report.csv, report.md, manifest.json and" \
-    "correlations.csv match $base; ${#corpora[@]} corpora: ingest and fit outputs match"
+    "correlations.csv match $base; ${#corpora[@]} corpora, the malformed copy included:" \
+    "ingest and fit outputs match"
 fi
 exit "$status"
