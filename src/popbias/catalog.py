@@ -192,15 +192,15 @@ class _BadLine(Exception):
 
 
 def _parse_lines(
-    lines: Iterable[str], strict: bool, kind: str, fields: int, parse: Callable[..., object]
-) -> tuple[list, list[ParseIssue]]:
-    """``parse(*fields)`` of each non-blank line under the line rule, split at ``::``.
+    lines: Iterable[str], strict: bool, kind: str, fields: int, parse: Callable, issues: list
+) -> Iterator:
+    """``parse(*fields)`` of each non-blank line under the line rule, split at ``::``, lazily.
 
     A line with another field count, or whose fields ``parse`` rejects with
-    :class:`_BadLine`, is malformed under the lenient/strict contract.
+    :class:`_BadLine`, is malformed under the lenient/strict contract: it is
+    appended to ``issues``, in line order, as the values are drawn. No
+    value is kept here, so the caller decides how the rows are held.
     """
-    values: list = []
-    issues: list[ParseIssue] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -209,12 +209,11 @@ def _parse_lines(
         try:
             if len(parts) != fields:
                 raise _BadLine(f"expected {fields} '::'-separated fields")
-            values.append(parse(*parts))
+            yield parse(*parts)
         except _BadLine as exc:
             if strict:
                 raise ParseError(f"{kind} line {line_no}: {exc}") from None
             issues.append(ParseIssue(line_no, line, str(exc)))
-    return values, issues
 
 
 def _integer(raw: str, field: str) -> int:
@@ -256,7 +255,8 @@ def parse_movies(
     Titles without a trailing ``(YYYY)`` are kept with ``year=0``. The
     genres field must be there, but its value is not read.
     """
-    return _parse_lines(lines, strict, "movies", 3, _movie)
+    issues: list[ParseIssue] = []
+    return list(_parse_lines(lines, strict, "movies", 3, _movie, issues)), issues
 
 
 def _interaction(
@@ -281,12 +281,12 @@ def parse_ratings(
 
     Ratings must fall in [0.5, 5.0], and ids and timestamps must be
     integers in [0, 2**63), which the 64-bit columns of :class:`Ratings` hold.
-    The valid rows are collected into one record array, and the table is
+    The valid rows fill one record array as they are parsed, and the table is
     :meth:`Ratings.from_columns` of its fields: sorted by (user, timestamp,
     item), ties in line order, the table ``read_ratings_file`` returns.
     """
-    rows, issues = _parse_lines(lines, strict, "ratings", 4, _interaction)
-    table = np.array(rows, dtype=_RECORD)
+    issues: list[ParseIssue] = []
+    table = np.fromiter(_parse_lines(lines, strict, "ratings", 4, _interaction, issues), _RECORD)
     return Ratings.from_columns(*(table[name] for name in _RECORD.names)), issues
 
 

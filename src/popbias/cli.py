@@ -20,10 +20,8 @@ from popbias.llm_gateway import ProviderConfig, PromptVariant, ProviderError, Wo
 from popbias.metrics import METRICS, check_id_span, scored_metric
 from popbias.recommenders import (
     DEFAULT_K_NEIGHBORS,
-    ItemKnnRecommender,
     RandomRecommender,
     TopPopRecommender,
-    UserKnnRecommender,
     build_item_knn,
     build_user_knn,
     RatingMatrix,
@@ -203,7 +201,7 @@ def fit(scores_file: str | None, ratings: str | None, x_min: float | None) -> No
 def _build_fold_recommenders(cfg, train, shared):
     """The configured recommenders, in config order.
 
-    Those in the run's ``shared`` map are reused; KNN models are trained on the fold's ratings.
+    Those in the run's ``shared`` map are reused; the KNN ones are trained on the fold's ratings.
     """
     recs = []
     matrix = None
@@ -214,10 +212,8 @@ def _build_fold_recommenders(cfg, train, shared):
         # item_knn or user_knn: evaluate has checked every name.
         if matrix is None:
             matrix = RatingMatrix.from_interactions(train)
-        if name == "item_knn":
-            recs.append(ItemKnnRecommender(build_item_knn(matrix, cfg["knn_k"])))
-        else:
-            recs.append(UserKnnRecommender(build_user_knn(matrix, cfg["knn_k"]), matrix))
+        build = build_item_knn if name == "item_knn" else build_user_knn
+        recs.append(build(matrix, cfg["knn_k"]))
     return recs
 
 

@@ -6,8 +6,10 @@ entity whose similarity exceeds SIMILARITY_FLOOR (1e-12); a smaller cosine
 is rounding noise around zero and counts as no neighbor. One builder,
 _build_knn, serves both: it computes the similarities as sparse products
 over blocks of rows, keeps the stored entries above the floor off the
-diagonal, cuts them with one _first_k call per block and returns a KnnModel
-whose n x n CSR row n holds entity n's neighbors, stored best first.
+diagonal, cuts them with one _first_k call per block and returns the n x n
+CSR whose row n holds entity n's neighbors, stored best first.
+build_item_knn and build_user_knn hand that CSR straight to the recommender
+they return, so a trained neighbor list exists only inside its recommender.
 
 Ranking rule, shared by top-pop slates, KNN slates and the top-K neighbor
 cut: a score is compared after snapping it to SCORE_SNAP_BITS (40)
@@ -45,13 +47,13 @@ exact: every stored similarity is above SIMILARITY_FLOOR, so it is positive
 and |s| = s, and each term is (r + 1i)(s + 0i) = (r*s - 0) + (r*0 + s)i or
 (w + 0i)(c + 1i) = (w*c - 0) + (w*1 + 0*c)i, so each part adds the same
 products in the same order as a real product of its own would. Both
-recommenders refuse a model that breaks the invariant. den > 0 at every
+recommenders refuse similarities that break the invariant. den > 0 at every
 entry, so the product keeps the entries whose num sums to exactly 0, which a
 real product drops.
 
 A CSR product sums each output entry in the storage order of the left-hand
 row. R is built with each row in profile order and W is sliced from the
-model's similarity rows, stored best first, so every score is summed in the
+user-KNN similarity rows, stored best first, so every score is summed in the
 same order as a loop over the profile or the neighbor list. Nothing may
 therefore sort a row's indices (scipy's abs() and sum_duplicates do).
 
@@ -76,7 +78,7 @@ recommender never loads it. ``cli.evaluate`` imports it while checking
 the config of a KNN run, so that the cost stays in set-up and out of the
 first rating-matrix build.
 
-Built models are immutable; recommend calls are thread-safe.
+Built recommenders are immutable; recommend calls are thread-safe.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ __all__ = [
     "SCORE_SNAP_BITS",
     "SIMILARITY_FLOOR",
     "RatingMatrix",
-    "KnnModel",
     "Slate",
     "RecRequest",
     "RecResult",
@@ -350,24 +351,17 @@ def _split_slates(entries: np.ndarray, counts: np.ndarray) -> list[Slate]:
     return [Slate(entries=tuple(items[a:b])) for a, b in zip([0, *stops], stops)]
 
 
-@dataclass(frozen=True, eq=False)
-class KnnModel:
-    """Top-K neighbors (similarity above SIMILARITY_FLOOR) of every entity.
+def _build_knn(
+    matrix: RatingMatrix, mode: str, k_neighbors: int
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Top-K cosine neighbors between the item columns or user rows of the centered matrix.
 
-    ids are the sorted item or user ids; row n of the n x n CSR sims holds
-    ids[n]'s neighbors as positions into ids, stored best first under the
-    ranking rule. That storage order is part of the model: user-KNN sums
+    Returns (ids, sims): ids are the sorted item or user ids and row n of
+    the n x n CSR sims holds ids[n]'s neighbors whose similarity is above
+    SIMILARITY_FLOOR, as positions into ids, stored best first under the
+    ranking rule. That storage order is part of the result: user-KNN sums
     each score in it, so nothing may sort a row's indices (scipy's abs()
     and sum_duplicates do).
-    """
-
-    mode: str  # "item" or "user"
-    ids: np.ndarray
-    sims: sparse.csr_matrix
-
-
-def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
-    """Cosine similarity between the item columns or user rows of the centered matrix.
 
     Similarities are computed a block of rows at a time as a sparse
     product, the blocks on worker threads (_map_blocks). A block's stored
@@ -412,17 +406,7 @@ def _build_knn(matrix: RatingMatrix, mode: str, k_neighbors: int) -> KnnModel:
     rows, cols, sims = (
         np.concatenate(parts) for parts in zip(*_map_blocks(block, n, _BUILD_ROWS))
     )
-    return KnnModel(mode=mode, ids=ids, sims=_csr_of_rows(rows, cols, sims, (n, n)))
-
-
-def build_item_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
-    """Cosine similarity between item columns of the centered matrix."""
-    return _build_knn(matrix, "item", k_neighbors)
-
-
-def build_user_knn(matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS) -> KnnModel:
-    """Cosine similarity between user rows of the centered matrix."""
-    return _build_knn(matrix, "user", k_neighbors)
+    return ids, _csr_of_rows(rows, cols, sims, (n, n))
 
 
 def _knn_block_slates(
@@ -565,41 +549,40 @@ class TopPopRecommender(BaseRecommender):
         return _split_slates(self.ranking[picked], counts)
 
 
-def _checked(model: KnnModel, mode: str) -> KnnModel:
-    """model, once it is of the mode and stores only similarities above SIMILARITY_FLOOR.
+def _checked(sims: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
+    """sims, once it is n x n and stores only similarities above SIMILARITY_FLOOR.
 
     The fused score product reads |sim| as sim, so a similarity that is not
     positive and finite would give a wrong denominator.
     """
-    if model.mode != mode:
-        raise ValueError(f"model is not {mode}-based")
-    sims = model.sims.data
-    if not np.all(np.isfinite(sims) & (sims > SIMILARITY_FLOOR)):
-        raise ValueError(
-            "model stores a similarity that is not finite or not above SIMILARITY_FLOOR"
-        )
-    return model
+    if sims.shape != (n, n):
+        raise ValueError(f"similarities are {sims.shape[0]} x {sims.shape[1]}, not {n} x {n}")
+    if not np.all(np.isfinite(sims.data) & (sims.data > SIMILARITY_FLOOR)):
+        raise ValueError("a similarity is not finite or not above SIMILARITY_FLOOR")
+    return sims
 
 
 class ItemKnnRecommender(BaseRecommender):
+    """Items scored by their similarity to a profile's items (build_item_knn trains one).
+
+    Row n of sims holds the neighbors of item ids[n] as positions into ids.
+    """
+
     name = "item_knn"
 
-    def __init__(self, model: KnnModel):
-        self.model = _checked(model, "item")
-        self.items = model.ids
+    def __init__(self, ids: np.ndarray, sims: sparse.csr_matrix):
+        self.items = ids
         # Row j of sims_t holds sim(c, j) for every item c that lists j,
         # complex already so that no block's product converts it.
-        self.sims_t = model.sims.T.tocsr().astype(complex)
+        self.sims_t = _checked(sims, ids.size).T.tocsr().astype(complex)
 
     def slates(self, requests: Sequence[RecRequest], k: int) -> list[Slate]:
         """One slate per training profile, scored in blocks on worker threads.
 
         A candidate in no neighbor list of a profile item is unscored, so a
-        slate may come back short.
+        slate may come back short, and an empty profile gets an empty slate.
         """
         profiles = [request.profile for request in requests]
-        if not all(len(profile) for profile in profiles):
-            raise ValueError("profile must be non-empty")
         n = self.items.size
 
         def block(start: int, stop: int) -> list[Slate]:
@@ -614,14 +597,17 @@ class ItemKnnRecommender(BaseRecommender):
 
 
 class UserKnnRecommender(BaseRecommender):
+    """Items scored by the ratings of a user's neighbors (build_user_knn trains one).
+
+    Row n of sims holds the neighbors of user matrix.users[n] as positions
+    into matrix.users; the matrix supplies their ratings and means.
+    """
+
     name = "user_knn"
 
-    def __init__(self, model: KnnModel, matrix: RatingMatrix):
-        self.model = _checked(model, "user")
-        if not np.array_equal(model.ids, matrix.users):
-            raise ValueError("model was built from another rating matrix")
+    def __init__(self, matrix: RatingMatrix, sims: sparse.csr_matrix):
         self.matrix = matrix
-        self.items = matrix.items
+        self.sims = _checked(sims, matrix.users.size)
         # C + 1j * B: the centered ratings, with imaginary part 1 at every rating.
         self.scored = matrix.centered.astype(complex)
         self.scored.data += 1j
@@ -638,11 +624,26 @@ class UserKnnRecommender(BaseRecommender):
         if not known.all():
             raise ValueError(f"user {users[~known][0]} not in rating matrix")
         profiles = [request.profile for request in requests]
+        items = self.matrix.items
 
         def block(start: int, stop: int) -> list[Slate]:
             rows = positions[start:stop]
-            product = self.model.sims[rows] @ self.scored
-            seen = _profile_cells(profiles[start:stop], self.items)[:2]
-            return _knn_block_slates(product, seen, self.items, k, self.matrix.user_means[rows])
+            product = self.sims[rows] @ self.scored
+            seen = _profile_cells(profiles[start:stop], items)[:2]
+            return _knn_block_slates(product, seen, items, k, self.matrix.user_means[rows])
 
         return [slate for part in _map_blocks(block, len(users), SCORE_BLOCK) for slate in part]
+
+
+def build_item_knn(
+    matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS
+) -> ItemKnnRecommender:
+    """Item-KNN over the top-K cosine neighbors of the centered matrix's item columns."""
+    return ItemKnnRecommender(*_build_knn(matrix, "item", k_neighbors))
+
+
+def build_user_knn(
+    matrix: RatingMatrix, k_neighbors: int = DEFAULT_K_NEIGHBORS
+) -> UserKnnRecommender:
+    """User-KNN over the top-K cosine neighbors of the centered matrix's user rows."""
+    return UserKnnRecommender(matrix, _build_knn(matrix, "user", k_neighbors)[1])

@@ -8,14 +8,20 @@ second.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from popbias.catalog import Ratings, read_movies_file, read_ratings_file
 from popbias.evaluation import FoldInputs, FoldSpec, make_folds
 from popbias.llm_gateway import build_watch_history
 from popbias.metrics import PhiArray
+from test_cli import _write_variant_fixtures
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def _install_namespace(install: ast.FunctionDef) -> dict:
@@ -104,3 +110,50 @@ def test_each_split_reads_like_the_request_the_run_builds_for_it(small_corpus):
             assert request.exclude == frozenset(it.item for it in split.train)
             history = build_watch_history(split.train, by_id)
             assert history and history == build_watch_history(request.profile, by_id)
+
+
+def test_the_benchmark_reader_sees_every_recommender_keep_its_slate_contract(
+    small_corpus, tmp_path
+):
+    # The traced gate reads these stats only after minutes of benchmark runs;
+    # here the same hooks watch one small run of the four baselines and wok.
+    movies, ratings = small_corpus
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    folds = {"fold_count": 2, "users_per_fold": 30}
+    _write_variant_fixtures(movies, ratings, fixtures, FoldSpec(**folds))
+    config = tmp_path / "config.json"
+    names = ["random", "top_pop", "item_knn", "user_knn", "wok"]
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"movies": str(movies), "ratings": str(ratings)},
+                "folds": folds,
+                "recommenders": names,
+                "provider": {"dialect": "stub", "fixtures_dir": str(fixtures)},
+            }
+        ),
+        encoding="utf-8",
+    )
+    stats_path = tmp_path / "stats.json"
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    args = ["evaluate", "--config", str(config), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, str(CHILD), "--stats", str(stats_path), "--mode", "trace", "--", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert stats["violation_count"] == 0, stats["violations"]
+    assert sorted(stats["recs"]) == sorted(names)
+    for name, acc in stats["recs"].items():
+        assert (acc["requests"], acc["slates"], acc["raised"]) == (60, 60, 0), name
+    assert len(stats["tags"]) == 60

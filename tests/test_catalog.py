@@ -512,8 +512,8 @@ def test_from_columns_leaves_the_arrays_it_was_given_unchanged():
     assert again.user is ratings.user and again.rating is ratings.rating
 
 
-@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
-def test_fast_path_peak_memory_stays_within_three_times_the_file(tmp_path, layout):
+def _write_plain_ratings(path, layout, tail=""):
+    """100k plain rating lines, in random or table order, then tail; returns the row count."""
     rng = np.random.default_rng(0)
     n = 100_000
     columns = [
@@ -526,19 +526,43 @@ def test_fast_path_peak_memory_stays_within_three_times_the_file(tmp_path, layou
         order = np.lexsort((columns[1], columns[3], columns[0]))
         columns = [column[order] for column in columns]
     lines = zip(*(column.tolist() for column in columns))
-    path = tmp_path / "ratings.dat"
-    path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in lines), encoding="utf-8")
-    size = path.stat().st_size
-    assert size >= 2_000_000
+    text = "".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in lines)
+    path.write_text(text + tail, encoding="utf-8")
+    assert path.stat().st_size >= 2_000_000
+    return n
 
+
+def _read_with_peak(path):
+    """read_ratings_file(path) and its tracemalloc peak as a multiple of the file size."""
     tracemalloc.start()
     try:
         ratings, issues = read_ratings_file(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return ratings, issues, peak / path.stat().st_size
+
+
+@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
+def test_fast_path_peak_memory_stays_within_three_times_the_file(tmp_path, layout):
+    path = tmp_path / "ratings.dat"
+    n = _write_plain_ratings(path, layout)
+    ratings, issues, peak = _read_with_peak(path)
     assert len(ratings) == n and not issues
-    assert peak < 3 * size, f"peak {peak / size:.1f}x the file size"
+    assert peak < 3, f"peak {peak:.1f}x the file size"
+
+
+def test_line_parser_fallback_keeps_no_python_row_per_line(tmp_path):
+    # One out-of-range rating sends the whole file to the line parser, which
+    # fills the record array as it parses instead of holding a tuple per row.
+    path = tmp_path / "ratings.dat"
+    n = _write_plain_ratings(path, "unsorted", tail="1::2::9::100\n")
+    ratings, issues, peak = _read_with_peak(path)
+    assert len(ratings) == n
+    assert [(issue.line_no, issue.reason) for issue in issues] == [
+        (n + 1, "rating 9.0 outside [0.5, 5.0]")
+    ]
+    assert peak < 8, f"peak {peak:.1f}x the file size"
 
 
 def test_plain_ratings_file_is_read_without_the_line_parser(tmp_path, monkeypatch):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from popbias import metrics, recommenders
-from popbias.catalog import Ratings
+from popbias.catalog import Ratings, compute_popularity
 from popbias.metrics import PhiArray
 from popbias.recommenders import (
     SCORE_BLOCK,
     SCORE_SNAP_BITS,
     SIMILARITY_FLOOR,
     ItemKnnRecommender,
-    KnnModel,
     RandomRecommender,
     RatingMatrix,
     RecRequest,
@@ -125,22 +124,22 @@ def oracle_user_slate(ratings, neighbors, user, k):
     return tuple(i for i, _ in oracle_rank(scores.items(), k))
 
 
-def neighbor_lists(model):
-    """{id: ((neighbor id, similarity), ...)} of a KnnModel, in stored order."""
-    sims = model.sims
+def neighbor_lists(matrix, mode, k_neighbors):
+    """{id: ((neighbor id, similarity), ...)} of _build_knn's neighbor lists, in stored order."""
+    ids, sims = recommenders._build_knn(matrix, mode, k_neighbors)
     return {
         entity: tuple(
             zip(
-                model.ids[sims.indices[sims.indptr[n] : sims.indptr[n + 1]]].tolist(),
+                ids[sims.indices[sims.indptr[n] : sims.indptr[n + 1]]].tolist(),
                 sims.data[sims.indptr[n] : sims.indptr[n + 1]].tolist(),
             )
         )
-        for n, entity in enumerate(model.ids.tolist())
+        for n, entity in enumerate(ids.tolist())
     }
 
 
-def knn_model(mode, neighbors):
-    """A KnnModel holding the given {id: ((neighbor id, similarity), ...)} lists."""
+def knn_lists(neighbors):
+    """(ids, sims) holding the given {id: ((neighbor id, similarity), ...)} lists."""
     ids = sorted(set(neighbors).union(*({j for j, _ in neigh} for neigh in neighbors.values())))
     position = {entity: n for n, entity in enumerate(ids)}
     rows = [neighbors.get(entity, ()) for entity in ids]
@@ -148,7 +147,7 @@ def knn_model(mode, neighbors):
     cols = [position[j] for row in rows for j, _ in row]
     data = [sim for row in rows for _, sim in row]
     sims = sparse.csr_matrix((data, cols, indptr), shape=(len(ids), len(ids)))
-    return KnnModel(mode=mode, ids=np.array(ids, dtype=np.int64), sims=sims)
+    return np.array(ids, dtype=np.int64), sims
 
 
 def request_for(user, profile):
@@ -179,18 +178,19 @@ def top_pop_slate(phi, exclude, k):
     return TopPopRecommender(PhiArray.of(phi)).slates([watched(0, exclude)], k)[0]
 
 
-def item_knn_slate(model, profile, k):
+def item_knn_slate(rec, profile, k):
     """The item-KNN slate of one training profile of (item, rating) pairs."""
-    return ItemKnnRecommender(model).slates([request_for(0, profile)], k)[0]
+    return rec.slates([request_for(0, profile)], k)[0]
 
 
-def user_knn_slates(model, matrix, users, k):
+def user_knn_slates(rec, users, k):
     """The user-KNN slates of users, each asking with their rating-matrix row as profile."""
+    matrix = rec.matrix
     requests = []
     for user in users:
         row = matrix.csr[int(np.searchsorted(matrix.users, user))]
         requests.append(request_for(user, zip(matrix.items[row.indices].tolist(), row.data)))
-    return UserKnnRecommender(model, matrix).slates(requests, k)
+    return rec.slates(requests, k)
 
 
 def random_ratings(rng, max_users=8, max_items=8):
@@ -554,9 +554,9 @@ class TestBuildItemKnn:
             (2, 10): 4.0, (2, 11): 4.0, (2, 12): 2.0,
             (3, 10): 3.0, (3, 11): 3.0, (3, 12): 0.5,
         }
-        model = build_item_knn(matrix_from(ratings), 30)
-        top_of_10 = neighbor_lists(model)[10][0]
-        top_of_11 = neighbor_lists(model)[11][0]
+        lists = neighbor_lists(matrix_from(ratings), "item", 30)
+        top_of_10 = lists[10][0]
+        top_of_11 = lists[11][0]
         assert top_of_10[0] == 11 and top_of_10[1] == pytest.approx(1.0, abs=1e-12)
         assert top_of_11[0] == 10 and top_of_11[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -565,16 +565,16 @@ class TestBuildItemKnn:
             (1, 10): 5.0, (1, 11): 2.0,
             (2, 20): 4.0, (2, 21): 1.0,
         }
-        model = build_item_knn(matrix_from(ratings), 30)
-        assert all(b not in (20, 21) for b, _ in neighbor_lists(model)[10])
+        lists = neighbor_lists(matrix_from(ratings), "item", 30)
+        assert all(b not in (20, 21) for b, _ in lists[10])
 
     def test_matches_all_pairs_oracle_on_toy_matrix(self):
         rng = np.random.default_rng(2)
         ratings = random_ratings(rng, max_users=4, max_items=3)
-        model = build_item_knn(matrix_from(ratings), 30)
+        lists = neighbor_lists(matrix_from(ratings), "item", 30)
         expected = oracle_item_neighbors(ratings, 30)
         for item, neigh in expected.items():
-            got = neighbor_lists(model)[item]
+            got = lists[item]
             assert [b for b, _ in got] == [b for b, _ in neigh]
             for (gb, gs), (eb, es) in zip(got, neigh):
                 assert gs == pytest.approx(es, abs=1e-12)
@@ -582,34 +582,30 @@ class TestBuildItemKnn:
     def test_similarity_symmetric(self):
         rng = np.random.default_rng(3)
         ratings = random_ratings(rng)
-        model = build_item_knn(matrix_from(ratings), 30)
-        sims = {(a, b): s for a, neigh in neighbor_lists(model).items() for b, s in neigh}
+        lists = neighbor_lists(matrix_from(ratings), "item", 30)
+        sims = {(a, b): s for a, neigh in lists.items() for b, s in neigh}
         for (a, b), s in sims.items():
             assert sims[(b, a)] == pytest.approx(s, abs=1e-12)
 
 
 class TestRecommendItemKnn:
     def test_forced_single_neighbor(self):
-        model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
-        slate = item_knn_slate(model, [(3, 4.5)], 1)
+        rec = ItemKnnRecommender(*knn_lists({7: ((3, 0.9),), 3: ((7, 0.9),)}))
+        slate = item_knn_slate(rec, [(3, 4.5)], 1)
         assert slate.entries == (7,)
 
     def test_k_larger_than_scorable(self):
-        model = knn_model("item", {7: ((3, 0.9),), 3: ((7, 0.9),)})
-        assert item_knn_slate(model, [(3, 4.0)], 10).entries == (7,)
+        rec = ItemKnnRecommender(*knn_lists({7: ((3, 0.9),), 3: ((7, 0.9),)}))
+        assert item_knn_slate(rec, [(3, 4.0)], 10).entries == (7,)
 
     def test_scores_differing_in_last_bit_tie_by_id(self):
         # Both candidates score sim * 1.5 / sim, exactly 1.5; item 5's
         # similarity makes the computed score 1.4999999999999998.
         sim5, sim7 = 0.38692217758657976, 0.25877791363493624
-        model = knn_model("item", {5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))})
+        lists = {5: ((2, sim5),), 7: ((2, sim7),), 2: ((5, sim5), (7, sim7))}
+        rec = ItemKnnRecommender(*knn_lists(lists))
         assert sim5 * 1.5 / sim5 < sim7 * 1.5 / sim7
-        assert item_knn_slate(model, [(2, 1.5)], 2).entries == (5, 7)
-
-    def test_mode_check(self):
-        model = knn_model("user", {})
-        with pytest.raises(ValueError):
-            item_knn_slate(model, [(1, 3.0)], 2)
+        assert item_knn_slate(rec, [(2, 1.5)], 2).entries == (5, 7)
 
 
 class TestUserKnn:
@@ -619,8 +615,7 @@ class TestUserKnn:
             (2, 10): 5.0, (2, 11): 1.0, (2, 12): 3.0,
             (3, 10): 1.0, (3, 11): 5.0,
         }
-        model = build_user_knn(matrix_from(ratings), 30)
-        top = neighbor_lists(model)[1][0]
+        top = neighbor_lists(matrix_from(ratings), "user", 30)[1][0]
         assert top[0] == 2 and top[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_users_similarity_zero(self):
@@ -628,8 +623,7 @@ class TestUserKnn:
             (1, 10): 5.0, (1, 11): 1.0,
             (2, 20): 4.0, (2, 21): 2.0,
         }
-        model = build_user_knn(matrix_from(ratings), 30)
-        assert all(v != 2 for v, _ in neighbor_lists(model)[1])
+        assert all(v != 2 for v, _ in neighbor_lists(matrix_from(ratings), "user", 30)[1])
 
     def test_clone_user_extra_item_ranks_first(self):
         ratings = {
@@ -637,18 +631,16 @@ class TestUserKnn:
             (2, 10): 5.0, (2, 11): 2.0, (2, 12): 4.0, (2, 99): 5.0,
             (3, 10): 4.0, (3, 11): 2.5, (3, 50): 1.0,
         }
-        matrix = matrix_from(ratings)
-        model = build_user_knn(matrix, 30)
-        assert user_knn_slates(model, matrix, [1], 2)[0].entries[0] == 99
+        rec = build_user_knn(matrix_from(ratings), 30)
+        assert user_knn_slates(rec, [1], 2)[0].entries[0] == 99
 
     def test_no_neighbors_empty_slate(self):
         ratings = {
             (1, 10): 5.0,
             (2, 20): 4.0, (2, 21): 2.0,
         }
-        matrix = matrix_from(ratings)
-        model = build_user_knn(matrix, 30)
-        assert user_knn_slates(model, matrix, [1], 5)[0].entries == ()
+        rec = build_user_knn(matrix_from(ratings), 30)
+        assert user_knn_slates(rec, [1], 5)[0].entries == ()
 
     def test_slate_leaves_out_the_request_profile_not_the_matrix_row(self):
         ratings = {
@@ -656,18 +648,10 @@ class TestUserKnn:
             (2, 10): 5.0, (2, 11): 1.0, (2, 12): 5.0, (2, 13): 1.0,
             (3, 10): 1.0, (3, 12): 4.0,
         }
-        matrix = matrix_from(ratings)
-        rec = UserKnnRecommender(build_user_knn(matrix, 5), matrix)
+        rec = build_user_knn(matrix_from(ratings), 5)
         # Item 12 is in the profile but not in user 1's matrix row.
         request = watched(1, {10, 11, 12})
         assert rec.slates([request], 3)[0].entries == (13,)
-
-    def test_model_of_another_matrix_rejected(self):
-        ratings = {(1, 10): 5.0, (1, 11): 1.0, (2, 10): 4.0, (2, 11): 2.0}
-        model = build_user_knn(matrix_from(ratings), 30)
-        other = matrix_from({**ratings, (3, 10): 3.0})
-        with pytest.raises(ValueError, match="another rating matrix"):
-            UserKnnRecommender(model, other)
 
     def test_rounding_noise_cosine_is_no_neighbor(self):
         # Users 1 and 3 are orthogonal in exact arithmetic; the computed
@@ -680,9 +664,8 @@ class TestUserKnn:
             (3, 6): 3.5, (3, 8): 2.0,
         }
         matrix = matrix_from(ratings)
-        model = build_user_knn(matrix, 1)
-        assert neighbor_lists(model)[3] == ()
-        assert user_knn_slates(model, matrix, [3], 2)[0].entries == ()
+        assert neighbor_lists(matrix, "user", 1)[3] == ()
+        assert user_knn_slates(build_user_knn(matrix, 1), [3], 2)[0].entries == ()
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -693,9 +676,9 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
     k = int(rng.integers(1, 6))
     matrix = matrix_from(ratings)
 
-    item_model = build_item_knn(matrix, k_neighbors)
+    item_rec = build_item_knn(matrix, k_neighbors)
     item_oracle = oracle_item_neighbors(ratings, k_neighbors)
-    user_model = build_user_knn(matrix, k_neighbors)
+    user_rec = build_user_knn(matrix, k_neighbors)
     user_oracle = oracle_user_neighbors(ratings, k_neighbors)
 
     users = sorted({u for u, _ in ratings})
@@ -703,14 +686,14 @@ def test_knn_recommenders_match_oracles_on_random_matrices(trial):
     for user in users:
         profile = sorted((i, r) for (u, i), r in ratings.items() if u == user)
         profiles[user] = profile
-        got_item = item_knn_slate(item_model, profile, k)
+        got_item = item_knn_slate(item_rec, profile, k)
         assert got_item.entries == oracle_item_slate(item_oracle, profile, k)
-        got_user = user_knn_slates(user_model, matrix, [user], k)[0]
+        got_user = user_knn_slates(user_rec, [user], k)[0]
         assert got_user.entries == oracle_user_slate(ratings, user_oracle, user, k)
 
     requests = [request_for(user, profiles[user]) for user in users]
-    item_batch = ItemKnnRecommender(item_model).recommend_batch(requests, k)
-    user_batch = UserKnnRecommender(user_model, matrix).recommend_batch(requests, k)
+    item_batch = item_rec.recommend_batch(requests, k)
+    user_batch = user_rec.recommend_batch(requests, k)
     assert [(i.slate.entries, u.slate.entries) for i, u in zip(item_batch, user_batch)] == [
         (
             oracle_item_slate(item_oracle, profiles[user], k),
@@ -730,11 +713,8 @@ def test_knn_builds_match_oracles_across_block_seams(monkeypatch, block):
         ratings = random_ratings(rng)
         k_neighbors = int(rng.choice([1, 2, 3, 30]))
         matrix = matrix_from(ratings)
-        for build, oracle in (
-            (build_item_knn, oracle_item_neighbors),
-            (build_user_knn, oracle_user_neighbors),
-        ):
-            got = neighbor_lists(build(matrix, k_neighbors))
+        for mode, oracle in (("item", oracle_item_neighbors), ("user", oracle_user_neighbors)):
+            got = neighbor_lists(matrix, mode, k_neighbors)
             expected = oracle(ratings, k_neighbors)
             assert got.keys() == expected.keys()
             for entity, neigh in expected.items():
@@ -766,17 +746,17 @@ def _block_matrix(rng, n_users=60, n_items=25):
 
 
 def _knn_outputs(matrix, requests, k):
-    """Both models' CSR arrays and both recommenders' slates."""
-    item_model = build_item_knn(matrix, 5)
-    user_model = build_user_knn(matrix, 5)
+    """Both builds' neighbor CSR arrays and both recommenders' slates."""
+    item_ids, item_sims = recommenders._build_knn(matrix, "item", 5)
+    _, user_sims = recommenders._build_knn(matrix, "user", 5)
     arrays = [
         array.tobytes()
-        for model in (item_model, user_model)
-        for array in (model.sims.indptr, model.sims.indices, model.sims.data)
+        for sims in (item_sims, user_sims)
+        for array in (sims.indptr, sims.indices, sims.data)
     ]
     slates = [
         [r.slate.entries for r in rec.recommend_batch(requests, k)]
-        for rec in (ItemKnnRecommender(item_model), UserKnnRecommender(user_model, matrix))
+        for rec in (ItemKnnRecommender(item_ids, item_sims), UserKnnRecommender(matrix, user_sims))
     ]
     return arrays, slates
 
@@ -832,23 +812,22 @@ def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, tria
         requests.append(request_for(user, [profile[n] for n in rng.permutation(len(profile))]))
     profiles = [request.profile for request in requests]
 
-    item_model = build_item_knn(matrix, int(rng.choice([2, 5, 30])))
-    ItemKnnRecommender(item_model).slates(requests, 3)
-    cols = np.searchsorted(item_model.ids, np.concatenate([p.item for p in profiles]))
+    item_ids, item_sims = recommenders._build_knn(matrix, "item", int(rng.choice([2, 5, 30])))
+    ItemKnnRecommender(item_ids, item_sims).slates(requests, 3)
+    cols = np.searchsorted(item_ids, np.concatenate([p.item for p in profiles]))
     indptr = np.cumsum([0] + [len(p) for p in profiles])
-    shape = (len(profiles), item_model.ids.size)
+    shape = (len(profiles), item_ids.size)
     profile_ratings = np.concatenate([p.rating for p in profiles])
     left = sparse.csr_matrix((profile_ratings, cols, indptr), shape=shape)
     rated = sparse.csr_matrix((np.ones_like(profile_ratings), cols, indptr), shape=shape)
-    sims_t = item_model.sims.T.tocsr()
+    sims_t = item_sims.T.tocsr()
     (fused,) = products
     assert np.array_equal(fused.toarray().real.view(np.int64), _bits(left @ sims_t))
     assert np.array_equal(fused.toarray().imag.view(np.int64), _bits(rated @ sims_t))
 
     products.clear()
-    user_model = build_user_knn(matrix, int(rng.choice([2, 5, 30])))
-    UserKnnRecommender(user_model, matrix).slates(requests, 3)
-    weights = user_model.sims
+    _, weights = recommenders._build_knn(matrix, "user", int(rng.choice([2, 5, 30])))
+    UserKnnRecommender(matrix, weights).slates(requests, 3)
     rated = matrix.csr.copy()
     rated.data[:] = 1.0
     num = weights @ centered
@@ -865,13 +844,24 @@ def test_fused_products_equal_the_two_product_form_bit_for_bit(monkeypatch, tria
 def test_recommenders_refuse_a_similarity_not_above_the_floor(bad):
     neighbors = {1: ((2, 0.5),), 2: ((1, 0.5),), 3: tuple(zip((1, 2), bad))}
     with pytest.raises(ValueError, match="SIMILARITY_FLOOR"):
-        ItemKnnRecommender(knn_model("item", neighbors))
+        ItemKnnRecommender(*knn_lists(neighbors))
     matrix = matrix_from({(1, 10): 5.0, (2, 10): 3.0, (2, 11): 1.0, (3, 11): 2.0})
     with pytest.raises(ValueError, match="SIMILARITY_FLOOR"):
-        UserKnnRecommender(knn_model("user", neighbors), matrix)
+        UserKnnRecommender(matrix, knn_lists(neighbors)[1])
     good = {1: ((2, 0.5),), 2: ((1, 0.5),), 3: ((1, 0.25),)}
-    ItemKnnRecommender(knn_model("item", good))
-    UserKnnRecommender(knn_model("user", good), matrix)
+    ItemKnnRecommender(*knn_lists(good))
+    UserKnnRecommender(matrix, knn_lists(good)[1])
+
+
+def test_recommenders_refuse_similarities_of_another_size():
+    # User-KNN reads row n of sims as user matrix.users[n]: the sims of
+    # another matrix's users would score the wrong neighbors.
+    matrix = matrix_from({(1, 10): 5.0, (1, 11): 1.0, (2, 10): 4.0, (2, 11): 2.0})
+    ids, sims = knn_lists({1: ((2, 0.5),), 2: ((1, 0.5),), 3: ((1, 0.25),)})
+    with pytest.raises(ValueError, match="3 x 3, not 2 x 2"):
+        UserKnnRecommender(matrix, sims)
+    with pytest.raises(ValueError, match="3 x 3, not 2 x 2"):
+        ItemKnnRecommender(ids[:2], sims)
 
 
 def _wide_sparse_ratings():
@@ -889,11 +879,11 @@ def test_item_build_over_a_wide_sparse_matrix_stays_small():
     assert 19_000 < matrix.items.size < 20_500
     tracemalloc.start()
     try:
-        model = build_item_knn(matrix)
+        rec = build_item_knn(matrix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.sims.nnz > 0
+    assert rec.sims_t.nnz > 0
     assert peak < 64 * 2**20
 
 
@@ -914,11 +904,11 @@ def test_item_build_over_a_dense_catalog_stays_small():
     )
     tracemalloc.start()
     try:
-        model = build_item_knn(matrix)
+        rec = build_item_knn(matrix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.sims.nnz > 0
+    assert rec.sims_t.nnz > 0
     assert peak < 18 * 2**20
 
 
@@ -937,7 +927,7 @@ def test_item_scoring_over_a_wide_catalog_stays_small():
     # A dense requests x items array of one 128-request block would be
     # 128 x 19.7k doubles, about 20 MB.
     table = _wide_sparse_ratings()
-    rec = ItemKnnRecommender(build_item_knn(RatingMatrix.from_interactions(table)))
+    rec = build_item_knn(RatingMatrix.from_interactions(table))
     requests = _wide_sparse_requests(table)
     tracemalloc.start()
     try:
@@ -954,8 +944,7 @@ def test_user_scoring_over_a_wide_catalog_stays_small():
     # dense block of scores would be eight times that. The peak measures
     # about 10.3 MiB with one or two workers.
     table = _wide_sparse_ratings()
-    matrix = RatingMatrix.from_interactions(table)
-    rec = UserKnnRecommender(build_user_knn(matrix), matrix)
+    rec = build_user_knn(RatingMatrix.from_interactions(table))
     requests = _wide_sparse_requests(table)
     tracemalloc.start()
     try:
@@ -985,8 +974,8 @@ def test_batches_larger_than_one_block_match_single_requests_in_any_order():
     for rec in (
         RandomRecommender(PhiArray.of(phi), seed=3),
         TopPopRecommender(PhiArray.of(phi)),
-        ItemKnnRecommender(build_item_knn(matrix, 5)),
-        UserKnnRecommender(build_user_knn(matrix, 5), matrix),
+        build_item_knn(matrix, 5),
+        build_user_knn(matrix, 5),
     ):
         batch = [r.slate.entries for r in rec.recommend_batch(requests, 5)]
         assert batch == [rec.slates([request], 5)[0].entries for request in requests]
@@ -1012,8 +1001,8 @@ class TestAdapters:
         for rec in (
             RandomRecommender(PhiArray.of(phi), seed=4),
             TopPopRecommender(PhiArray.of(phi)),
-            ItemKnnRecommender(build_item_knn(matrix, 30)),
-            UserKnnRecommender(build_user_knn(matrix, 30), matrix),
+            build_item_knn(matrix, 30),
+            build_user_knn(matrix, 30),
         ):
             result = rec.recommend_batch([request], 2)[0]
             assert not set(result.slate.entries) & request.exclude
@@ -1026,3 +1015,44 @@ class TestAdapters:
         ba = rec.recommend_batch([req_b, req_a], 5)
         assert ab[0].slate.entries == ba[1].slate.entries
         assert ab[1].slate.entries == ba[0].slate.entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(1, 6), st.integers(1, 9)),
+        st.integers(1, 10).map(lambda twice: twice / 2),
+        min_size=1,
+        max_size=40,
+    ),
+    k=st.integers(0, 10),
+    k_neighbors=st.sampled_from([1, 2, 30]),
+)
+def test_every_baseline_keeps_the_slate_contract(cells, k, k_neighbors):
+    # A batch of every user plus one empty-profile request for a matrix user:
+    # no slate repeats an item, holds one of its profile's items or exceeds k.
+    rows = [(u, i, r, t) for t, ((u, i), r) in enumerate(cells.items())]
+    table = Ratings.from_columns(*zip(*rows))
+    matrix = RatingMatrix.from_interactions(table)
+    phi = compute_popularity(table)
+    bounds = np.flatnonzero(np.diff(table.user)) + 1
+    requests = [
+        RecRequest(int(table.user[start]), table[start:stop])
+        for start, stop in zip([0, *bounds], [*bounds, len(table)])
+    ]
+    requests.append(RecRequest(int(table.user[0]), table[:0]))
+    pool = set(phi.ids.tolist())
+    for rec in (
+        RandomRecommender(phi, seed=0),
+        TopPopRecommender(phi),
+        build_item_knn(matrix, k_neighbors),
+        build_user_knn(matrix, k_neighbors),
+    ):
+        results = rec.recommend_batch(requests, k)
+        assert len(results) == len(requests)
+        for request, result in zip(requests, results):
+            entries = result.slate.entries
+            assert len(set(entries)) == len(entries) <= k, rec.name
+            assert not request.exclude.intersection(entries), rec.name
+            if rec.name in ("random", "top_pop"):
+                assert len(entries) == min(k, len(pool - request.exclude)), rec.name
